@@ -8,6 +8,7 @@ n-step distribution can be carried as integer numerators over denom**n.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -43,25 +44,59 @@ class CollapsedChain:
 
     # ---- exact integer dynamics ----------------------------------
 
-    def step_numerators(self, w: list) -> list:
-        """One step of the count DP: new[j] = sum_i w[i] * count(i->j)."""
+    def cone(self, steps_left: int) -> int:
+        """Number of states within ``steps_left`` steps of the root.
+
+        States are numbered in BFS order, so these are a prefix.  A state
+        at depth d needs d steps to return to the root, so with k steps
+        left (this one included) only the first ``cone(k)`` states can
+        still send mass there.
+        """
+        if self.depth is None:
+            return len(self.states)
+        return bisect_right(self.depth, steps_left)
+
+    def step_numerators(self, w: list, limit: Optional[int] = None,
+                        rows: Optional[list] = None) -> list:
+        """One step of the count DP: new[j] = sum_i w[i] * count(i->j).
+
+        Only states i < ``limit`` are read.  ``rows`` replaces the integer
+        counts by other weights of the same shape (rows[i] = [(j, p)]).
+        """
+        rows = self.edges if rows is None else rows
         nw = [0] * len(self.states)
-        for i, wi in enumerate(w):
+        for i, wi in enumerate(w[:limit]):
             if wi:
-                for j, c in self.edges[i]:
+                for j, c in rows[i]:
                     nw[j] += wi * c
         return nw
 
-    def return_series_exact(self, n_max: int) -> list:
-        """u_n for n = 0..n_max as exact Fractions."""
+    def root_walk(self, n_max: int, start=1, rows: Optional[list] = None,
+                  taboo: bool = False) -> list:
+        """Root entries of w_1..w_{n_max}, w_n = w_{n-1} P, w_0 = start*e_root.
+
+        With ``taboo`` the root's mass is removed before every step after
+        the first.  Step n reads only the states that are reachable in
+        n - 1 steps and can still reach the root in the n_max - n + 1
+        steps left; the others carry no mass that arrives at the root.
+        """
         self._check_horizon(n_max)
         w = [0] * len(self.states)
-        w[self.root] = 1
-        out = [Fraction(1)]
+        w[self.root] = start
+        out = []
         for n in range(1, n_max + 1):
-            w = self.step_numerators(w)
-            out.append(Fraction(w[self.root], self.denom ** n))
+            if taboo and n > 1:
+                w[self.root] = 0
+            w = self.step_numerators(
+                w, self.cone(min(n - 1, n_max - n + 1)), rows)
+            out.append(w[self.root])
         return out
+
+    def return_series_exact(self, n_max: int) -> list:
+        """u_n for n = 0..n_max as exact Fractions."""
+        return [Fraction(1)] + [
+            Fraction(x, self.denom ** n)
+            for n, x in enumerate(self.root_walk(n_max), 1)]
 
     def taboo_series_exact(self, n_max: int) -> list:
         """First-return probabilities f_n via the taboo DP.
@@ -70,17 +105,9 @@ class CollapsedChain:
         arrives at the root at step n through killed dynamics is exactly
         the first-return probability.
         """
-        self._check_horizon(n_max)
-        w = [0] * len(self.states)
-        out = [Fraction(0)]
-        for j, c in self.edges[self.root]:
-            w[j] += c
-        out.append(Fraction(w[self.root], self.denom))
-        for n in range(2, n_max + 1):
-            w[self.root] = 0
-            w = self.step_numerators(w)
-            out.append(Fraction(w[self.root], self.denom ** n))
-        return out
+        return [Fraction(0)] + [
+            Fraction(x, self.denom ** n)
+            for n, x in enumerate(self.root_walk(n_max, taboo=True), 1)]
 
     # ---- float dynamics ------------------------------------------
 

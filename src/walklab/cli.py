@@ -8,6 +8,7 @@ or JSON with a provenance header.  Exit codes: 0 ok, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -53,10 +54,14 @@ def _add_model_args(p):
     p.add_argument("--beta", type=int)
 
 
+@contextlib.contextmanager
 def _out(args):
+    """The --output stream; a named file is closed when the block ends."""
     if args.output == "-":
-        return sys.stdout
-    return open(args.output, "w")
+        yield sys.stdout
+    else:
+        with open(args.output, "w") as fh:
+            yield fh
 
 
 def cmd_series(args) -> int:
@@ -66,15 +71,14 @@ def cmd_series(args) -> int:
     f = series.first_return_probabilities(u)
     rho = series.spectral_radius(model, u)
     a = series.normalized_series(u, rho)
-    out = _out(args)
-    out.write("# " + json.dumps(_provenance(args, {"rho": rho.value})) + "\n")
-    out.write("n,u_n,f_n,a_n,f_over_u\n")
-    for n in range(args.nmax + 1):
-        un, fn = float(u[n]), float(f[n])
-        ratio = repr(fn / un) if un > 0 else ""
-        out.write(f"{n},{un!r},{fn!r},{float(a.floats[n])!r},{ratio}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _out(args) as out:
+        out.write("# " + json.dumps(_provenance(args, {"rho": rho.value}))
+                  + "\n")
+        out.write("n,u_n,f_n,a_n,f_over_u\n")
+        for n in range(args.nmax + 1):
+            un, fn = float(u[n]), float(f[n])
+            ratio = repr(fn / un) if un > 0 else ""
+            out.write(f"{n},{un!r},{fn!r},{float(a.floats[n])!r},{ratio}\n")
     return EXIT_OK
 
 
@@ -89,7 +93,8 @@ def cmd_fit(args) -> int:
     report = {"provenance": _provenance(args),
               "rho": rho.value, "window": [lo, hi],
               "slope": slope, "stderr": stderr, "intercept": intercept}
-    _out(args).write(json.dumps(report, indent=2) + "\n")
+    with _out(args) as out:
+        out.write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -100,16 +105,14 @@ def cmd_ballot(args) -> int:
     n_grid = [int(x) for x in args.n_grid.split(",")]
     r_grid = list(range(0, args.rmax + 1))
     scan = doob.bound_constant_scan(law, n_grid, r_grid)
-    out = _out(args)
-    out.write("# " + json.dumps(_provenance(args, {
-        "sup_ballot": scan["sup_ballot"],
-        "sup_tau": scan["sup_tau"],
-        "sup_max_and_return": scan["sup_max_and_return"]})) + "\n")
-    out.write("n,r,ballot,max_and_return,ballot_norm,max_norm\n")
-    for n, r, bp, mr, nb, nm in scan["table"]:
-        out.write(f"{n},{r},{bp!r},{mr!r},{nb!r},{nm!r}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _out(args) as out:
+        out.write("# " + json.dumps(_provenance(args, {
+            "sup_ballot": scan["sup_ballot"],
+            "sup_tau": scan["sup_tau"],
+            "sup_max_and_return": scan["sup_max_and_return"]})) + "\n")
+        out.write("n,r,ballot,max_and_return,ballot_norm,max_norm\n")
+        for n, r, bp, mr, nb, nm in scan["table"]:
+            out.write(f"{n},{r},{bp!r},{mr!r},{nb!r},{nm!r}\n")
     return EXIT_OK
 
 
@@ -121,26 +124,24 @@ def cmd_levels(args) -> int:
                                          args.seed, chain=chain)
     profile = model.level_profile()
     t0 = profile.t0
-    out = _out(args)
-    out.write("# " + json.dumps(_provenance(args)) + "\n")
-    out.write("n,k,exact_visits,mc_visit_mean,mc_visit_se,"
-              "mc_distinct_mean,mc_distinct_se,bound\n")
-    for k, (mean, se) in sorted(stats.visit_means.items()):
-        ev = float(bridge_visits_safe(chain, u, args.n, k))
-        dm, dse, _ = stats.distinct_means.get(k, (float("nan"),
-                                                  float("nan"), 0))
-        bound = repr(float(args.n * np.exp(-t0 * k))) if k >= 1 else ""
-        out.write(f"{args.n},{k},{ev!r},{mean!r},{se!r},{dm!r},{dse!r},"
-                  f"{bound}\n")
-    if out is not sys.stdout:
-        out.close()
+    with _out(args) as out:
+        out.write("# " + json.dumps(_provenance(args)) + "\n")
+        out.write("n,k,exact_visits,mc_visit_mean,mc_visit_se,"
+                  "mc_distinct_mean,mc_distinct_se,bound\n")
+        for k, (mean, se) in sorted(stats.visit_means.items()):
+            ev = float(bridge_visits_safe(chain, u, args.n, k))
+            dm, dse, _ = stats.distinct_means.get(k, (float("nan"),
+                                                      float("nan"), 0))
+            bound = repr(float(args.n * np.exp(-t0 * k))) if k >= 1 else ""
+            out.write(f"{args.n},{k},{ev!r},{mean!r},{se!r},{dm!r},"
+                      f"{dse!r},{bound}\n")
     return EXIT_OK
 
 
 def bridge_visits_safe(chain, u, n, k):
     try:
         return bridges.bridge_level_visits(chain, u, n, k)
-    except Exception:
+    except bridges.BridgeError:
         return float("nan")
 
 
@@ -166,7 +167,8 @@ def cmd_excursions(args) -> int:
         "tv_to_geometric": tv,
         "note": "geometric limit is a conjecture; tv is a trend diagnostic",
     }
-    _out(args).write(json.dumps(report, indent=2) + "\n")
+    with _out(args) as out:
+        out.write(json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -187,7 +189,8 @@ def cmd_quasi(args) -> int:
         "checks": {k: (v if not isinstance(v, float) else v)
                    for k, v in checks.items() if k != "witnesses"},
     }
-    _out(args).write(json.dumps(report, indent=2) + "\n")
+    with _out(args) as out:
+        out.write(json.dumps(report, indent=2) + "\n")
     if not checks["pairwise_cancellation_exact"]:
         return EXIT_INVARIANT
     return EXIT_OK

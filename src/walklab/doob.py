@@ -132,23 +132,10 @@ class DoobChain:
         """a_n = root-return probability of the h-walk, exact QuadExt."""
         if n_max > self.base_chain.horizon:
             raise DoobError("beyond chain horizon")
-        nstates = len(self.rows)
-        zero = QuadExt(_field_disc(self.rows), 0, 0)
-        w = [None] * nstates
-        w[self.base_chain.root] = QuadExt(zero.d, 1, 0)
-        out = [QuadExt(zero.d, 1, 0)]
-        for _ in range(n_max):
-            nw = [None] * nstates
-            for i, wi in enumerate(w):
-                if wi is None:
-                    continue
-                for j, p in self.rows[i]:
-                    contrib = wi * p
-                    nw[j] = contrib if nw[j] is None else nw[j] + contrib
-            w = nw
-            root_val = w[self.base_chain.root]
-            out.append(root_val if root_val is not None else zero)
-        return out
+        d = _field_disc(self.rows)
+        one, zero = QuadExt(d, 1, 0), QuadExt(d, 0, 0)
+        walk = self.base_chain.root_walk(n_max, one, rows=self.rows)
+        return [one] + [x or zero for x in walk]
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         from scipy import sparse
@@ -221,8 +208,8 @@ class LevelIncrementLaw:
             total = p if total is None else total + p
         if total != 1:
             raise DoobError(f"law mass {total} != 1")
-        mean = sum(j * float(p) for j, p in self.atoms)
-        if abs(mean) > 1e-15:
+        mean = sum(j * p for j, p in self.atoms)
+        if mean != 0:
             raise DoobError(f"nonzero mean {mean}")
 
     def float_atoms(self) -> dict:

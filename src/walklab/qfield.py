@@ -3,6 +3,11 @@
 Transition probabilities of the square-root-biased walk involve sqrt(b)
 for the level-ratio base b, so row sums, reversibility and return values
 can be checked exactly by computing in Q(sqrt(b)) instead of floats.
+
+An element is stored as three integers (a, b, den) standing for
+(a + b*sqrt(D)) / den, with D squarefree, den > 0 and gcd(a, b, den) = 1.
+The representation is canonical, so equality and hashing compare the
+integers; the field operations need one gcd each and no Fractions.
 """
 
 from __future__ import annotations
@@ -11,192 +16,7 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-
-def _rational_sqrt(d: Fraction) -> Fraction | None:
-    """Return sqrt(d) as a Fraction if d is a perfect square, else None."""
-    if d < 0:
-        raise ValueError("negative discriminant")
-    n, m = d.numerator, d.denominator
-    rn, rm = math.isqrt(n), math.isqrt(m)
-    if rn * rn == n and rm * rm == m:
-        return Fraction(rn, rm)
-    return None
-
-
-class QuadExt:
-    """A number a + b*sqrt(d) with a, b, d rational and d > 0 fixed.
-
-    If d happens to be a perfect square the irrational part is folded into
-    the rational part, so equality comparisons stay meaningful.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, d, a=0, b=0):
-        d = Fraction(d)
-        a = Fraction(a)
-        b = Fraction(b)
-        root = _rational_sqrt(d)
-        if root is not None and b != 0:
-            a += b * root
-            b = Fraction(0)
-        self.d = d
-        self.a = a
-        self.b = b
-
-    # ---- helpers -------------------------------------------------
-
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.d != self.d and other.b != 0 and self.b != 0:
-                raise ValueError(f"mixed discriminants {self.d} and {other.d}")
-            return other
-        if isinstance(other, Rational):
-            return QuadExt(self.d, other, 0)
-        return NotImplemented  # type: ignore[return-value]
-
-    def _field(self, o: "QuadExt") -> Fraction:
-        """Discriminant carried by whichever operand is irrational."""
-        return self.d if self.b != 0 else o.d
-
-    @staticmethod
-    def sqrt_of(d) -> "QuadExt":
-        """The element sqrt(d)."""
-        return QuadExt(d, 0, 1)
-
-
-    # ---- ring operations -----------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self._field(o), self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(self.d, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadExt(self._field(o), self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = self._field(o)
-        return QuadExt(
-            d,
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        norm = self.a * self.a - self.d * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt(d))")
-        return QuadExt(self.d, self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QuadExt(self.d, 1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # ---- comparisons and conversions -----------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        # rational-valued elements must hash alike whatever their d
-        return hash((self.a, self.b, self.d if self.b else 0))
-
-    def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a >= 0 and b > 0:
-            return 1
-        if a <= 0 and b < 0:
-            return -1
-        # a and b have opposite signs: compare a^2 with d*b^2
-        lhs, rhs = a * a, self.d * b * b
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(float(self.d))
-
-    def to_mpf(self, mp):
-        """High precision value using an mpmath context."""
-        return mp.mpf(self.a.numerator) / self.a.denominator + (
-            mp.mpf(self.b.numerator) / self.b.denominator
-        ) * mp.sqrt(mp.mpf(self.d.numerator) / self.d.denominator)
-
-    def __repr__(self):
-        return f"QuadExt({self.d}, {self.a}, {self.b})"
+_gcd = math.gcd
 
 
 def _squarefree_part(n: int) -> tuple[int, int]:
@@ -216,6 +36,269 @@ def _squarefree_part(n: int) -> tuple[int, int]:
     return s, D * n
 
 
+def _split_root(d) -> tuple[int, Fraction]:
+    """sqrt(d) = c * sqrt(D) with D squarefree; returns (D, c)."""
+    d = Fraction(d)
+    if d < 0:
+        raise ValueError("negative discriminant")
+    if d == 0:
+        return 1, Fraction(0)
+    # sqrt(n/m) = sqrt(n*m)/m
+    m = d.denominator
+    s, D = _squarefree_part(d.numerator * m)
+    return D, Fraction(s, m)
+
+
+def _raw(d: int, a: int, b: int, den: int) -> "QuadExt":
+    """Element from integers already in lowest terms with den > 0."""
+    x = object.__new__(QuadExt)
+    x.d = d
+    x._a = a
+    x._b = b
+    x._den = den
+    return x
+
+
+def _new(d: int, a: int, b: int, den: int) -> "QuadExt":
+    """Element from integers with den > 0, reduced by one gcd."""
+    g = _gcd(a, b, den)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    return _raw(d, a, b, den)
+
+
+class QuadExt:
+    """A number a + b*sqrt(d) with a, b, d rational and d >= 0 fixed.
+
+    ``d`` is reduced to its squarefree part D when the element is built
+    (sqrt(8) is stored as 2*sqrt(2)); if d is a perfect square the
+    irrational part is folded into the rational part, so equality
+    comparisons stay meaningful.  ``a`` and ``b`` read as Fractions, the
+    coefficients of 1 and sqrt(D).
+    """
+
+    __slots__ = ("d", "_a", "_b", "_den")
+
+    def __init__(self, d, a=0, b=0):
+        D, c = _split_root(d)
+        a = Fraction(a)
+        b = Fraction(b) * c
+        if D == 1:
+            a, b = a + b, Fraction(0)
+        den = math.lcm(a.denominator, b.denominator)
+        self.d = D
+        self._a = a.numerator * (den // a.denominator)
+        self._b = b.numerator * (den // b.denominator)
+        self._den = den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    # ---- helpers -------------------------------------------------
+
+    def _lift(self, other):
+        """A rational operand as an element of this field."""
+        if isinstance(other, Rational):
+            q = Fraction(other)
+            return _raw(self.d, q.numerator, 0, q.denominator)
+        return NotImplemented
+
+    def _field(self, o: "QuadExt") -> int:
+        """Discriminant carried by whichever operand is irrational."""
+        if self._b:
+            if o._b and o.d != self.d:
+                raise ValueError(f"mixed discriminants {self.d} and {o.d}")
+            return self.d
+        return o.d
+
+    # ---- ring operations -----------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not QuadExt:
+            if type(other) is int:
+                if not other:
+                    return self
+                return _raw(self.d, self._a + other * self._den, self._b,
+                            self._den)
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, other, self._field(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _neg(self)
+
+    def __sub__(self, other):
+        if type(other) is not QuadExt:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, _neg(other), self._field(other))
+
+    def __rsub__(self, other):
+        return _neg(self) + other
+
+    def __mul__(self, other):
+        if type(other) is not QuadExt:
+            if type(other) is int:
+                g = _gcd(other, self._den)
+                return _raw(self.d, self._a * other // g,
+                            self._b * other // g, self._den // g)
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _mul(self, other, self._field(other))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadExt":
+        return _inv(self)
+
+    def __truediv__(self, other):
+        if type(other) is not QuadExt:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _mul(self, _inv(other), self._field(other))
+
+    def __rtruediv__(self, other):
+        return _inv(self) * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return _inv(self) ** (-k)
+        d = self.d
+        out = _raw(d, 1, 0, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = _mul(out, base, d)
+            k >>= 1
+            if k:
+                base = _mul(base, base, d)
+        return out
+
+    # ---- comparisons and conversions -----------------------------
+
+    def __eq__(self, other):
+        if type(other) is not QuadExt:
+            if type(other) is int:
+                return not self._b and self._den == 1 and self._a == other
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        elif self._b and other._b and self.d != other.d:
+            raise ValueError(f"mixed discriminants {self.d} and {other.d}")
+        return (self._a == other._a and self._b == other._b
+                and self._den == other._den)
+
+    def __hash__(self):
+        # a rational value hashes like its Fraction, whatever its d
+        if not self._b:
+            if self._den == 1:
+                return hash(self._a)
+            return hash(Fraction(self._a, self._den))
+        return hash((self._a, self._b, self._den, self.d))
+
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(d)."""
+        a, b = self._a, self._b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a >= 0 and b > 0:
+            return 1
+        if a <= 0 and b < 0:
+            return -1
+        # a and b have opposite signs: compare a^2 with d*b^2
+        lhs, rhs = a * a, self.d * b * b
+        if a > 0:  # b < 0
+            return (lhs > rhs) - (lhs < rhs)
+        return (rhs > lhs) - (rhs < lhs)
+
+    def _cmp(self, other):
+        """sign(self - other), or NotImplemented."""
+        if type(other) is not QuadExt:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self, _neg(other), self._field(other)).sign()
+
+    def __lt__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s < 0
+
+    def __le__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s <= 0
+
+    def __gt__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s > 0
+
+    def __ge__(self, other):
+        s = self._cmp(other)
+        return s if s is NotImplemented else s >= 0
+
+    def is_rational(self) -> bool:
+        return self._b == 0
+
+    def as_fraction(self) -> Fraction:
+        if self._b != 0:
+            raise ValueError(f"{self!r} is irrational")
+        return self.a
+
+    def __float__(self) -> float:
+        # int / int is correctly rounded, as float(Fraction) is
+        return self._a / self._den + self._b / self._den * math.sqrt(self.d)
+
+    def to_mpf(self, mp):
+        """High precision value using an mpmath context."""
+        a, b = self.a, self.b
+        return mp.mpf(a.numerator) / a.denominator + (
+            mp.mpf(b.numerator) / b.denominator) * mp.sqrt(mp.mpf(self.d))
+
+    def __repr__(self):
+        return f"QuadExt({self.d}, {self.a}, {self.b})"
+
+
+def _add(x: QuadExt, y: QuadExt, d: int) -> QuadExt:
+    den = x._den
+    if den == y._den:
+        return _new(d, x._a + y._a, x._b + y._b, den)
+    return _new(d, x._a * y._den + y._a * den, x._b * y._den + y._b * den,
+                den * y._den)
+
+
+def _neg(x: QuadExt) -> QuadExt:
+    return _raw(x.d, -x._a, -x._b, x._den)
+
+
+def _mul(x: QuadExt, y: QuadExt, d: int) -> QuadExt:
+    a1, b1, a2, b2 = x._a, x._b, y._a, y._b
+    return _new(d, a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2,
+                x._den * y._den)
+
+
+def _inv(x: QuadExt) -> QuadExt:
+    # den / (a + b sqrt(d)) = den (a - b sqrt(d)) / (a^2 - d b^2)
+    a, b, den = x._a, x._b, x._den
+    norm = a * a - x.d * b * b
+    if norm == 0:
+        raise ZeroDivisionError("zero element of Q(sqrt(d))")
+    if norm < 0:
+        norm, den = -norm, -den
+    return _new(x.d, den * a, -den * b, norm)
+
+
 def sqrt_exact(q) -> QuadExt:
     """sqrt(q) as c*sqrt(D) with D a squarefree integer.
 
@@ -225,12 +308,4 @@ def sqrt_exact(q) -> QuadExt:
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
-    if q == 0:
-        return QuadExt(1, 0, 0)
-    # sqrt(n/m) = sqrt(n*m)/m
-    nm = q.numerator * q.denominator
-    s, D = _squarefree_part(nm)
-    coeff = Fraction(s, q.denominator)
-    if D == 1:
-        return QuadExt(1, coeff, 0)
-    return QuadExt(D, 0, coeff)
+    return QuadExt(q, 0, 1)

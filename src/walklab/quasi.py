@@ -158,18 +158,6 @@ def a_matrix(schema: OrbitSchema) -> np.ndarray:
     return A
 
 
-def a_entry_exact(schema: OrbitSchema, i: int, j: int) -> QuadExt:
-    """Exact a(i,j) when d_i d_j is a perfect square (else SchemaError)."""
-    dd = sqrt_exact(schema.degrees[i - 1] * schema.degrees[j - 1])
-    if not dd.is_rational():
-        raise SchemaError("sqrt(d_i d_j) is irrational")
-    acc = QuadExt(1, 0, 0)
-    for (a, b, q), n in schema.counts.items():
-        if a == i and b == j:
-            acc = acc + n * sqrt_exact(q)
-    return acc * dd.as_fraction() ** -1
-
-
 @dataclass
 class PerronData:
     A: np.ndarray

@@ -3,10 +3,13 @@
 The level-walk statistics are recomputed here by exhaustive enumeration
 over all increment sequences, with exact arithmetic reassembled from
 atom-count histograms.  Nothing below shares code with the dynamic
-programs under test.
+programs under test.  `QuadRef` is a plain reference for the exact
+quadratic-field arithmetic.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,3 +131,73 @@ def enumerate_pm1(law, n, r_ballot=(), r_max=(), r_tau=()):
                 key = ("tau", r, k)
                 out[key] = prob if out[key] is None else out[key] + prob
     return out
+
+
+class QuadRef:
+    """a + b*sqrt(D) with a, b Fractions and D a fixed squarefree integer.
+
+    The textbook representation, kept as a reference for the integer
+    triples of `walklab.qfield`; it shares no code with that module.
+    """
+
+    def __init__(self, D, a, b=0):
+        self.D, self.a, self.b = D, Fraction(a), Fraction(b)
+
+    def _lift(self, other):
+        if isinstance(other, QuadRef):
+            assert other.D == self.D
+            return other
+        return QuadRef(self.D, other)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return QuadRef(self.D, self.a + o.a, self.b + o.b)
+
+    def __neg__(self):
+        return QuadRef(self.D, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return QuadRef(self.D, self.a * o.a + self.D * self.b * o.b,
+                       self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        norm = self.a * self.a - self.D * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError
+        return QuadRef(self.D, self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        out = QuadRef(self.D, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        return self.a == o.a and self.b == o.b
+
+    __hash__ = None
+
+    def sign(self):
+        """Sign by squaring: a + b sqrt(D) > 0 iff a > -b sqrt(D)."""
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        bigger_a = a * a > self.D * b * b
+        return (1 if a > 0 else -1) if bigger_a else (1 if b > 0 else -1)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.D)
