@@ -65,9 +65,9 @@ class CollapsedChain:
         """
         rows = self.edges if rows is None else rows
         nw = [0] * len(self.states)
-        for i, wi in enumerate(w[:limit]):
+        for wi, row in zip(w[:limit], rows):
             if wi:
-                for j, c in rows[i]:
+                for j, c in row:
                     nw[j] += wi * c
         return nw
 

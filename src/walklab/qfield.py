@@ -191,13 +191,10 @@ class QuadExt:
 
     def __eq__(self, other):
         if type(other) is not QuadExt:
-            if type(other) is int:
-                return not self._b and self._den == 1 and self._a == other
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
-        elif self._b and other._b and self.d != other.d:
-            raise ValueError(f"mixed discriminants {self.d} and {other.d}")
+        self._field(other)  # raises on mixed discriminants
         return (self._a == other._a and self._b == other._b
                 and self._den == other._den)
 
