@@ -65,7 +65,7 @@ class CollapsedChain:
         """
         rows = self.edges if rows is None else rows
         nw = [0] * len(self.states)
-        for wi, row in zip(w[:limit], rows):
+        for wi, row in zip(w if limit is None else w[:limit], rows):
             if wi:
                 for j, c in row:
                     nw[j] += wi * c

@@ -122,11 +122,8 @@ class QuadExt:
 
     def __add__(self, other):
         if type(other) is not QuadExt:
-            if type(other) is int:
-                if not other:
-                    return self
-                return _raw(self.d, self._a + other * self._den, self._b,
-                            self._den)
+            if type(other) is int and not other:
+                return self  # sum() and zero-filled accumulators start at 0
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -149,10 +146,6 @@ class QuadExt:
 
     def __mul__(self, other):
         if type(other) is not QuadExt:
-            if type(other) is int:
-                g = _gcd(other, self._den)
-                return _raw(self.d, self._a * other // g,
-                            self._b * other // g, self._den // g)
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
