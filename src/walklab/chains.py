@@ -114,46 +114,44 @@ class CollapsedChain:
     def matrix(self) -> sparse.csr_matrix:
         """Column-stochastic float transition matrix P[j, i] = p(i -> j)."""
         if self._matrix is None:
-            rows, cols, vals = [], [], []
-            inv = 1.0 / self.denom
-            for i, row in enumerate(self.edges):
-                for j, c in row:
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(c * inv)
-            n = len(self.states)
-            self._matrix = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(n, n))
+            self._matrix = float_matrix(self.edges, 1.0 / self.denom)
         return self._matrix
 
-    def return_series_float(self, n_max: int) -> np.ndarray:
+    def float_root_walk(self, P, n_max: int, taboo: bool = False):
+        """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root,
+        for a float matrix P[j, i] = p(i -> j); ``taboo`` as in
+        `root_walk`, with w_0 counted as no return."""
         self._check_horizon(n_max)
-        P = self.matrix()
         w = np.zeros(len(self.states))
         w[self.root] = 1.0
         out = np.empty(n_max + 1)
-        out[0] = 1.0
+        out[0] = 0.0 if taboo else 1.0
         for n in range(1, n_max + 1):
+            if taboo and n > 1:
+                w[self.root] = 0.0
             w = P @ w
             out[n] = w[self.root]
         return out
 
+    def return_series_float(self, n_max: int) -> np.ndarray:
+        return self.float_root_walk(self.matrix(), n_max)
+
     def taboo_series_float(self, n_max: int) -> np.ndarray:
-        self._check_horizon(n_max)
-        P = self.matrix()
-        w = np.zeros(len(self.states))
-        w[self.root] = 1.0
-        w = P @ w
-        out = np.empty(n_max + 1)
-        out[0] = 0.0
-        out[1] = w[self.root]
-        for n in range(2, n_max + 1):
-            w[self.root] = 0.0
-            w = P @ w
-            out[n] = w[self.root]
-        return out
+        return self.float_root_walk(self.matrix(), n_max, taboo=True)
 
     def _check_horizon(self, n_max: int) -> None:
         if n_max > self.horizon:
             raise ValueError(
                 f"chain truncated for horizon {self.horizon}, asked for {n_max}")
+
+
+def float_matrix(rows: list, scale: float = 1.0) -> sparse.csr_matrix:
+    """Sparse P[j, i] = scale * p for rows[i] = [(j, p)]."""
+    r_idx, c_idx, vals = [], [], []
+    for i, row in enumerate(rows):
+        for j, p in row:
+            r_idx.append(j)
+            c_idx.append(i)
+            vals.append(float(p) * scale)
+    n = len(rows)
+    return sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(n, n))

@@ -29,7 +29,7 @@ def _provenance(args, extra=None) -> dict:
     head = {
         "tool": "walklab",
         "version": __version__,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(args.argv),
         "arithmetic": getattr(args, "mode", "exact"),
         "seed": getattr(args, "seed", None),
     }
@@ -44,9 +44,14 @@ def _model_from_args(args):
     return build_model(spec)
 
 
+# cartesian needs two factor specs and free_product has no collapsed
+# chain, so both are library-only
+CLI_FAMILIES = [f for f in ModelSpec.FAMILIES
+                if f not in ("cartesian", "free_product")]
+
+
 def _add_model_args(p):
-    p.add_argument("--family", required=True,
-                   choices=list(ModelSpec.FAMILIES))
+    p.add_argument("--family", required=True, choices=CLI_FAMILIES)
     p.add_argument("--b", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--r", type=int)
@@ -234,11 +239,9 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = argparse.ArgumentParser(prog="walklab")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism (computations "
-                             "are single-threaded; accepted for "
-                             "compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("series", help="u, f, a series as CSV")
@@ -290,6 +293,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
+    args.argv = list(argv)
     try:
         return args.func(args)
     except (ModelError, series.SeriesError, doob.DoobError,

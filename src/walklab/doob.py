@@ -4,18 +4,21 @@ h(x) = sqrt(m(x)) is rho-harmonic on the amenable-subgroup families, so
 p_h(x,y) = p(x,y) h(y) / (rho h(x)) is a stochastic kernel whose return
 probability at the root is the normalized sequence a_n = u_n / rho^n.
 The level of the walk performs a symmetric finite-range lattice walk;
-this module computes its increment law and exact ballot-type DPs.
+this module computes its increment law and its ballot-type statistics.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .chains import CollapsedChain
+from .chains import CollapsedChain, float_matrix
 from .models import LevelProfile, WalkModel
 from .qfield import QuadExt, sqrt_exact
 from .series import SpectralRadius, profile_rho
@@ -67,16 +70,8 @@ class DoobChain:
 
     def row_sum_check(self) -> list:
         """Indices of interior states whose row does not sum to 1."""
-        bad = []
-        for i, row in enumerate(self.rows):
-            if not self.base_chain.interior(i):
-                continue
-            acc = None
-            for _, p in row:
-                acc = p if acc is None else acc + p
-            if acc is None or acc != 1:
-                bad.append(i)
-        return bad
+        return [i for i, row in enumerate(self.rows)
+                if self.base_chain.interior(i) and sum(p for _, p in row) != 1]
 
     def reversibility_check(self) -> dict:
         """Detailed balance with pi = (orbit size) * h**2.
@@ -132,36 +127,13 @@ class DoobChain:
         """a_n = root-return probability of the h-walk, exact QuadExt."""
         if n_max > self.base_chain.horizon:
             raise DoobError("beyond chain horizon")
-        d = _field_disc(self.rows)
-        one, zero = QuadExt(d, 1, 0), QuadExt(d, 0, 0)
+        zero = self.rows[self.base_chain.root][0][1] * 0
+        one = zero + 1
         walk = self.base_chain.root_walk(n_max, one, rows=self.rows)
         return [one] + [x or zero for x in walk]
 
     def return_series_float(self, n_max: int) -> np.ndarray:
-        from scipy import sparse
-        nstates = len(self.rows)
-        r_idx, c_idx, vals = [], [], []
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                r_idx.append(j)
-                c_idx.append(i)
-                vals.append(float(p))
-        P = sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(nstates, nstates))
-        w = np.zeros(nstates)
-        w[self.base_chain.root] = 1.0
-        out = np.empty(n_max + 1)
-        out[0] = 1.0
-        for n in range(1, n_max + 1):
-            w = P @ w
-            out[n] = w[self.base_chain.root]
-        return out
-
-
-def _field_disc(rows):
-    for row in rows:
-        for _, p in row:
-            return p.d
-    raise DoobError("empty chain")
+        return self.base_chain.float_root_walk(float_matrix(self.rows), n_max)
 
 
 def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
@@ -199,13 +171,12 @@ class LevelIncrementLaw:
 
     def validate(self) -> None:
         probs = dict(self.atoms)
-        total = None
         for j, p in self.atoms:
-            if float(p) < 0:
+            if p.sign() < 0:
                 raise DoobError(f"negative mass at {j}")
             if probs.get(-j) != p:
                 raise DoobError(f"asymmetric law at step {j}")
-            total = p if total is None else total + p
+        total = sum(p for _, p in self.atoms)
         if total != 1:
             raise DoobError(f"law mass {total} != 1")
         mean = sum(j * p for j, p in self.atoms)
@@ -214,9 +185,6 @@ class LevelIncrementLaw:
 
     def float_atoms(self) -> dict:
         return {j: float(p) for j, p in self.atoms}
-
-    def support(self) -> list:
-        return [j for j, _ in self.atoms]
 
 
 def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementLaw:
@@ -238,12 +206,153 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 
 
 # ---------------------------------------------------------------------------
-# Ballot DPs
+# Level-walk statistics: one killed-walk kernel and its readouts
 # ---------------------------------------------------------------------------
 #
-# Exact DPs carry QuadExt mass in dicts keyed by lattice position; float
-# DPs use numpy arrays with a fixed offset.  Windows are half-open
-# [r*t0, (r+1)*t0) in lattice units.
+# A level walk is a Markov-additive chain: a start law pi over chain states
+# and edges (s, s2, j, p), a move from s to s2 with weight p that raises
+# the level by j lattice units.  The increment law is the one-state case;
+# `quasi` walks on the orbits of a schema.  Arrays v[..., s, i] hold the
+# mass in state s at level a + i, as float64 or as exact field elements.
+# Windows are half-open [r*t0, (r+1)*t0) in lattice units.
+
+
+@dataclass
+class _Walk:
+    pi: np.ndarray   # start law over chain states
+    edges: list      # (s, s2, j, p)
+    zero: object     # 0.0, or the zero of the weights' field
+    t0: int
+
+    def zeros(self, shape) -> np.ndarray:
+        if isinstance(self.zero, float):
+            return np.zeros(shape)
+        return np.full(shape, self.zero, dtype=object)
+
+
+def _law_walk(law: LevelIncrementLaw, mode: str) -> _Walk:
+    """The increment law as a one-state walk."""
+    cast = float if mode == "float" else (lambda p: p)
+    zero = cast(law.atoms[0][1] * 0)
+    edges = [(0, 0, j, cast(p)) for j, p in law.atoms]
+    return _Walk(np.array([zero + 1]), edges, zero, law.t0_lattice)
+
+
+def _killed_walk(walk: _Walk, v, a: int, n: int, live):
+    """Yield (k, v, a) after steps k = 1..n of `walk` started from (v, a).
+
+    Leading axes of v are carried along (the ladder runs keep one row per
+    start state).  live(k) = (lo, hi) bounds the levels kept after step
+    k, None meaning unbounded.
+    """
+    down = min(j for _, _, j, _ in walk.edges)
+    up = max(j for _, _, j, _ in walk.edges)
+    for k in range(1, n + 1):
+        lo, hi = live(k)
+        width = v.shape[-1]
+        na = a + down if lo is None else max(a + down, lo)
+        nb = a + width + up if hi is None else min(a + width + up, hi)
+        new = walk.zeros(v.shape[:-1] + (max(nb - na, 0),))
+        for s, s2, j, p in walk.edges:
+            i0, i1 = max(na - a - j, 0), min(nb - a - j, width)
+            if i0 < i1:
+                shift = a + j - na
+                new[..., s2, i0 + shift:i1 + shift] += p * v[..., s, i0:i1]
+        v, a = new, na
+        yield k, v, a
+
+
+def _final(walk: _Walk, n: int, live, v, a: int = 0):
+    """(v, a) after n steps; the start itself when n = 0."""
+    for _, v, a in _killed_walk(walk, v, a, n, live):
+        pass
+    return v, a
+
+
+def _levels(walk: _Walk, v, a: int, lo: int, hi: int, out=None):
+    """Mass of v at each level in [lo, hi), summed over chain states."""
+    if out is None:
+        out = walk.zeros(v.shape[:-2] + (hi - lo,))
+    i0, i1 = max(lo, a), min(hi, a + v.shape[-1])
+    if i0 < i1:
+        out[..., i0 - lo:i1 - lo] = v[..., i0 - a:i1 - a].sum(axis=-2)
+    return out
+
+
+def _window(walk: _Walk, levels, r: int):
+    return walk.zero + levels[r * walk.t0:(r + 1) * walk.t0].sum()
+
+
+def _last_steps(walk: _Walk, n_grid, live, land) -> dict:
+    """{n: (v, a)} after n - 1 steps kept inside the interval `live` and
+    one last step kept inside `land`, for every n in n_grid (n >= 1)."""
+    out = {}
+    v, a = walk.pi[:, None], 0
+    last = max(n_grid, default=1)
+    run = _killed_walk(walk, v, a, last - 1, lambda k: live)
+    for k, v, a in itertools.chain([(0, v, a)], run):
+        if k + 1 in n_grid:
+            out[k + 1] = _final(walk, 1, lambda k: land, v, a)
+    return out
+
+
+def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
+    """{n: P[Y_1..Y_{n-1} > 0, Y_n = m] for m in [0, m_hi)}: the
+    strict-positive run plus one free last step."""
+    ends = _last_steps(walk, n_grid, (1, None), (0, m_hi))
+    return {n: _levels(walk, v, a, 0, m_hi) for n, (v, a) in ends.items()}
+
+
+def _hitting(walk: _Walk, barrier: int, n_max: int) -> list:
+    """P[Y_k >= barrier for the first time] for k = 0..n_max: the mass an
+    upper-barrier run loses at each step."""
+    ends = _last_steps(walk, range(1, n_max + 1), (None, barrier),
+                       (barrier, None))
+    return [walk.zero] + [walk.zero + ends[k][0].sum()
+                          for k in range(1, n_max + 1)]
+
+
+def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
+    """{n: P[max_{j<=n} Y_j = m, Y_n = 0] for m in [0, m_hi)}.
+
+    Ladder decomposition at the first time k the maximum m is reached:
+    P[M_n = m, Y_n = 0] = sum_k sum_s A_k[s, m] B_{n-k}[s, m], s the state
+    at time k.  B_j[s, m] is the chance from s of j steps staying at or
+    below the start and ending m below it.  A_k[s, m] is the chance of a
+    prefix staying strictly below its final level m and ending in s;
+    mirror reversibility pi(s) P_j(s, s2) = pi(s2) P_{-j}(s2, s) (a
+    symmetric law; count balance for a schema) reverses it into a path
+    from s staying strictly below its start, weighted by pi(s).  With
+    levels negated both are runs kept at levels >= 0, split by start
+    state: B starts at level 0 and A one level lower, at -1.  The table
+    keeps levels below m_hi, and the live set drops levels that cannot
+    come back below m_hi by step max(n_grid).
+    """
+    neg = dataclasses.replace(
+        walk, edges=[(s, s2, -j, p) for s, s2, j, p in walk.edges])
+    fall = max(j for _, _, j, _ in walk.edges)
+    last = max(n_grid)
+    S = len(walk.pi)
+    v = walk.zeros((2, S, S, 2))  # (A or B, start state, state, level -1..0)
+    for s in range(S):
+        v[0, s, s, 0], v[1, s, s, 1] = walk.pi[s], walk.zero + 1
+    table = walk.zeros((last + 1, 2, S, m_hi + 1))
+    _levels(walk, v, -1, -1, m_hi, table[0])
+    for k, v, a in _killed_walk(neg, v, -1, last,
+                                lambda k: (0, m_hi + (last - k) * fall)):
+        _levels(walk, v, a, -1, m_hi, table[k])
+    strict, weak = table[:, 0, :, :-1], table[:, 1, :, 1:]
+    return {n: (strict[n::-1] * weak[:n + 1]).sum(axis=(0, 1))
+            for n in n_grid}
+
+
+def _windowed(readout, walk: _Walk, n: int, r: int):
+    """Window r of a readout at step n."""
+    return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
+
+
+def _value(x, mode):
+    return float(x) if mode == "float" else x
 
 
 def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
@@ -251,40 +360,7 @@ def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r]."""
     if n < 1 or r < 0:
         raise DoobError("need n >= 1, r >= 0")
-    t0 = law.t0_lattice
-    lo, hi = r * t0, (r + 1) * t0
-    if mode == "float":
-        probs = law.float_atoms()
-        span = n * t0
-        v = np.zeros(2 * span + 1)
-        v[span] = 1.0
-        for step in range(1, n + 1):
-            nv = np.zeros_like(v)
-            for j, p in probs.items():
-                if j >= 0:
-                    nv[j:] += p * v[:len(v) - j] if j else p * v
-                else:
-                    nv[:j] += p * v[-j:]
-            if step < n:
-                nv[:span + 1] = 0.0  # kill positions <= 0
-            v = nv
-        return float(v[span + lo: span + hi].sum())
-    dist = {0: _one(law)}
-    for step in range(1, n + 1):
-        nd = {}
-        for pos, mass in dist.items():
-            for j, p in law.atoms:
-                key = pos + j
-                contrib = mass * p
-                nd[key] = nd[key] + contrib if key in nd else contrib
-        if step < n:
-            nd = {k: v for k, v in nd.items() if k > 0}
-        dist = nd
-    acc = None
-    for pos, mass in dist.items():
-        if lo <= pos < hi:
-            acc = mass if acc is None else acc + mass
-    return acc if acc is not None else _zero(law)
+    return _value(_windowed(_ballots, _law_walk(law, mode), n, r), mode)
 
 
 def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
@@ -292,138 +368,23 @@ def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
     """P[tau_r = k] for k = 1..n_max, tau_r = first time Y >= r*t0."""
     if r < 1:
         raise DoobError("need r >= 1")
-    barrier = r * law.t0_lattice
-    if mode == "float":
-        probs = law.float_atoms()
-        t0 = law.t0_lattice
-        lo = -n_max * t0
-        size = barrier - lo  # positions lo .. barrier-1
-        v = np.zeros(size)
-        v[-barrier] = 1.0  # position 0 at index pos - lo
-        out = np.zeros(n_max + 1)
-        for k in range(1, n_max + 1):
-            nv = np.zeros(size)
-            absorbed = 0.0
-            for j, p in probs.items():
-                if j >= 0:
-                    shifted = np.zeros(size + j)
-                    shifted[j:] = p * v
-                    absorbed += shifted[size:].sum()
-                    nv += shifted[:size]
-                else:
-                    nv[:j] += p * v[-j:]
-            out[k] = absorbed
-            v = nv
-        return out
-    dist = {0: _one(law)}
-    out = [_zero(law)]
-    for _ in range(n_max):
-        nd = {}
-        absorbed = _zero(law)
-        for pos, mass in dist.items():
-            for j, p in law.atoms:
-                key = pos + j
-                contrib = mass * p
-                if key >= barrier:
-                    absorbed = absorbed + contrib
-                else:
-                    nd[key] = nd[key] + contrib if key in nd else contrib
-        out.append(absorbed)
-        dist = nd
-    return out
+    out = _hitting(_law_walk(law, mode), r * law.t0_lattice, n_max)
+    return np.array(out, dtype=float) if mode == "float" else out
 
 
 def max_and_return(law: LevelIncrementLaw, n: int, r: int,
                    mode: str = "exact"):
-    """P[max_{0<=j<=n} Y_j in window r, Y_n = 0].
-
-    The DP tracks (position, whether the max has entered window r); mass
-    whose position reaches window r+1 or above is discarded.
-    """
+    """P[max_{0<=j<=n} Y_j in window r, Y_n = 0]."""
     if r < 0 or n < 1:
         raise DoobError("need n >= 1, r >= 0")
-    t0 = law.t0_lattice
-    lo, hi = r * t0, (r + 1) * t0
-    if mode == "float":
-        probs = law.float_atoms()
-        offset = n * t0  # position p at index p + offset; valid p < hi
-        size = offset + hi
-        below = np.zeros(size)
-        inwin = np.zeros(size)
-        if r == 0:
-            inwin[offset] = 1.0
-        else:
-            below[offset] = 1.0
-        for _ in range(n):
-            nb = np.zeros(size)
-            ni = np.zeros(size)
-            for j, p in probs.items():
-                if j >= 0:
-                    if j:
-                        shifted_b = np.concatenate([np.zeros(j), p * below])[:size + j]
-                        shifted_i = np.concatenate([np.zeros(j), p * inwin])[:size + j]
-                    else:
-                        shifted_b, shifted_i = p * below, p * inwin
-                    sb = shifted_b[:size]
-                    si = shifted_i[:size]
-                    # below-mass entering the window becomes inwindow
-                    ni[offset + lo:] += sb[offset + lo:]
-                    sb = sb.copy()
-                    sb[offset + lo:] = 0.0
-                    nb += sb
-                    ni += si
-                else:
-                    nb[:j] += p * below[-j:]
-                    ni[:j] += p * inwin[-j:]
-            below, inwin = nb, ni
-        return float(inwin[offset])
-    state = {}
-    if r == 0:
-        state[(0, 1)] = _one(law)
-    else:
-        state[(0, 0)] = _one(law)
-    for _ in range(n):
-        ns = {}
-        for (pos, cat), mass in state.items():
-            for j, p in law.atoms:
-                npos = pos + j
-                if npos >= hi:
-                    continue
-                ncat = 1 if (cat == 1 or npos >= lo) else 0
-                key = (npos, ncat)
-                contrib = mass * p
-                ns[key] = ns[key] + contrib if key in ns else contrib
-        state = ns
-    return state.get((0, 1), _zero(law))
+    return _value(_windowed(_max_laws, _law_walk(law, mode), n, r), mode)
 
 
 def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
     """P[Y_n = 0] for the unconstrained increment walk."""
-    if mode == "float":
-        probs = law.float_atoms()
-        t0 = law.t0_lattice
-        span = n * t0
-        v = np.zeros(2 * span + 1)
-        v[span] = 1.0
-        for _ in range(n):
-            nv = np.zeros_like(v)
-            for j, p in probs.items():
-                if j >= 0:
-                    nv[j:] += p * v[:len(v) - j] if j else p * v
-                else:
-                    nv[:j] += p * v[-j:]
-            v = nv
-        return float(v[span])
-    dist = {0: _one(law)}
-    for _ in range(n):
-        nd = {}
-        for pos, mass in dist.items():
-            for j, p in law.atoms:
-                key = pos + j
-                contrib = mass * p
-                nd[key] = nd[key] + contrib if key in nd else contrib
-        dist = nd
-    return dist.get(0, _zero(law))
+    walk = _law_walk(law, mode)
+    v, a = _final(walk, n, lambda k: (None, None), walk.pi[:, None])
+    return _value(walk.zero + _levels(walk, v, a, 0, 1).sum(), mode)
 
 
 def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
@@ -432,13 +393,10 @@ def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
     Brute force over all increment sequences of length n; the joint laws
     are accumulated as exact field elements keyed by the path tuple.
     """
-    import itertools
     fwd: dict = {}
     rev: dict = {}
     for seq in itertools.product(law.atoms, repeat=n):
-        mass = _one(law)
-        for _, p in seq:
-            mass = mass * p
+        mass = math.prod(p for _, p in seq)
         steps = [j for j, _ in seq]
         path = tuple(np.cumsum(steps))
         rpath = tuple(np.cumsum(steps[::-1]))
@@ -451,13 +409,12 @@ def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
 
 def completeness_residual(law: LevelIncrementLaw, n: int,
                           mode: str = "exact"):
-    """sum_r max_and_return(n, r) - P[Y_n = 0]; zero when the DP is complete."""
-    acc = None
-    for r in range(0, n + 1):
-        term = max_and_return(law, n, r, mode=mode)
-        acc = term if acc is None else acc + term
-    target = return_to_zero(law, n, mode=mode)
-    return acc - target
+    """sum_m P[M_n = m, Y_n = 0] - P[Y_n = 0]: the ladder sum over every
+    maximum against the unkilled run; zero when the ladder is complete."""
+    walk = _law_walk(law, mode)
+    top = max(j for j, _ in law.atoms)  # a maximum m needs 2m/top steps
+    total = _max_laws(walk, [n], n * top // 2 + 1)[n].sum()
+    return _value(total - return_to_zero(law, n, mode=mode), mode)
 
 
 def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
@@ -468,39 +425,30 @@ def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
       P[tau_r = k] * k^{3/2} / r,
       max_and_return(n,r) * n^{3/2} / (r v 1)^{3/2},
     and the assembled sum_r max_and_return(n,r) e^{-r t0} * n^{3/2}.
+    Ballot and maximum tables for every (n, r) come from one sweep to
+    max(n_grid); each barrier r needs its own hitting run.
     """
     t0_real = law.t0_lattice * float(np.log(float(law.base)))
-    table = []
-    sup_ballot = sup_max = 0.0
-    assembled = {}
+    walk = _law_walk(law, "float")
+    m_hi = (max(r_grid) + 1) * walk.t0
+    ballots = _ballots(walk, n_grid, m_hi)
+    maxes = _max_laws(walk, n_grid, m_hi)
+    table, assembled = [], {}
     for n in n_grid:
         acc = 0.0
         for r in r_grid:
-            bp = ballot_probability(law, n, r, mode="float")
-            mr = max_and_return(law, n, r, mode="float")
-            nb = bp * n ** 1.5 / max(r, 1)
-            nm = mr * n ** 1.5 / max(r, 1) ** 1.5
-            sup_ballot = max(sup_ballot, nb)
-            sup_max = max(sup_max, nm)
+            bp = float(_window(walk, ballots[n], r))
+            mr = float(_window(walk, maxes[n], r))
             acc += mr * np.exp(-r * t0_real)
-            table.append((n, r, bp, mr, nb, nm))
+            table.append((n, r, bp, mr, bp * n ** 1.5 / max(r, 1),
+                          mr * n ** 1.5 / max(r, 1) ** 1.5))
         assembled[n] = acc * n ** 1.5
-    sup_tau = 0.0
-    n_tau = max(n_grid)
+    sup_tau, n_tau = 0.0, max(n_grid)
+    ks = np.arange(1, n_tau + 1)
     for r in [r for r in r_grid if r >= 1]:
         tau = hitting_time_law(law, r, n_tau, mode="float")
-        ks = np.arange(1, n_tau + 1)
         sup_tau = max(sup_tau, float((tau[1:] * ks ** 1.5).max() / r))
-    return {"sup_ballot": sup_ballot, "sup_tau": sup_tau,
-            "sup_max_and_return": sup_max, "assembled": assembled,
-            "table": table}
-
-
-def _one(law: LevelIncrementLaw):
-    p = law.atoms[0][1]
-    return QuadExt(p.d, 1, 0)
-
-
-def _zero(law: LevelIncrementLaw):
-    p = law.atoms[0][1]
-    return QuadExt(p.d, 0, 0)
+    return {"sup_ballot": max([0.0] + [row[4] for row in table]),
+            "sup_tau": sup_tau,
+            "sup_max_and_return": max([0.0] + [row[5] for row in table]),
+            "assembled": assembled, "table": table}

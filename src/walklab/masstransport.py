@@ -7,7 +7,6 @@ mass-transport balance can all be checked with rational arithmetic.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,14 +21,6 @@ class CheckReport:
     passed: bool
     details: list = field(default_factory=list)
     witnesses: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "check": self.name,
-            "status": "pass" if self.passed else "fail",
-            "details": [str(x) for x in self.details],
-            "witnesses": [str(x) for x in self.witnesses],
-        }, indent=2)
 
 
 def check_neighbor_mtp(profile: LevelProfile) -> CheckReport:
@@ -74,15 +65,6 @@ def check_cocycle(graph: ExplicitGraph, triples: int = 1000,
 class ResidualReport:
     passed: bool
     rows: list  # (distance, level_diff, lhs, rhs, residual)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "check": "mass_transport",
-            "status": "pass" if self.passed else "fail",
-            "rows": [{"distance": s, "level_diff": j, "lhs": str(l),
-                      "rhs": str(r), "residual": str(res)}
-                     for s, j, l, r, res in self.rows],
-        }, indent=2)
 
 
 def check_mtp(graph: ExplicitGraph, support_radius: int) -> ResidualReport:

@@ -1,5 +1,6 @@
 """Orbit schemas for quasi-transitive actions, the associated symmetric
-matrix, its Perron eigenpair, and the induced chain with its ballot DPs.
+matrix, its Perron eigenpair, and the induced chain with its ballot
+statistics, read from the killed-walk kernel of `walklab.doob`.
 
 An orbit schema records, for each ordered pair of vertex orbits (i, j)
 and each stabilizer ratio q, the number N_{i,j,q} of neighbors in orbit
@@ -11,15 +12,15 @@ triples) is built from these counts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .models import LevelProfile
-from .qfield import QuadExt, sqrt_exact
+from .doob import _Walk, _ballots, _hitting, _max_laws, _windowed
+from .models import LevelProfile, ModelError, _ratio_to_lattice
+from .qfield import sqrt_exact
 
 
 class SchemaError(ValueError):
@@ -27,18 +28,10 @@ class SchemaError(ValueError):
 
 
 def _ratio_power(q: Fraction, base: Fraction) -> Optional[int]:
-    j, x = 0, Fraction(q)
-    while x > 1:
-        x /= base
-        j += 1
-        if j > 64:
-            return None
-    while x < 1:
-        x *= base
-        j -= 1
-        if j < -64:
-            return None
-    return j if x == 1 else None
+    try:
+        return _ratio_to_lattice(q, base)
+    except ModelError:
+        return None
 
 
 def _common_base(qs) -> Optional[Fraction]:
@@ -167,15 +160,6 @@ class PerronData:
     residual: float
     iterations: int
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "rho": self.rho,
-            "v": self.v.tolist(),
-            "pi": self.pi.tolist(),
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }, indent=2)
-
 
 def _irreducible(A: np.ndarray) -> bool:
     L = len(A)
@@ -233,14 +217,10 @@ def perron(A: np.ndarray, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 def transfer_matrix(schema: OrbitSchema, perron_data: PerronData) -> np.ndarray:
-    """P_h(i,j) = sum_q N_{i,j,q} sqrt(q) v_j / (rho v_i sqrt(d_i d_j))."""
-    L, v, rho = schema.L, perron_data.v, perron_data.rho
-    P = np.zeros((L, L))
-    for (i, j, q), n in schema.counts.items():
-        P[i - 1, j - 1] += (n * float(sqrt_exact(q)) * v[j - 1]
-                            / (rho * v[i - 1] * np.sqrt(
-                                schema.degrees[i - 1] * schema.degrees[j - 1])))
-    return P
+    """P_h(i,j) = a(i,j) v_j / (rho v_i)
+    = sum_q N_{i,j,q} sqrt(q) v_j / (rho v_i sqrt(d_i d_j))."""
+    v = perron_data.v
+    return a_matrix(schema) * v[None, :] / (perron_data.rho * v[:, None])
 
 
 def stationary_and_mean_checks(schema: OrbitSchema,
@@ -274,7 +254,7 @@ def stationary_and_mean_checks(schema: OrbitSchema,
 
 
 # ---------------------------------------------------------------------------
-# Induced chain on Omega = {(i, j, q)} and its ballot DPs
+# Induced chain on Omega = {(i, j, q)} and its ballot statistics
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -295,19 +275,6 @@ class MarkovAdditiveChain:
             if abs(rs - 1) > tol:
                 raise SchemaError(f"row {s} sums to {rs}")
 
-    def irreducible_on_support(self) -> bool:
-        n = len(self.states)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and (float(self.trans[i][j]) > 0
-                                      or float(self.trans[j][i]) > 0):
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == n
-
 
 def induced_chain(schema: OrbitSchema, perron_data: PerronData,
                   exact: bool = False) -> MarkovAdditiveChain:
@@ -318,52 +285,29 @@ def induced_chain(schema: OrbitSchema, perron_data: PerronData,
     transition weights then live in the quadratic field of the ratios.
     """
     states = sorted((i, j, q) for (i, j, q), n in schema.counts.items() if n > 0)
+    L, deg = schema.L, schema.degrees
     if exact:
         if not _uniform_eigenvector(schema):
             raise SchemaError("exact mode needs a structurally uniform "
                               "eigenvector")
-        d = schema.degrees[0]
-        acc = QuadExt(1, 0, 0)
-        for (i, j, q), n in schema.counts.items():
-            if i == 1:
-                acc = acc + n * sqrt_exact(q)
-        rho_ex = acc * Fraction(1, d)
-        inv = rho_ex.inverse()
-        L = schema.L
-        # initial law: sqrt(q) N v_i v_j / (rho sqrt(d_i d_j)); v_i = 1/sqrt(L)
-        initial = [schema.counts[s] * sqrt_exact(s[2]) * inv * Fraction(1, d * L)
-                   for s in states]
-        trans = []
-        for (i, j, q) in states:
-            row = []
-            for (i2, j2, q2) in states:
-                if i2 != j:
-                    row.append(QuadExt(1, 0, 0))
-                else:
-                    row.append(schema.counts[(i2, j2, q2)]
-                               * sqrt_exact(q2) * inv * Fraction(1, d))
-            trans.append(row)
+        # v_i = 1/sqrt(L): pi = 1/L and every ratio v_j / v_i is 1
+        root, v, pi = sqrt_exact, [1] * L, [Fraction(1, L)] * L
+        rho = sum(n * sqrt_exact(q) for (i, _, q), n in schema.counts.items()
+                  if i == 1) / deg[0]
     else:
-        v, rho = perron_data.v, perron_data.rho
-        initial = []
-        for (i, j, q) in states:
-            n = schema.counts[(i, j, q)]
-            initial.append(n * float(sqrt_exact(q)) * v[i - 1] * v[j - 1]
-                           / (rho * np.sqrt(schema.degrees[i - 1]
-                                            * schema.degrees[j - 1])))
-        trans = []
-        for (i, j, q) in states:
-            row = []
-            for (i2, j2, q2) in states:
-                if i2 != j:
-                    row.append(0.0)
-                else:
-                    n2 = schema.counts[(i2, j2, q2)]
-                    row.append(n2 * float(sqrt_exact(q2)) * v[j2 - 1]
-                               / (v[j - 1] * rho
-                                  * np.sqrt(schema.degrees[j - 1]
-                                            * schema.degrees[j2 - 1])))
-            trans.append(row)
+        v, rho, pi = perron_data.v, perron_data.rho, perron_data.v ** 2
+
+        def root(x):
+            return float(sqrt_exact(x))
+
+    def weight(i, j, q):
+        """P_h(i, j): crossing to orbit j at ratio q, seen from orbit i."""
+        return (schema.counts[(i, j, q)] * root(q) * v[j - 1]
+                / (rho * v[i - 1] * root(deg[i - 1] * deg[j - 1])))
+
+    initial = [pi[i - 1] * weight(i, j, q) for (i, j, q) in states]
+    trans = [[weight(*s2) if s2[0] == s[1] else 0 * rho for s2 in states]
+             for s in states]
     steps = [schema.lattice_step(q) for (_, _, q) in states]
     chain = MarkovAdditiveChain(states=states, initial=initial, trans=trans,
                                 steps=steps, t0_lattice=schema.t0_lattice,
@@ -385,115 +329,37 @@ def _uniform_eigenvector(schema: OrbitSchema) -> bool:
     return all(r == rows[0] for r in rows)
 
 
-def _zero_like(p):
-    if isinstance(p, QuadExt):
-        return QuadExt(p.d, 0, 0)
-    return 0.0
+def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
+    """The chain as a walk on vertex orbits.
+
+    State (i, j, q) is the crossing of an edge from orbit i to orbit j;
+    its probability is the same from every state that ends in orbit i,
+    and its initial probability is pi(i) times it, so the walk moves
+    between orbits with the lattice step of q.
+    """
+    L = max(j for _, j, _ in chain.states)
+    into = {j: s for s, (_, j, _) in enumerate(chain.states)}
+    zero = chain.initial[0] * 0
+    pi = np.array([zero] * L)
+    for s, (i, _, _) in enumerate(chain.states):
+        pi[i - 1] = pi[i - 1] + chain.initial[s]
+    edges = [(i - 1, j - 1, chain.steps[s], chain.trans[into[i]][s])
+             for s, (i, j, _) in enumerate(chain.states)]
+    return _Walk(pi, edges, zero, chain.t0_lattice)
 
 
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r] for the additive level."""
-    t0 = chain.t0_lattice
-    lo, hi = r * t0, (r + 1) * t0
-    dist = {}
-    for s, p in enumerate(chain.initial):
-        if float(p) == 0:
-            continue
-        key = (s, chain.steps[s])
-        dist[key] = dist[key] + p if key in dist else p
-    if n > 1:
-        dist = {k: v for k, v in dist.items() if k[1] > 0}
-    for step in range(2, n + 1):
-        nd = {}
-        for (s, pos), mass in dist.items():
-            for s2, p in enumerate(chain.trans[s]):
-                if float(p) == 0:
-                    continue
-                key = (s2, pos + chain.steps[s2])
-                contrib = mass * p
-                nd[key] = nd[key] + contrib if key in nd else contrib
-        if step < n:
-            nd = {k: v for k, v in nd.items() if k[1] > 0}
-        dist = nd
-    acc = None
-    for (s, pos), mass in dist.items():
-        if lo <= pos < hi:
-            acc = mass if acc is None else acc + mass
-    if acc is None:
-        return _zero_like(chain.initial[0])
-    return acc
+    return _windowed(_ballots, _orbit_walk(chain), n, r)
 
 
 def mb_max_and_return(chain: MarkovAdditiveChain, n: int, r: int):
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0] for the additive level."""
-    t0 = chain.t0_lattice
-    lo, hi = r * t0, (r + 1) * t0
-    dist = {}
-    for s, p in enumerate(chain.initial):
-        if float(p) == 0:
-            continue
-        pos = chain.steps[s]
-        if pos >= hi:
-            continue
-        cat = 1 if (r == 0 or pos >= lo) else 0
-        key = (s, pos, cat)
-        dist[key] = dist[key] + p if key in dist else p
-    for _ in range(2, n + 1):
-        nd = {}
-        for (s, pos, cat), mass in dist.items():
-            for s2, p in enumerate(chain.trans[s]):
-                if float(p) == 0:
-                    continue
-                npos = pos + chain.steps[s2]
-                if npos >= hi:
-                    continue
-                ncat = 1 if (cat == 1 or npos >= lo) else 0
-                key = (s2, npos, ncat)
-                contrib = mass * p
-                nd[key] = nd[key] + contrib if key in nd else contrib
-        dist = nd
-    acc = None
-    for (s, pos, cat), mass in dist.items():
-        if pos == 0 and cat == 1:
-            acc = mass if acc is None else acc + mass
-    if acc is None:
-        return _zero_like(chain.initial[0])
-    return acc
+    return _windowed(_max_laws, _orbit_walk(chain), n, r)
 
 
 def mb_hitting_time_law(chain: MarkovAdditiveChain, r: int, n_max: int):
     """P[tau_r = k], tau_r the first time the additive level reaches r*t0."""
     if r < 1:
         raise SchemaError("need r >= 1")
-    barrier = r * chain.t0_lattice
-    zero = _zero_like(chain.initial[0])
-    out = [zero]
-    dist = {}
-    absorbed = zero
-    for s, p in enumerate(chain.initial):
-        if float(p) == 0:
-            continue
-        pos = chain.steps[s]
-        if pos >= barrier:
-            absorbed = absorbed + p
-        else:
-            key = (s, pos)
-            dist[key] = dist[key] + p if key in dist else p
-    out.append(absorbed)
-    for _ in range(2, n_max + 1):
-        nd = {}
-        absorbed = zero
-        for (s, pos), mass in dist.items():
-            for s2, p in enumerate(chain.trans[s]):
-                if float(p) == 0:
-                    continue
-                npos = pos + chain.steps[s2]
-                contrib = mass * p
-                if npos >= barrier:
-                    absorbed = absorbed + contrib
-                else:
-                    key = (s2, npos)
-                    nd[key] = nd[key] + contrib if key in nd else contrib
-        out.append(absorbed)
-        dist = nd
-    return out
+    return _hitting(_orbit_walk(chain), r * chain.t0_lattice, n_max)

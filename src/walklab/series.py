@@ -322,9 +322,6 @@ class GeneratingValue:
     def halfwidth(self):
         return (self.upper - self.lower) / 2
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
 
 def evaluate_generating(series: ProbabilitySeries, z: float,
                         rho: SpectralRadius,

@@ -201,3 +201,49 @@ class QuadRef:
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.D)
+
+
+def enumerate_chain_statistics(chain, n, r_ballot=(), r_max=(), r_tau=()):
+    """Ballot, max-and-return and hitting laws of a Markov-additive chain
+    by listing every path of n states with nonzero weight.
+
+    A path s_1..s_n has weight initial[s_1] * prod trans[s_t][s_{t+1}]
+    and level Y_t = steps[s_1] + ... + steps[s_t].  Returns a dict keyed
+    like `enumerate_statistics`; events no path reaches are absent.
+    """
+    t0 = chain.t0_lattice
+    r_tau = set(r_tau)
+    tau_levels = {r for r, _ in r_tau}
+    succ = [[(s2, p) for s2, p in enumerate(row) if float(p) != 0]
+            for row in chain.trans]
+    out = {}
+
+    def add(key, w):
+        out[key] = w if key not in out else out[key] + w
+
+    def paths(s, w, levels):
+        if len(levels) == n:
+            yield w, levels
+            return
+        for s2, p in succ[s]:
+            yield from paths(s2, w * p,
+                             levels + [levels[-1] + chain.steps[s2]])
+
+    for s, p in enumerate(chain.initial):
+        if float(p) == 0:
+            continue
+        for w, ys in paths(s, p, [chain.steps[s]]):
+            top = max(0, max(ys))
+            for r in r_ballot:
+                if all(y > 0 for y in ys[:-1]) and \
+                        r * t0 <= ys[-1] < (r + 1) * t0:
+                    add(("ballot", r), w)
+            for r in r_max:
+                if ys[-1] == 0 and r * t0 <= top < (r + 1) * t0:
+                    add(("max", r), w)
+            for r in tau_levels:
+                first = next((i + 1 for i, y in enumerate(ys)
+                              if y >= r * t0), 0)
+                if (r, first) in r_tau:
+                    add(("tau", r, first), w)
+    return out

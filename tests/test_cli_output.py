@@ -1,6 +1,9 @@
-"""Command-line output files are closed; only bridge errors become NaN."""
+"""Command-line output files are closed, only bridge errors become NaN,
+headers record the argv given to main, and --family offers only the
+families the command line can serve."""
 
 import builtins
+import json
 import math
 
 import pytest
@@ -45,3 +48,24 @@ def test_bridge_visits_safe_only_maps_bridge_errors():
     assert math.isnan(cli.bridge_visits_safe(chain, u, 12, 0))
     with pytest.raises(TypeError):
         cli.bridge_visits_safe(chain, None, 10, 0)
+
+
+def test_provenance_records_the_argv_given_to_main(capsys):
+    argv = ["series", "--family", "fixed_end_tree", "--b", "2", "--nmax", "3"]
+    assert cli.main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert json.loads(header[2:])["command"] == " ".join(argv)
+
+
+@pytest.mark.parametrize("family", [["cartesian"],
+                                    ["free_product", "--alpha", "3",
+                                     "--beta", "2"]])
+def test_library_only_families_are_usage_errors(capsys, family):
+    jobs = [["series", "--nmax", "4"], ["fit", "--window", "2:8"],
+            ["ballot", "--n-grid", "10", "--rmax", "1"],
+            ["levels", "--n", "8", "--samples", "10", "--seed", "1"],
+            ["excursions", "--n", "10"]]
+    for job in jobs:
+        assert cli.main([job[0], "--family", *family, *job[1:]]) == \
+            cli.EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err

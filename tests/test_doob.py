@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from walklab.doob import (DoobError, ballot_probability,
+from walklab.doob import (DoobError, LevelIncrementLaw, ballot_probability,
                           completeness_residual, doob_chain, harmonic_check,
                           hitting_time_law, increment_law, max_and_return,
                           return_to_zero, reversal_check)
@@ -119,3 +119,15 @@ def test_return_to_zero(pm1_law):
 def test_nonlattice_profile_rejected(tree2):
     with pytest.raises(DoobError):
         increment_law(tree2.level_profile(), spectral_radius(tree2))
+
+
+def test_negative_atom_rejected_exactly():
+    # x = p - q sqrt(2) < 0 from a convergent of sqrt(2); the float of x
+    # rounds to 0, so only an exact sign test sees the negative mass
+    x = QuadExt(2, 318281039, -225058681)
+    assert x.sign() < 0 and float(x) >= 0
+    for eps in (x, QuadExt(2, Fraction(-1, 4), 0)):
+        law = LevelIncrementLaw(atoms=[(-1, eps), (0, 1 - 2 * eps), (1, eps)],
+                                base=Fraction(2), t0_lattice=1)
+        with pytest.raises(DoobError, match="negative"):
+            law.validate()
