@@ -4,21 +4,27 @@ domination condition behind the f_n/u_n limit law.
 Bridge sampling is exact: a forward step from state s is reweighted by
 the probability of returning to the root in the remaining steps, so each
 sample is a draw from the conditioned path measure, no rejection needed.
+
+Exact visit counts go through the occupation vector of a length-n
+bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
+and G_m[s] = d^m P[s->root in m]: occ[s] / (d^n u_n) is the expected
+number of times a bridge sits in state s.  It is built once per
+(chain, n) and kept on the chain; a level window sums it over its states.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, log
+from math import log
 from typing import Optional
 
 import numpy as np
 
 from .chains import CollapsedChain
 from .models import WalkModel, ExplicitGraph
-from .series import (GeneratingValue, ProbabilitySeries, SpectralRadius,
-                     evaluate_generating)
+from .series import ProbabilitySeries, SpectralRadius, evaluate_generating
 
 
 class BridgeError(ValueError):
@@ -58,6 +64,19 @@ def bridge_cut_identity(chain: CollapsedChain, n: int) -> bool:
     return len(totals) == 1
 
 
+def _occupation_numerators(chain: CollapsedChain, n: int) -> list:
+    """occ[s] = sum_j F_j[s] G_{n-j}[s] for length-n bridges, built
+    once per (chain, n) and kept in ``chain.occupation``."""
+    occ = chain.occupation.get(n)
+    if occ is None:
+        F, G = _forward_backward_numerators(chain, n)
+        occ = [0] * len(chain.states)
+        for Fj, Gm in zip(F, reversed(G)):
+            occ = [o + f * g for o, f, g in zip(occ, Fj, Gm)]
+        chain.occupation[n] = occ
+    return occ
+
+
 def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
                         n: int, k: int) -> Fraction:
     """Expected visits of a length-n bridge to the level window k.
@@ -70,13 +89,8 @@ def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
     t0 = _t0_lattice(chain)
-    lo, hi = k * t0, (k + 1) * t0
-    in_window = [lo <= lv < hi for lv in chain.level]
-    F, G = _forward_backward_numerators(chain, n)
-    total = 0
-    for j in range(n + 1):
-        Fj, Gm = F[j], G[n - j]
-        total += sum(f * g for f, g, w in zip(Fj, Gm, in_window) if w)
+    occ = _occupation_numerators(chain, n)
+    total = sum(o for o, lv in zip(occ, chain.level) if lv // t0 == k)
     return Fraction(total, chain.denom ** n) / u[n]
 
 
@@ -221,30 +235,59 @@ def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     """Reconstruct vertex paths for a subsample and count distinct vertices
     per level window.  A vertex path consistent with the orbit trajectory
     is chosen uniformly, which is the correct conditional law because the
-    walk is uniform over neighbors realizing each orbit move."""
+    walk is uniform over neighbors realizing each orbit move.
+
+    A vertex in state s has c(s -> s') neighbors in state s', the collapse
+    count, so a bridge's choices are drawn up front by one ``rng.integers``
+    call over those counts, in the order a step-by-step rebuild draws them.
+    """
     if not hasattr(model, "vertex_orbit"):
         return {}
+    index = {st: i for i, st in enumerate(chain.states)}
+    counts = {}  # count rows of the visited states only: less peak memory
+
+    def row_counts(s):
+        if s not in counts:
+            counts[s] = dict(chain.edges[s])
+        return counts[s]
+
     out = {k: [] for k in k_grid}
     for row in traj[:m]:
+        row = row.tolist()
+        pick = rng.integers(
+            0, [row_counts(s)[s2] for s, s2 in zip(row, row[1:])])
+        memo = {}  # vertex -> {state: neighbors in it}, for this bridge
         v = model.root_vertex()
         path = [v]
-        for t in range(1, len(row)):
-            target = chain.states[row[t]]
-            options = [w for w in model.neighbors(v)
-                       if model.vertex_orbit(w) == target]
-            v = options[rng.integers(len(options))]
+        for s, s2, c in zip(row, row[1:], pick.tolist()):
+            if v not in memo:
+                memo[v] = _neighbor_groups(model, index, v, row_counts(s))
+            v = memo[v][s2][c]
             path.append(v)
-        levels = [model.vertex_level(v) for v in path]
+        windows = Counter(model.vertex_level(w) // t0 for w in set(path))
         for k in k_grid:
-            lo, hi = k * t0, (k + 1) * t0
-            distinct = {v for v, lv in zip(path, levels) if lo <= lv < hi}
-            out[k].append(len(distinct))
+            out[k].append(windows[k])
     result = {}
     for k in k_grid:
         arr = np.array(out[k], dtype=float)
         result[k] = (float(arr.mean()),
                      float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
     return result
+
+
+def _neighbor_groups(model, index, v, expected: dict) -> dict:
+    """Neighbors of v grouped by chain state, in `neighbors` order; the
+    group sizes must be the collapse counts ``expected`` of v's state."""
+    groups = {}
+    for w in model.neighbors(v):
+        j = index.get(model.vertex_orbit(w))
+        if j is not None:
+            groups.setdefault(j, []).append(w)
+    sizes = {j: len(g) for j, g in groups.items()}
+    if sizes != expected:
+        raise BridgeError(f"vertex {v!r}: neighbors per state {sizes} "
+                          f"differ from the collapse counts {expected}")
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ class CollapsedChain:
     depth: list = None   # BFS depth of each state from the root
     root: int = 0
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
+    # bridge length n -> occupation numerators, memoized by `bridges`
+    occupation: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.states)

@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 

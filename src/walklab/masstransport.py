@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .models import ExplicitGraph, LevelProfile
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
-from typing import Iterator, Optional
+from typing import Optional
 
 from .chains import CollapsedChain
 

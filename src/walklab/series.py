@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log, sqrt
+from math import comb
 from typing import Optional, Sequence
 
 import mpmath

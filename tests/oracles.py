@@ -4,7 +4,9 @@ The level-walk statistics are recomputed here by exhaustive enumeration
 over all increment sequences, with exact arithmetic reassembled from
 atom-count histograms.  Nothing below shares code with the dynamic
 programs under test.  `QuadRef` is a plain reference for the exact
-quadratic-field arithmetic.
+quadratic-field arithmetic.  `window_visits` and `rebuild_distinct_means`
+are the direct forms of the bridge visit count and of the step-by-step
+vertex-path rebuild.
 """
 
 import itertools
@@ -247,3 +249,59 @@ def enumerate_chain_statistics(chain, n, r_ballot=(), r_max=(), r_tau=()):
                 if (r, first) in r_tau:
                     add(("tau", r, first), w)
     return out
+
+
+def window_visits(chain, u, n, k):
+    """Expected visits of a length-n bridge to level window k, summed
+    over every cut j from freshly built tables F_j = d^j P[root -> s]
+    and G_m = d^m P[s -> root]."""
+    ns = len(chain.states)
+    t0 = max((abs(chain.level[j] - chain.level[i])
+              for i, row in enumerate(chain.edges) for j, _ in row),
+             default=0) or 1
+    F = [[0] * ns]
+    F[0][chain.root] = 1
+    G = [[0] * ns]
+    G[0][chain.root] = 1
+    for _ in range(n):
+        f, g = [0] * ns, [0] * ns
+        for i, row in enumerate(chain.edges):
+            for j, c in row:
+                f[j] += F[-1][i] * c
+                g[i] += c * G[-1][j]
+        F.append(f)
+        G.append(g)
+    total = 0
+    for j in range(n + 1):
+        for s in range(ns):
+            if k * t0 <= chain.level[s] < (k + 1) * t0:
+                total += F[j][s] * G[n - j][s]
+    return Fraction(total, chain.denom ** n) / u[n]
+
+
+def rebuild_distinct_means(model, chain, traj, k_grid, t0, m, rng):
+    """Distinct vertices per level window of the first m orbit paths,
+    each lifted to a vertex path one step at a time: filter the current
+    vertex's neighbors by the next orbit, pick one with a scalar
+    ``rng.integers``."""
+    out = {k: [] for k in k_grid}
+    for row in traj[:m]:
+        v = model.root_vertex()
+        path = [v]
+        for t in range(1, len(row)):
+            target = chain.states[row[t]]
+            options = [w for w in model.neighbors(v)
+                       if model.vertex_orbit(w) == target]
+            v = options[rng.integers(len(options))]
+            path.append(v)
+        levels = [model.vertex_level(v) for v in path]
+        for k in k_grid:
+            lo, hi = k * t0, (k + 1) * t0
+            out[k].append(len({v for v, lv in zip(path, levels)
+                               if lo <= lv < hi}))
+    result = {}
+    for k in k_grid:
+        arr = np.array(out[k], dtype=float)
+        result[k] = (float(arr.mean()),
+                     float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
+    return result
