@@ -88,19 +88,10 @@ def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
         raise BridgeError("beyond chain horizon")
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
-    t0 = _t0_lattice(chain)
+    t0 = chain.t0
     occ = _occupation_numerators(chain, n)
     total = sum(o for o, lv in zip(occ, chain.level) if lv // t0 == k)
     return Fraction(total, chain.denom ** n) / u[n]
-
-
-def _t0_lattice(chain: CollapsedChain) -> int:
-    steps = set()
-    for i, row in enumerate(chain.edges):
-        for j, _ in row:
-            steps.add(abs(chain.level[j] - chain.level[i]))
-    steps.discard(0)
-    return max(steps) if steps else 1
 
 
 def bridge_inclusion_probability(graph: ExplicitGraph, n: int,
@@ -208,7 +199,7 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
         traj[:, step + 1] = cur
     level_arr = np.array(chain.level, dtype=np.int32)
     lv_traj = level_arr[traj]
-    t0 = _t0_lattice(chain)
+    t0 = chain.t0
     if k_grid is None:
         k_grid = range(-3, 9)
     visit_means = {}
@@ -241,7 +232,7 @@ def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     count, so a bridge's choices are drawn up front by one ``rng.integers``
     call over those counts, in the order a step-by-step rebuild draws them.
     """
-    if not hasattr(model, "vertex_orbit"):
+    if not model.has_collapse:
         return {}
     index = {st: i for i, st in enumerate(chain.states)}
     counts = {}  # count rows of the visited states only: less peak memory

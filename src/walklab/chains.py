@@ -25,7 +25,8 @@ class CollapsedChain:
     level: list          # lattice level per state
     level_base: Optional[Fraction]
     horizon: int         # u_n exact for n <= horizon
-    depth: list = None   # BFS depth of each state from the root
+    depth: list          # BFS depth of each state from the root
+    t0: int              # largest level step across an edge (1 if none)
     root: int = 0
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
     # bridge length n -> occupation numerators, memoized by `bridges`
@@ -40,8 +41,6 @@ class CollapsedChain:
 
     def interior(self, i: int) -> bool:
         """Whether state i has its complete transition row present."""
-        if self.depth is None:
-            return True
         return self.depth[i] < self.radius
 
     # ---- exact integer dynamics ----------------------------------
@@ -54,8 +53,6 @@ class CollapsedChain:
         left (this one included) only the first ``cone(k)`` states can
         still send mass there.
         """
-        if self.depth is None:
-            return len(self.states)
         return bisect_right(self.depth, steps_left)
 
     def step_numerators(self, w: list, limit: Optional[int] = None,

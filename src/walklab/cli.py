@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import bridges, doob, masstransport, quasi, series
@@ -31,6 +33,9 @@ def _provenance(args, extra=None) -> dict:
         "command": " ".join(args.argv),
         "arithmetic": getattr(args, "mode", "exact"),
         "seed": getattr(args, "seed", None),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
     if extra:
         head.update(extra)

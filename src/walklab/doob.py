@@ -85,9 +85,7 @@ class DoobChain:
         counts = [dict(row) for row in chain.edges]
         N = [None] * len(chain.states)
         N[chain.root] = Fraction(1)
-        order = sorted(range(len(chain.states)),
-                       key=lambda i: chain.depth[i] if chain.depth else 0)
-        for i in order:
+        for i in range(len(chain.states)):  # BFS order
             if N[i] is None:
                 continue
             for j, c in counts[i].items():

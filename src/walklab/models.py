@@ -16,6 +16,12 @@ Vertices are encoded as coordinate words relative to the root o:
 first letter of w is nonzero when s > 0 (letter 0 is reserved for the
 child pointing back toward o), which makes the encoding canonical.  The
 orbit of a vertex under the stabilizer of o is then exactly ``(s, len(w))``.
+
+A family defines five methods: ``root_vertex``, ``neighbors`` and
+``vertex_orbit`` on vertices, ``orbit_moves`` and ``orbit_level`` on
+orbits.  `WalkModel` derives ``orbit_root``, ``vertex_level`` and
+``level_profile`` from them, and builds balls and collapsed chains with
+one breadth-first truncation, `_truncate`.
 """
 
 from __future__ import annotations
@@ -232,8 +238,43 @@ def _compose_moves(moves1, moves2_fn):
     return list(out.items())
 
 
+def _truncate(root, moves, radius: int, cap: int, keep=None):
+    """Breadth-first truncation at ``radius`` of the graph ``moves``.
+
+    ``moves(node)`` lists (target, count) pairs and is called once per
+    node, in BFS order.  Nodes at depth < radius number their new
+    targets; all nodes at depth radius are numbered before the first is
+    read.  Row i holds node i's moves to numbered nodes as (index,
+    count), in ``moves`` order, passed through ``keep``.  Returns
+    (nodes, index, depth, rows).
+    """
+    nodes = [root]
+    index = {root: 0}
+    depth = [0]
+    rows = []
+    for i, node in enumerate(nodes):
+        d = depth[i] + 1
+        if d > radius:
+            row = [(j, c) for t, c in moves(node)
+                   if (j := index.get(t)) is not None]
+        else:
+            row = []
+            for tgt, c in moves(node):
+                j = index.get(tgt)
+                if j is None:
+                    j = index[tgt] = len(nodes)
+                    nodes.append(tgt)
+                    depth.append(d)
+                    if len(nodes) > cap:
+                        raise BallCapExceeded(len(nodes), cap)
+                row.append((j, c))
+        rows.append(row if keep is None else keep(row))
+    return nodes, index, depth, rows
+
+
 class WalkModel:
-    """Base class: a graph family instance with root, levels and collapse."""
+    """Base class: a graph family instance with root, levels and collapse;
+    the module docstring lists what a family defines."""
 
     spec: ModelSpec
     degree: int
@@ -251,14 +292,18 @@ class WalkModel:
     def neighbors(self, v) -> list:
         raise NotImplementedError
 
-    def vertex_level(self, v) -> Optional[int]:
+    def vertex_orbit(self, v):
+        """The stabilizer orbit of the root that contains vertex v."""
         raise NotImplementedError
+
+    def vertex_level(self, v) -> Optional[int]:
+        return self.orbit_level(self.vertex_orbit(v))
 
     # orbit-space API (for collapsed chains)
     has_collapse = True
 
     def orbit_root(self):
-        raise NotImplementedError
+        return self.vertex_orbit(self.root_vertex())
 
     def orbit_moves(self, state) -> list:
         """List of (state, neighbor count) pairs; counts sum to the degree."""
@@ -268,38 +313,31 @@ class WalkModel:
         raise NotImplementedError
 
     def level_profile(self) -> LevelProfile:
-        raise NotImplementedError
+        """The root's neighbor counts grouped by level step j, as entries
+        (base**j, count) in descending ratio order."""
+        if self.level_base is None:
+            return LevelProfile(degree=self.degree,
+                                entries=[(Fraction(1), self.degree)],
+                                base=None, t0_lattice=0)
+        root = self.orbit_root()
+        steps = {}
+        for tgt, c in self.orbit_moves(root):
+            j = self.orbit_level(tgt) - self.orbit_level(root)
+            steps[j] = steps.get(j, 0) + c
+        return LevelProfile(
+            degree=self.degree,
+            entries=[(self.level_base ** j, steps[j])
+                     for j in sorted(steps, reverse=True)],
+            base=self.level_base, t0_lattice=max(map(abs, steps)))
 
     # ---- generic machinery ---------------------------------------
 
     def enumerate_ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> ExplicitGraph:
         if radius < 0:
             raise ModelError("radius must be >= 0")
-        root = self.root_vertex()
-        vertices = [root]
-        index = {root: 0}
-        dist = [0]
-        frontier = [0]
-        for d in range(1, radius + 1):
-            nxt = []
-            for i in frontier:
-                for w in self.neighbors(vertices[i]):
-                    if w not in index:
-                        index[w] = len(vertices)
-                        vertices.append(w)
-                        dist.append(d)
-                        nxt.append(index[w])
-                        if len(vertices) > cap:
-                            raise BallCapExceeded(len(vertices), cap)
-            frontier = nxt
-        adj = []
-        for i, v in enumerate(vertices):
-            nbrs = []
-            for w in self.neighbors(v):
-                j = index.get(w)
-                if j is not None:
-                    nbrs.append(j)
-            adj.append(sorted(nbrs))
+        vertices, index, dist, adj = _truncate(
+            self.root_vertex(), lambda v: [(w, 1) for w in self.neighbors(v)],
+            radius, cap, keep=lambda row: sorted([j for j, _ in row]))
         levels = None
         if self.level_base is not None:
             levels = [self.vertex_level(v) for v in vertices]
@@ -318,39 +356,13 @@ class WalkModel:
             raise ModelError(f"{self.name()} has no collapsed chain")
         if n_max < 0:
             raise ModelError("n_max must be >= 0")
-        radius = n_max // 2
-        root = self.orbit_root()
-        states = [root]
-        index = {root: 0}
-        depth = [0]
-        frontier = [0]
-        for d in range(1, radius + 1):
-            nxt = []
-            for i in frontier:
-                for tgt, _cnt in self.orbit_moves(states[i]):
-                    if tgt not in index:
-                        index[tgt] = len(states)
-                        states.append(tgt)
-                        depth.append(d)
-                        nxt.append(index[tgt])
-                        if len(states) > cap:
-                            raise BallCapExceeded(len(states), cap)
-            frontier = nxt
-        boundary = set(frontier)
-        edges = []
-        for i, st in enumerate(states):
-            row = []
-            for tgt, cnt in self.orbit_moves(st):
-                j = index.get(tgt)
-                if j is not None:
-                    row.append((j, cnt))
-                elif i not in boundary:
-                    raise ModelError("interior state with missing neighbor")
-            edges.append(row)
-        levels = [self.orbit_level(st) for st in states]
+        states, _, depth, edges = _truncate(
+            self.orbit_root(), self.orbit_moves, n_max // 2, cap)
         return CollapsedChain(
-            states=states, edges=edges, denom=self.degree, level=levels,
-            level_base=self.level_base, horizon=n_max, depth=depth, root=0)
+            states=states, edges=edges, denom=self.degree,
+            level=[self.orbit_level(st) for st in states],
+            level_base=self.level_base, horizon=n_max, depth=depth,
+            t0=self.level_profile().t0_lattice or 1, root=0)
 
 
 class RegularTreeModel(WalkModel):
@@ -380,13 +392,7 @@ class RegularTreeModel(WalkModel):
             out.extend((c,) for c in range(self.b + 1))
         return out
 
-    def vertex_level(self, v):
-        return 0
-
     # orbits of the root stabilizer are spheres: state = distance
-    def orbit_root(self):
-        return 0
-
     def vertex_orbit(self, v):
         return len(v)
 
@@ -397,11 +403,6 @@ class RegularTreeModel(WalkModel):
 
     def orbit_level(self, state):
         return 0
-
-    def level_profile(self):
-        return LevelProfile(degree=self.degree,
-                            entries=[(Fraction(1), self.degree)],
-                            base=None, t0_lattice=0)
 
 
 class FixedEndTreeModel(WalkModel):
@@ -424,13 +425,6 @@ class FixedEndTreeModel(WalkModel):
     def neighbors(self, v):
         return [_tree_up(v)] + _tree_down(v, self.b)
 
-    def vertex_level(self, v):
-        s, w = v
-        return s - len(w)
-
-    def orbit_root(self):
-        return (0, 0)
-
     def vertex_orbit(self, v):
         s, w = v
         return (s, len(w))
@@ -442,29 +436,18 @@ class FixedEndTreeModel(WalkModel):
         s, t = state
         return s - t
 
-    def level_profile(self):
-        return LevelProfile(
-            degree=self.degree,
-            entries=[(Fraction(self.b), 1), (Fraction(1, self.b), self.b)],
-            base=Fraction(self.b), t0_lattice=1)
 
-
-class GrandparentModel(WalkModel):
-    """Fixed-end tree with extra edges to each vertex's second ancestor."""
+class GrandparentModel(FixedEndTreeModel):
+    """Fixed-end tree with extra edges to each vertex's second ancestor;
+    same coordinates, orbits and levels as the tree."""
 
     def __init__(self, spec: ModelSpec):
-        self.spec = spec
-        self.b = spec.b
+        super().__init__(spec)
         self.degree = spec.b * spec.b + spec.b + 2
-        self.nonunimodular = True
         self.bipartite = False
-        self.level_base = Fraction(spec.b)
 
     def name(self):
         return f"grandparent(b={self.b})"
-
-    def root_vertex(self):
-        return (0, ())
 
     def neighbors(self, v):
         b = self.b
@@ -476,17 +459,6 @@ class GrandparentModel(WalkModel):
             out.extend(_tree_down(c, b))
         return out
 
-    def vertex_level(self, v):
-        s, w = v
-        return s - len(w)
-
-    def orbit_root(self):
-        return (0, 0)
-
-    def vertex_orbit(self, v):
-        s, w = v
-        return (s, len(w))
-
     def orbit_moves(self, state):
         b = self.b
         up1 = _orbit_up(state)
@@ -497,18 +469,6 @@ class GrandparentModel(WalkModel):
         for tgt, c in itertools.chain(up1, up2, down1, down2):
             merged[tgt] = merged.get(tgt, 0) + c
         return list(merged.items())
-
-    def orbit_level(self, state):
-        s, t = state
-        return s - t
-
-    def level_profile(self):
-        b = self.b
-        return LevelProfile(
-            degree=self.degree,
-            entries=[(Fraction(b * b), 1), (Fraction(b), 1),
-                     (Fraction(1, b), b), (Fraction(1, b * b), b * b)],
-            base=Fraction(b), t0_lattice=2)
 
 
 class DiestelLeaderModel(WalkModel):
@@ -551,15 +511,6 @@ class DiestelLeaderModel(WalkModel):
             out.append((w1, u2))
         return out
 
-    def vertex_level(self, v):
-        if self.level_base is None:
-            return 0
-        (s1, w1), _ = v
-        return self._sign * (s1 - len(w1))
-
-    def orbit_root(self):
-        return ((0, 0), (0, 0))
-
     def vertex_orbit(self, v):
         (s1, w1), (s2, w2) = v
         return ((s1, len(w1)), (s2, len(w2)))
@@ -582,20 +533,6 @@ class DiestelLeaderModel(WalkModel):
             return 0
         (s1, t1), _ = state
         return self._sign * (s1 - t1)
-
-    def level_profile(self):
-        if self.level_base is None:
-            return LevelProfile(degree=self.degree,
-                                entries=[(Fraction(1), self.degree)],
-                                base=None, t0_lattice=0)
-        q, r = self.q, self.r
-        base = self.level_base
-        up_count = min(q, r)   # neighbors at ratio base (level +1)
-        down_count = max(q, r)  # neighbors at ratio 1/base
-        return LevelProfile(
-            degree=self.degree,
-            entries=[(base, up_count), (1 / base, down_count)],
-            base=base, t0_lattice=1)
 
 
 class CartesianProductModel(WalkModel):

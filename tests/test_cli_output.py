@@ -1,12 +1,16 @@
 """Command-line output files are closed, only bridge errors become NaN,
-headers record the argv given to main, and --family offers only the
-families the command line can serve."""
+headers record the argv given to main and the Python, numpy and scipy
+versions, and --family offers only the families the command line can
+serve."""
 
 import builtins
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from walklab import cli
 from walklab.models import ModelSpec, build_model
@@ -55,6 +59,14 @@ def test_provenance_records_the_argv_given_to_main(capsys):
     assert cli.main(argv) == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert json.loads(header[2:])["command"] == " ".join(argv)
+
+
+def test_provenance_records_the_versions(capsys):
+    assert cli.main(["series", "--family", "tree", "--b", "2",
+                     "--nmax", "2"]) == 0
+    header = json.loads(capsys.readouterr().out.splitlines()[0][2:])
+    assert (header["python"], header["numpy"], header["scipy"]) == \
+        (platform.python_version(), np.__version__, scipy.__version__)
 
 
 @pytest.mark.parametrize("family", [["cartesian"],

@@ -1,9 +1,15 @@
-"""Source hygiene: every name a `walklab` module imports is used there."""
+"""Source hygiene: every name a `walklab` module imports is used there,
+and every function, method and class it defines is referenced."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "walklab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "walklab"
+# where a reference to a `walklab` definition may live
+REFERRERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 
 def unused_imports(path: Path) -> list:
@@ -42,3 +48,62 @@ def test_scan_flags_an_unused_import(tmp_path):
                    "import numpy as np\n__all__ = ['sqrt']\n"
                    "x = np.zeros(1)\n")
     assert unused_imports(mod) == ["mod:os", "mod:log"]
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree) -> Counter:
+    """Names read in a tree: variables, attributes and the identifiers in
+    string constants other than docstrings (the tracer names methods as
+    strings such as "models.WalkModel.collapse")."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *DEFS)) and node.body
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreferenced_defs(modules, referrers) -> list:
+    """`module:name` for each function, method or class defined in
+    ``modules`` that no file under ``referrers`` names outside its own
+    definition.  Dunder methods are called implicitly and are skipped."""
+    total = Counter()
+    for path in referrers:
+        for f in [path] if path.is_file() else sorted(path.rglob("*.py")):
+            total += references(ast.parse(f.read_text(), filename=str(f)))
+    dead = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, DEFS) and not node.name.startswith("__")
+                    and total[node.name] <= references(node)[node.name]):
+                dead.append(f"{path.stem}:{node.name}")
+    return dead
+
+
+def test_no_unreferenced_definitions():
+    dead = unreferenced_defs(sorted(SRC.glob("*.py")), REFERRERS)
+    assert dead == [], "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_scan_flags_an_unreferenced_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        'def used():\n    """Calls unused() in its docstring."""\n'
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Box:\n    def __init__(self):\n        self.x = 1\n"
+        "    def shown(self):\n        return 1\n"
+        "    def hidden(self):\n        return 2\n"
+        "def unused():\n    pass\n"
+        "used()\nBox().shown()\nTRACED = ('mod.Box.hidden',)\n")
+    assert unreferenced_defs([mod], [mod]) == ["mod:recursive", "mod:unused"]

@@ -1,0 +1,129 @@
+"""One breadth-first truncation builds balls and collapsed chains, and the
+orbit API alone determines levels, level profiles and the chain's level
+step."""
+
+import tracemalloc
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+from walklab.models import (BallCapExceeded, ModelSpec, build_model,
+                            validate_collapse)
+
+
+def test_collapse_reads_each_state_once():
+    model = build_model(ModelSpec("grandparent", b=2))
+    calls = Counter()
+    moves = model.orbit_moves
+
+    def counting(state):
+        calls[state] += 1
+        return moves(state)
+
+    model.orbit_moves = counting
+    chain = model.collapse(40)
+    expected = Counter(chain.states)
+    expected[chain.states[chain.root]] += 1  # the level profile reads the root
+    assert calls == expected
+
+
+def test_ball_reads_each_vertex_once():
+    model = build_model(ModelSpec("diestel_leader", q=2, r=3))
+    calls = Counter()
+    neighbors = model.neighbors
+
+    def counting(v):
+        calls[v] += 1
+        return neighbors(v)
+
+    model.neighbors = counting
+    ball = model.enumerate_ball(5)
+    assert calls == Counter(ball.vertices)
+
+
+def spec_id(value):
+    return build_model(value).name() if isinstance(value, ModelSpec) \
+        else str(value)
+
+
+# (family, parameters) -> (degree, ordered entries, base, t0_lattice)
+PROFILES = {
+    ("tree", (("b", 2),)): (3, [(F(1), 3)], None, 0),
+    ("tree", (("b", 3),)): (4, [(F(1), 4)], None, 0),
+    ("tree", (("b", 5),)): (6, [(F(1), 6)], None, 0),
+    ("tree", (("b", 10),)): (11, [(F(1), 11)], None, 0),
+    ("fixed_end_tree", (("b", 2),)): (3, [(F(2), 1), (F(1, 2), 2)], F(2), 1),
+    ("fixed_end_tree", (("b", 3),)): (4, [(F(3), 1), (F(1, 3), 3)], F(3), 1),
+    ("fixed_end_tree", (("b", 5),)): (6, [(F(5), 1), (F(1, 5), 5)], F(5), 1),
+    ("grandparent", (("b", 2),)): (
+        8, [(F(4), 1), (F(2), 1), (F(1, 2), 2), (F(1, 4), 4)], F(2), 2),
+    ("grandparent", (("b", 3),)): (
+        14, [(F(9), 1), (F(3), 1), (F(1, 3), 3), (F(1, 9), 9)], F(3), 2),
+    ("grandparent", (("b", 4),)): (
+        22, [(F(16), 1), (F(4), 1), (F(1, 4), 4), (F(1, 16), 16)], F(4), 2),
+    ("diestel_leader", (("q", 2), ("r", 2))): (4, [(F(1), 4)], None, 0),
+    ("diestel_leader", (("q", 2), ("r", 3))): (
+        5, [(F(3, 2), 2), (F(2, 3), 3)], F(3, 2), 1),
+    ("diestel_leader", (("q", 2), ("r", 5))): (
+        7, [(F(5, 2), 2), (F(2, 5), 5)], F(5, 2), 1),
+    ("diestel_leader", (("q", 3), ("r", 2))): (
+        5, [(F(3, 2), 2), (F(2, 3), 3)], F(3, 2), 1),
+    ("diestel_leader", (("q", 3), ("r", 3))): (6, [(F(1), 6)], None, 0),
+    ("diestel_leader", (("q", 3), ("r", 5))): (
+        8, [(F(5, 3), 3), (F(3, 5), 5)], F(5, 3), 1),
+    ("diestel_leader", (("q", 4), ("r", 2))): (
+        6, [(F(2), 2), (F(1, 2), 4)], F(2), 1),
+    ("diestel_leader", (("q", 4), ("r", 3))): (
+        7, [(F(4, 3), 3), (F(3, 4), 4)], F(4, 3), 1),
+    ("diestel_leader", (("q", 4), ("r", 5))): (
+        9, [(F(5, 4), 4), (F(4, 5), 5)], F(5, 4), 1),
+}
+
+
+@pytest.mark.parametrize("key", PROFILES, ids=lambda k: f"{k[0]}{dict(k[1])}")
+def test_level_profile_from_root_moves(key):
+    family, params = key
+    prof = build_model(ModelSpec(family, **dict(params))).level_profile()
+    assert (prof.degree, prof.entries, prof.base, prof.t0_lattice) == \
+        PROFILES[key]
+
+
+# grandparent b=3 checks n <= 8: at n_check=10 its ball has 930k vertices
+@pytest.mark.parametrize("spec,n_check", [
+    (ModelSpec("grandparent", b=3), 8),
+    (ModelSpec("fixed_end_tree", b=3), 10),
+    (ModelSpec("diestel_leader", q=3, r=2), 10),
+    (ModelSpec("diestel_leader", q=2, r=2), 10)], ids=spec_id)
+def test_collapse_matches_ball(spec, n_check):
+    rep = validate_collapse(build_model(spec), n_check=n_check)
+    assert rep.ok, rep.mismatches
+
+
+def test_collapse_cap():
+    with pytest.raises(BallCapExceeded):
+        build_model(ModelSpec("grandparent", b=2)).collapse(40, cap=50)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("tree", b=2), ModelSpec("fixed_end_tree", b=2),
+    ModelSpec("grandparent", b=2), ModelSpec("grandparent", b=3),
+    ModelSpec("diestel_leader", q=2, r=3),
+    ModelSpec("diestel_leader", q=2, r=2)], ids=spec_id)
+def test_chain_level_step_is_the_largest_edge_step(spec):
+    chain = build_model(spec).collapse(12)
+    steps = {abs(chain.level[j] - chain.level[i])
+             for i, row in enumerate(chain.edges) for j, _ in row}
+    assert chain.t0 == max(steps - {0}, default=1)
+
+
+def test_ball_stores_rows_without_a_second_copy():
+    model = build_model(ModelSpec("grandparent", b=2))
+    tracemalloc.start()
+    try:
+        ball = model.enumerate_ball(7)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 43689
+    assert peak <= 1.1 * kept
