@@ -4,6 +4,14 @@ A collapsed chain records, for each stabilizer orbit, how many neighbors
 of a representative vertex land in each orbit.  All transition
 probabilities share the denominator ``denom`` (the graph degree), so the
 n-step distribution can be carried as integer numerators over denom**n.
+
+The truncation stores the counts once, as CSR arrays ``csr = (indptr,
+targets, counts)``: row i lists its targets and counts in
+``targets[indptr[i]:indptr[i+1]]`` and the same slice of ``counts``.  The
+float matrix is built from these arrays with no Python loop over edges.
+The exact DPs, the Doob transform and the bridge tables read rows of
+(j, count) pairs, ``edges``, which are built from the arrays on first use;
+the float DPs never build them.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 
 @dataclass
 class CollapsedChain:
     states: list
-    edges: list          # edges[i] = list of (j, count); counts sum to denom
+    csr: tuple           # (indptr, targets, counts), each an array("q")
     denom: int           # common denominator of every row (graph degree)
     level: list          # lattice level per state
     level_base: Optional[Fraction]
@@ -29,11 +38,23 @@ class CollapsedChain:
     t0: int              # largest level step across an edge (1 if none)
     root: int = 0
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
+    _edges: Optional[list] = field(default=None, repr=False)
     # bridge length n -> occupation numerators, memoized by `bridges`
     occupation: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.states)
+
+    @property
+    def edges(self) -> list:
+        """edges[i] = list of (j, count); the counts of a full row sum to
+        denom.  Built from ``csr`` on first use."""
+        if self._edges is None:
+            indptr, targets, counts = self.csr
+            targets, counts = targets.tolist(), counts.tolist()
+            self._edges = [list(zip(targets[a:b], counts[a:b]))
+                           for a, b in zip(indptr, indptr[1:])]
+        return self._edges
 
     @property
     def radius(self) -> int:
@@ -113,22 +134,42 @@ class CollapsedChain:
     def matrix(self) -> sparse.csr_matrix:
         """Column-stochastic float transition matrix P[j, i] = p(i -> j)."""
         if self._matrix is None:
-            self._matrix = float_matrix(self.edges, 1.0 / self.denom)
+            indptr, targets, counts = self.csr
+            self._matrix = float_matrix((
+                indptr, targets,
+                np.frombuffer(counts, dtype=np.int64) * (1.0 / self.denom)))
         return self._matrix
 
     def float_root_walk(self, P, n_max: int, taboo: bool = False):
         """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root,
-        for a float matrix P[j, i] = p(i -> j); ``taboo`` as in
-        `root_walk`, with w_0 counted as no return."""
+        for a CSR float matrix P[j, i] = p(i -> j) with this chain's
+        edges; ``taboo`` as in `root_walk`, with w_0 counted as no return.
+
+        Step n computes only the rows of the states within
+        min(n, n_max - n) of the root, a prefix in BFS order: the others
+        are unreachable or can no longer reach the root.  An edge changes
+        BFS depth by at most 1, so a kept row reads only kept entries, in
+        the order ``P @ w`` reads them, and the result is the same to the
+        bit.
+        """
         self._check_horizon(n_max)
-        w = np.zeros(len(self.states))
+        ns = len(self.states)
+        # the kernel trusts its row count: a matrix of another size or
+        # format would be read out of bounds or transposed
+        if P.format != "csr" or P.shape != (ns, ns):
+            raise ValueError(f"need a {ns}x{ns} CSR matrix, got "
+                             f"{P.shape[0]}x{P.shape[1]} {P.format}")
+        w = np.zeros(ns)
         w[self.root] = 1.0
         out = np.empty(n_max + 1)
         out[0] = 0.0 if taboo else 1.0
         for n in range(1, n_max + 1):
             if taboo and n > 1:
                 w[self.root] = 0.0
-            w = P @ w
+            nw = np.zeros(ns)
+            _sparsetools.csr_matvec(self.cone(min(n, n_max - n)), ns,
+                                    P.indptr, P.indices, P.data, w, nw)
+            w = nw
             out[n] = w[self.root]
         return out
 
@@ -144,13 +185,11 @@ class CollapsedChain:
                 f"chain truncated for horizon {self.horizon}, asked for {n_max}")
 
 
-def float_matrix(rows: list, scale: float = 1.0) -> sparse.csr_matrix:
-    """Sparse P[j, i] = scale * p for rows[i] = [(j, p)]."""
-    r_idx, c_idx, vals = [], [], []
-    for i, row in enumerate(rows):
-        for j, p in row:
-            r_idx.append(j)
-            c_idx.append(i)
-            vals.append(float(p) * scale)
-    n = len(rows)
-    return sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(n, n))
+def float_matrix(csr) -> sparse.csr_matrix:
+    """Sparse P[j, i] = weights[k] for the entries k of row i of the CSR
+    triple ``csr = (indptr, targets, weights)``: the triple is P in CSC
+    form, converted once to CSR."""
+    indptr, targets, weights = csr
+    n = len(indptr) - 1
+    return sparse.csc_matrix((weights, targets, indptr),
+                             shape=(n, n)).tocsr()

@@ -130,8 +130,15 @@ class DoobChain:
         walk = self.base_chain.root_walk(n_max, one, rows=self.rows)
         return [one] + [x or zero for x in walk]
 
+    def matrix(self):
+        """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
+        indptr = np.cumsum([0] + [len(row) for row in self.rows])
+        targets = [j for row in self.rows for j, _ in row]
+        weights = [float(p) for row in self.rows for _, p in row]
+        return float_matrix((indptr, targets, weights))
+
     def return_series_float(self, n_max: int) -> np.ndarray:
-        return self.base_chain.float_root_walk(float_matrix(self.rows), n_max)
+        return self.base_chain.float_root_walk(self.matrix(), n_max)
 
 
 def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:

@@ -27,6 +27,7 @@ one breadth-first truncation, `_truncate`.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log
@@ -244,31 +245,37 @@ def _truncate(root, moves, radius: int, cap: int, keep=None):
     ``moves(node)`` lists (target, count) pairs and is called once per
     node, in BFS order.  Nodes at depth < radius number their new
     targets; all nodes at depth radius are numbered before the first is
-    read.  Row i holds node i's moves to numbered nodes as (index,
-    count), in ``moves`` order, passed through ``keep``.  Returns
-    (nodes, index, depth, rows).
+    read.  Row i holds node i's moves to numbered nodes, in ``moves``
+    order.  Returns (nodes, index, depth, rows): with ``keep`` None, rows
+    is the CSR triple (indptr, targets, counts) of array("q")s; otherwise
+    rows[i] is ``keep`` applied to the list of row i's target indices.
     """
     nodes = [root]
     index = {root: 0}
     depth = [0]
+    indptr, targets, counts = array("q", [0]), array("q"), array("q")
     rows = []
     for i, node in enumerate(nodes):
         d = depth[i] + 1
-        if d > radius:
-            row = [(j, c) for t, c in moves(node)
-                   if (j := index.get(t)) is not None]
+        row, row_counts = (targets, counts) if keep is None else ([], [])
+        for tgt, c in moves(node):
+            j = index.get(tgt)
+            if j is None:
+                if d > radius:
+                    continue
+                j = index[tgt] = len(nodes)
+                nodes.append(tgt)
+                depth.append(d)
+                if len(nodes) > cap:
+                    raise BallCapExceeded(len(nodes), cap)
+            row.append(j)
+            row_counts.append(c)
+        if keep is None:
+            indptr.append(len(targets))
         else:
-            row = []
-            for tgt, c in moves(node):
-                j = index.get(tgt)
-                if j is None:
-                    j = index[tgt] = len(nodes)
-                    nodes.append(tgt)
-                    depth.append(d)
-                    if len(nodes) > cap:
-                        raise BallCapExceeded(len(nodes), cap)
-                row.append((j, c))
-        rows.append(row if keep is None else keep(row))
+            rows.append(keep(row))
+    if keep is None:
+        return nodes, index, depth, (indptr, targets, counts)
     return nodes, index, depth, rows
 
 
@@ -337,7 +344,7 @@ class WalkModel:
             raise ModelError("radius must be >= 0")
         vertices, index, dist, adj = _truncate(
             self.root_vertex(), lambda v: [(w, 1) for w in self.neighbors(v)],
-            radius, cap, keep=lambda row: sorted([j for j, _ in row]))
+            radius, cap, keep=sorted)
         levels = None
         if self.level_base is not None:
             levels = [self.vertex_level(v) for v in vertices]
@@ -356,10 +363,10 @@ class WalkModel:
             raise ModelError(f"{self.name()} has no collapsed chain")
         if n_max < 0:
             raise ModelError("n_max must be >= 0")
-        states, _, depth, edges = _truncate(
+        states, _, depth, csr = _truncate(
             self.orbit_root(), self.orbit_moves, n_max // 2, cap)
         return CollapsedChain(
-            states=states, edges=edges, denom=self.degree,
+            states=states, csr=csr, denom=self.degree,
             level=[self.orbit_level(st) for st in states],
             level_base=self.level_base, horizon=n_max, depth=depth,
             t0=self.level_profile().t0_lattice or 1, root=0)
@@ -445,6 +452,7 @@ class GrandparentModel(FixedEndTreeModel):
         super().__init__(spec)
         self.degree = spec.b * spec.b + spec.b + 2
         self.bipartite = False
+        self._patterns = {}  # boundary class -> [(ds, dt, count)]
 
     def name(self):
         return f"grandparent(b={self.b})"
@@ -460,6 +468,17 @@ class GrandparentModel(FixedEndTreeModel):
         return out
 
     def orbit_moves(self, state):
+        """`_moves` as offsets, memoized by the boundary class of the
+        state: the moves of (s, t) depend only on min(s, 2), min(t, 2)."""
+        s, t = state
+        key = (s if s < 2 else 2, t if t < 2 else 2)
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = self._patterns[key] = [
+                (s2 - s, t2 - t, c) for (s2, t2), c in self._moves(state)]
+        return [((s + ds, t + dt), c) for ds, dt, c in pattern]
+
+    def _moves(self, state):
         b = self.b
         up1 = _orbit_up(state)
         up2 = _compose_moves(up1, _orbit_up)
@@ -493,6 +512,7 @@ class DiestelLeaderModel(WalkModel):
             self.level_base = None
         # level = +h1 when q > r, -h1 when q < r (h1 = first-tree horocycle)
         self._sign = 1 if spec.q > spec.r else -1
+        self._patterns = {}  # boundary class -> [(ds1, dt1, ds2, dt2, count)]
 
     def name(self):
         return f"diestel_leader(q={self.q},r={self.r})"
@@ -516,6 +536,19 @@ class DiestelLeaderModel(WalkModel):
         return ((s1, len(w1)), (s2, len(w2)))
 
     def orbit_moves(self, state):
+        """`_moves` as offsets, memoized by the boundary class of the
+        state: which of s1, t1, s2, t2 are positive."""
+        (s1, t1), (s2, t2) = state
+        key = (s1 > 0, t1 > 0, s2 > 0, t2 > 0)
+        pattern = self._patterns.get(key)
+        if pattern is None:
+            pattern = self._patterns[key] = [
+                (a1 - s1, b1 - t1, a2 - s2, b2 - t2, c)
+                for ((a1, b1), (a2, b2)), c in self._moves(state)]
+        return [(((s1 + d1, t1 + e1), (s2 + d2, t2 + e2)), c)
+                for d1, e1, d2, e2, c in pattern]
+
+    def _moves(self, state):
         st1, st2 = state
         merged = {}
         for t1, c1 in _orbit_up(st1):
@@ -575,7 +608,8 @@ class CartesianProductModel(WalkModel):
         return l1 + l2
 
     def level_profile(self):
-        if self.level_base is None:
+        b1, b2 = self.f1.level_base, self.f2.level_base
+        if b1 is not None and b2 is not None and b1 != b2:
             raise ModelError("factors have incompatible level lattices")
         merged = {}
         for fac in (self.f1, self.f2):

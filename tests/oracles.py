@@ -6,7 +6,8 @@ atom-count histograms.  Nothing below shares code with the dynamic
 programs under test.  `QuadRef` is a plain reference for the exact
 quadratic-field arithmetic.  `window_visits` and `rebuild_distinct_means`
 are the direct forms of the bridge visit count and of the step-by-step
-vertex-path rebuild.
+vertex-path rebuild.  `coo_float_matrix` and `bfs_rows` build a chain's
+float matrix and its rows entry by entry.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 
 def enumerate_statistics(law, n, r_ballot=(), r_max=(), r_tau=()):
@@ -305,3 +307,35 @@ def rebuild_distinct_means(model, chain, traj, k_grid, t0, m, rng):
         result[k] = (float(arr.mean()),
                      float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
     return result
+
+
+def coo_float_matrix(rows, scale=1.0):
+    """Sparse P[j, i] = scale * p for rows[i] = [(j, p)], assembled entry
+    by entry in COO form."""
+    r_idx, c_idx, vals = [], [], []
+    for i, row in enumerate(rows):
+        for j, p in row:
+            r_idx.append(j)
+            c_idx.append(i)
+            vals.append(float(p) * scale)
+    n = len(rows)
+    return sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(n, n))
+
+
+def bfs_rows(model, n_max):
+    """Rows of the collapsed chain for horizon n_max by a plain BFS: the
+    states within n_max // 2 orbit moves of the root in discovery order,
+    then each state's moves to those states as (index, count)."""
+    radius = n_max // 2
+    root = model.orbit_root()
+    index, frontier = {root: 0}, [root]
+    for _ in range(radius):
+        nxt = []
+        for s in frontier:
+            for t, _ in model.orbit_moves(s):
+                if t not in index:
+                    index[t] = len(index)
+                    nxt.append(t)
+        frontier = nxt
+    return [[(index[t], c) for t, c in model.orbit_moves(s) if t in index]
+            for s in index]

@@ -1,4 +1,5 @@
 """Source hygiene: every name a `walklab` module imports is used there,
+no module reaches into another package's private modules unless listed,
 and every function, method and class it defines is referenced."""
 
 import ast
@@ -48,6 +49,49 @@ def test_scan_flags_an_unused_import(tmp_path):
                    "import numpy as np\n__all__ = ['sqrt']\n"
                    "x = np.zeros(1)\n")
     assert unused_imports(mod) == ["mod:os", "mod:log"]
+
+
+# `module:name` of each allowed import of a private module: the float DP
+# calls scipy's CSR matvec on a prefix of the rows, which no public
+# sparse API offers without copying the arrays
+PRIVATE_ALLOWED = {"chains:_sparsetools"}
+
+
+def private_imports(path: Path) -> list:
+    """`module:name` for each absolute import whose dotted path has a
+    segment starting with an underscore (dunders such as ``__future__``
+    aside).  Relative imports stay inside `walklab` and are not checked."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            prefix = ""
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            prefix = node.module + "."
+        else:
+            continue
+        hits += [f"{path.stem}:{a.name}" for a in node.names
+                 if any(seg.startswith("_") and not seg.endswith("__")
+                        for seg in (prefix + a.name).split("."))]
+    return hits
+
+
+def test_no_private_module_imports():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in private_imports(path)]
+    bad = sorted(set(hits) - PRIVATE_ALLOWED)
+    assert bad == [], "private module imports: " + ", ".join(bad)
+
+
+def test_scan_flags_a_private_module_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import numpy.core._internal\n"
+                   "from scipy.sparse import _sparsetools as st, csr_matrix\n"
+                   "from scipy._lib import doccer\n"
+                   "from .doob import _killed_walk\n")
+    assert private_imports(mod) == [
+        "mod:numpy.core._internal", "mod:_sparsetools", "mod:doccer"]
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

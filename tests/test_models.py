@@ -131,3 +131,18 @@ def test_free_product_ball():
     assert fp.has_collapse is False
     assert all(g.degree_of(i) == fp.degree
                for i in range(len(g)) if g.dist[i] <= 2)
+
+
+def test_cartesian_profile_without_levels():
+    prod = build_model(ModelSpec("cartesian", factors=(
+        ModelSpec("tree", b=2), ModelSpec("diestel_leader", q=2, r=2))))
+    prof = prod.level_profile()
+    assert (prof.degree, prof.entries, prof.base, prof.t0_lattice) == \
+        (7, [(Fraction(1), 7)], None, 0)
+
+
+def test_cartesian_profile_rejects_two_bases():
+    prod = build_model(ModelSpec("cartesian", factors=(
+        ModelSpec("fixed_end_tree", b=2), ModelSpec("fixed_end_tree", b=3))))
+    with pytest.raises(ModelError, match="incompatible"):
+        prod.level_profile()
