@@ -37,30 +37,24 @@ class BridgeError(ValueError):
 
 def _forward_backward_numerators(chain: CollapsedChain, n: int):
     """Integer-numerator tables F[j][s] = d^j P[root->s in j] and
-    G[m][s] = d^m P[s->root in m]."""
-    ns = len(chain.states)
-    F = [[0] * ns for _ in range(n + 1)]
-    F[0][chain.root] = 1
-    for j in range(1, n + 1):
-        F[j] = chain.step_numerators(F[j - 1])
-    G = [[0] * ns for _ in range(n + 1)]
-    G[0][chain.root] = 1
-    for m in range(1, n + 1):
-        prev, cur = G[m - 1], G[m]
-        for i, row in enumerate(chain.edges):
-            acc = 0
-            for j, c in row:
-                if prev[j]:
-                    acc += c * prev[j]
-            cur[i] = acc
+    G[m][s] = d^m P[s->root in m]: walks from the root, F over the
+    transposed rows and G over ``chain.csr`` as it stands.  Both compute
+    only the light cone, so outside cone(min(j, n - j)) F_j and G_{n-j}
+    are not full sums; a product F_j[s] G_{n-j}[s] never reads them, as
+    the other true entry is 0 there.
+    """
+    start = np.zeros(len(chain.states), dtype=object)
+    start[chain.root] = 1
+    indptr, targets, counts = map(np.asarray, chain.csr)
+    F = [start, *chain.walk(n)]
+    G = [start, *chain.walk(n, rows=(indptr, targets, counts.astype(object)))]
     return F, G
 
 
 def bridge_cut_identity(chain: CollapsedChain, n: int) -> bool:
     """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j."""
     F, G = _forward_backward_numerators(chain, n)
-    totals = {sum(f * g for f, g in zip(F[j], G[n - j]))
-              for j in range(n + 1)}
+    totals = {(F[j] * G[n - j]).sum() for j in range(n + 1)}
     return len(totals) == 1
 
 
@@ -70,9 +64,7 @@ def _occupation_numerators(chain: CollapsedChain, n: int) -> list:
     occ = chain.occupation.get(n)
     if occ is None:
         F, G = _forward_backward_numerators(chain, n)
-        occ = [0] * len(chain.states)
-        for Fj, Gm in zip(F, reversed(G)):
-            occ = [o + f * g for o, f, g in zip(occ, Fj, Gm)]
+        occ = sum(f * g for f, g in zip(F, reversed(G))).tolist()
         chain.occupation[n] = occ
     return occ
 
@@ -127,19 +119,12 @@ def _walk_count(graph: ExplicitGraph, n: int, src: int, dst: int,
     """Number of length-n walks src -> dst never visiting `avoid`."""
     if avoid is not None and avoid in (src, dst):
         return 0
-    w = [0] * len(graph)
-    w[src] = 1
-    for _ in range(n):
-        nw = [0] * len(graph)
-        for i, wi in enumerate(w):
-            if not wi:
-                continue
-            for j in graph.adj[i]:
-                nw[j] += wi
+    count = int(src == dst)
+    for w in graph.walk(n, source=src):
         if avoid is not None:
-            nw[avoid] = 0
-        w = nw
-    return w[dst]
+            w[avoid] = 0
+        count = w[dst]
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,15 @@ n-step distribution can be carried as integer numerators over denom**n.
 
 The truncation stores the counts once, as CSR arrays ``csr = (indptr,
 targets, counts)``: row i lists its targets and counts in
-``targets[indptr[i]:indptr[i+1]]`` and the same slice of ``counts``.  The
-float matrix is built from these arrays with no Python loop over edges.
-The exact DPs, the Doob transform and the bridge tables read rows of
-(j, count) pairs, ``edges``, which are built from the arrays on first use;
-the float DPs never build them.
+``targets[indptr[i]:indptr[i+1]]`` and the same slice of ``counts``.  A
+ball (`walklab.models.ExplicitGraph`) is the chain of the trivial
+partition, with unit counts.
+
+One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
+over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
+bridge tables, ball series and walks that avoid a vertex.  The per-row
+lists ``edges`` of (j, count) pairs are built on first use, by the Doob
+transform, its reversibility check and the bridge Monte Carlo sampler.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.sparse import _sparsetools
 @dataclass
 class CollapsedChain:
     states: list
-    csr: tuple           # (indptr, targets, counts), each an array("q")
+    csr: tuple           # (indptr, targets, counts): array("q"), array("i") x2
     denom: int           # common denominator of every row (graph degree)
     level: list          # lattice level per state
     level_base: Optional[Fraction]
@@ -39,6 +43,7 @@ class CollapsedChain:
     root: int = 0
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
     _edges: Optional[list] = field(default=None, repr=False)
+    _pull: Optional[tuple] = field(default=None, repr=False)
     # bridge length n -> occupation numerators, memoized by `bridges`
     occupation: dict = field(default_factory=dict, repr=False)
 
@@ -64,52 +69,92 @@ class CollapsedChain:
         """Whether state i has its complete transition row present."""
         return self.depth[i] < self.radius
 
-    # ---- exact integer dynamics ----------------------------------
+    # ---- the walk kernel ------------------------------------------
 
     def cone(self, steps_left: int) -> int:
         """Number of states within ``steps_left`` steps of the root.
 
         States are numbered in BFS order, so these are a prefix.  A state
         at depth d needs d steps to return to the root, so with k steps
-        left (this one included) only the first ``cone(k)`` states can
-        still send mass there.
+        left only the first ``cone(k)`` states can still send mass there.
         """
         return bisect_right(self.depth, steps_left)
 
-    def step_numerators(self, w: list, limit: Optional[int] = None,
-                        rows: Optional[list] = None) -> list:
-        """One step of the count DP: new[j] = sum_i w[i] * count(i->j).
-
-        Only states i < ``limit`` are read.  ``rows`` replaces the integer
-        counts by other weights of the same shape (rows[i] = [(j, p)]).
+    def pull_rows(self, weights=None) -> tuple:
+        """Transposed rows ``(indptr, sources, weights)``: row j lists the
+        states i with an entry i -> j, ascending (the pattern of `matrix`),
+        with ``weights`` given per entry in ``csr`` order.  By default
+        they are the counts (None if all are 1), kept on the chain.
         """
-        rows = self.edges if rows is None else rows
-        nw = [0] * len(self.states)
-        for wi, row in zip(w if limit is None else w[:limit], rows):
-            if wi:
-                for j, c in row:
-                    nw[j] += wi * c
-        return nw
+        if weights is None and self._pull is not None:
+            return self._pull
+        indptr, targets, counts = map(np.asarray, self.csr)
+        ns = len(self.states)
+        perm = np.argsort(targets, kind="stable")
+        # int32 indices halve the pattern's memory on large balls
+        sources = np.repeat(np.arange(ns, dtype=np.int32),
+                            np.diff(indptr))[perm]
+        t_indptr = np.zeros(ns + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=ns), out=t_indptr[1:])
+        if weights is not None:
+            return t_indptr, sources, weights[perm]
+        unit = (counts == 1).all()
+        self._pull = (t_indptr, sources,
+                      None if unit else counts[perm].astype(object))
+        return self._pull
 
-    def root_walk(self, n_max: int, start=1, rows: Optional[list] = None,
-                  taboo: bool = False) -> list:
-        """Root entries of w_1..w_{n_max}, w_n = w_{n-1} P, w_0 = start*e_root.
+    def walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
+             source: Optional[int] = None):
+        """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
+        and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
+        row r of ``rows = (indptr, idx, data)``, by default `pull_rows`
+        (w_n = w_{n-1} P in counts; data None means unit weights).  The
+        caller may change a yielded vector before the next step.
 
-        With ``taboo`` the root's mass is removed before every step after
-        the first.  Step n reads only the states that are reachable in
-        n - 1 steps and can still reach the root in the n_max - n + 1
-        steps left; the others carry no mass that arrives at the root.
+        Float64 data steps with scipy's CSR matvec, other data (ints,
+        `QuadExt`) as object arrays: one gather, one ``np.add.reduceat``.
+        From the root, step n computes only the rows within
+        min(n, n_max - n) of the root, a BFS prefix: the others are
+        unreachable or cannot reach the root in time, and stay 0.  An edge
+        changes depth by at most 1, so a kept row reads only kept entries,
+        in the order of a full product: the same to the bit.
         """
-        self._check_horizon(n_max)
-        w = [0] * len(self.states)
-        w[self.root] = start
-        out = []
+        indptr, idx, data = self.pull_rows() if rows is None else rows
+        ns = len(self.states)
+        source = self.root if source is None else source
+        exact = data is None or data.dtype != np.float64
+        if exact:
+            # reduceat gives an empty row a neighbor's entry, not 0
+            live = np.flatnonzero(np.diff(indptr))
+            starts = indptr[live]
+        # zeros of start's type: a QuadExt times int 0 would go via Fraction
+        zero = start * 0
+        w = np.full(ns, zero, dtype=object if exact else np.float64)
+        w[source] = start
         for n in range(1, n_max + 1):
-            if taboo and n > 1:
-                w[self.root] = 0
-            w = self.step_numerators(
-                w, self.cone(min(n - 1, n_max - n + 1)), rows)
+            m = self.cone(min(n, n_max - n)) if source == self.root else ns
+            nw = np.full(ns, zero, dtype=w.dtype)
+            if not exact:
+                _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
+            elif (k := np.searchsorted(live, m)):
+                end = indptr[m]
+                terms = w[idx[:end]]
+                if data is not None:
+                    terms *= data[:end]
+                nw[live[:k]] = np.add.reduceat(terms, starts[:k])
+            w = nw
+            yield w
+
+    def root_walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
+                  taboo: bool = False) -> list:
+        """Root entries of w_1..w_{n_max} of `walk` from the root; with
+        ``taboo`` the root's mass is removed after each is read."""
+        self._check_horizon(n_max)
+        out = []
+        for w in self.walk(n_max, start, rows):
             out.append(w[self.root])
+            if taboo:
+                w[self.root] = 0
         return out
 
     def return_series_exact(self, n_max: int) -> list:
@@ -137,41 +182,23 @@ class CollapsedChain:
             indptr, targets, counts = self.csr
             self._matrix = float_matrix((
                 indptr, targets,
-                np.frombuffer(counts, dtype=np.int64) * (1.0 / self.denom)))
+                np.asarray(counts) * (1.0 / self.denom)))
         return self._matrix
 
     def float_root_walk(self, P, n_max: int, taboo: bool = False):
         """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root,
         for a CSR float matrix P[j, i] = p(i -> j) with this chain's
-        edges; ``taboo`` as in `root_walk`, with w_0 counted as no return.
-
-        Step n computes only the rows of the states within
-        min(n, n_max - n) of the root, a prefix in BFS order: the others
-        are unreachable or can no longer reach the root.  An edge changes
-        BFS depth by at most 1, so a kept row reads only kept entries, in
-        the order ``P @ w`` reads them, and the result is the same to the
-        bit.
+        edges, by `walk` over P's rows; ``taboo`` as in `root_walk`, with
+        w_0 counted as no return.
         """
-        self._check_horizon(n_max)
         ns = len(self.states)
         # the kernel trusts its row count: a matrix of another size or
         # format would be read out of bounds or transposed
         if P.format != "csr" or P.shape != (ns, ns):
             raise ValueError(f"need a {ns}x{ns} CSR matrix, got "
                              f"{P.shape[0]}x{P.shape[1]} {P.format}")
-        w = np.zeros(ns)
-        w[self.root] = 1.0
-        out = np.empty(n_max + 1)
-        out[0] = 0.0 if taboo else 1.0
-        for n in range(1, n_max + 1):
-            if taboo and n > 1:
-                w[self.root] = 0.0
-            nw = np.zeros(ns)
-            _sparsetools.csr_matvec(self.cone(min(n, n_max - n)), ns,
-                                    P.indptr, P.indices, P.data, w, nw)
-            w = nw
-            out[n] = w[self.root]
-        return out
+        return np.array([0.0 if taboo else 1.0] + self.root_walk(
+            n_max, 1.0, (P.indptr, P.indices, P.data), taboo))
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         return self.float_root_walk(self.matrix(), n_max)

@@ -125,17 +125,20 @@ class DoobChain:
         """a_n = root-return probability of the h-walk, exact QuadExt."""
         if n_max > self.base_chain.horizon:
             raise DoobError("beyond chain horizon")
-        zero = self.rows[self.base_chain.root][0][1] * 0
-        one = zero + 1
-        walk = self.base_chain.root_walk(n_max, one, rows=self.rows)
-        return [one] + [x or zero for x in walk]
+        chain = self.base_chain
+        weights = self.weights()
+        one = weights[0] * 0 + 1
+        return [one] + chain.root_walk(n_max, one, chain.pull_rows(weights))
+
+    def weights(self) -> np.ndarray:
+        """The row weights as one object array, in ``csr`` order."""
+        return np.fromiter((p for row in self.rows for _, p in row),
+                           dtype=object)
 
     def matrix(self):
         """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
-        indptr = np.cumsum([0] + [len(row) for row in self.rows])
-        targets = [j for row in self.rows for j, _ in row]
-        weights = [float(p) for row in self.rows for _, p in row]
-        return float_matrix((indptr, targets, weights))
+        indptr, targets, _ = self.base_chain.csr
+        return float_matrix((indptr, targets, self.weights().astype(float)))
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         return self.base_chain.float_root_walk(self.matrix(), n_max)

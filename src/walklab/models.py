@@ -163,26 +163,25 @@ def _ratio_to_lattice(q: Fraction, base: Fraction) -> int:
 
 
 @dataclass
-class ExplicitGraph:
-    """A finite ball around the root with exact adjacency."""
-    vertices: list
-    index: dict
-    adj: list  # adj[i] = sorted list of neighbor indices
-    levels: Optional[list]  # lattice level per vertex, or None
-    dist: list  # graph distance from root
-    radius: int
-    root: int = 0
-    level_base: Optional[Fraction] = None
+class ExplicitGraph(CollapsedChain):
+    """A finite ball around the root: the collapsed chain of the trivial
+    partition, one state per vertex with unit counts.  A ball of radius r
+    has horizon 2r + 1: a walk back at the root by then never went deeper
+    than r."""
+    index: dict = field(default_factory=dict, repr=False)  # vertex -> i
+    vertices = property(lambda self: self.states)
+    dist = property(lambda self: self.depth)  # graph distance from the root
+    levels = property(lambda self: self.level)  # lattice levels, or None
 
-    def __len__(self):
-        return len(self.vertices)
+    @property
+    def adj(self) -> list:
+        """adj[i] = sorted list of neighbor indices."""
+        indptr, targets, _ = self.csr
+        return [sorted(targets[a:b]) for a, b in zip(indptr, indptr[1:])]
 
     def degree_of(self, i: int) -> int:
-        return len(self.adj[i])
-
-    def interior(self, i: int) -> bool:
-        """Whether vertex i has its complete neighbor list present."""
-        return self.dist[i] <= self.radius - 1
+        indptr = self.csr[0]
+        return indptr[i + 1] - indptr[i]
 
     def to_csv(self) -> str:
         lines = ["vertex_id,neighbor_id,level"]
@@ -239,25 +238,22 @@ def _compose_moves(moves1, moves2_fn):
     return list(out.items())
 
 
-def _truncate(root, moves, radius: int, cap: int, keep=None):
+def _truncate(root, moves, radius: int, cap: int):
     """Breadth-first truncation at ``radius`` of the graph ``moves``.
 
     ``moves(node)`` lists (target, count) pairs and is called once per
     node, in BFS order.  Nodes at depth < radius number their new
     targets; all nodes at depth radius are numbered before the first is
     read.  Row i holds node i's moves to numbered nodes, in ``moves``
-    order.  Returns (nodes, index, depth, rows): with ``keep`` None, rows
-    is the CSR triple (indptr, targets, counts) of array("q")s; otherwise
-    rows[i] is ``keep`` applied to the list of row i's target indices.
+    order.  Returns (nodes, index, depth, csr), csr the triple (indptr,
+    targets, counts) of an array("q") and two array("i")s.
     """
     nodes = [root]
     index = {root: 0}
     depth = [0]
-    indptr, targets, counts = array("q", [0]), array("q"), array("q")
-    rows = []
+    indptr, targets, counts = array("q", [0]), array("i"), array("i")
     for i, node in enumerate(nodes):
         d = depth[i] + 1
-        row, row_counts = (targets, counts) if keep is None else ([], [])
         for tgt, c in moves(node):
             j = index.get(tgt)
             if j is None:
@@ -268,15 +264,10 @@ def _truncate(root, moves, radius: int, cap: int, keep=None):
                 depth.append(d)
                 if len(nodes) > cap:
                     raise BallCapExceeded(len(nodes), cap)
-            row.append(j)
-            row_counts.append(c)
-        if keep is None:
-            indptr.append(len(targets))
-        else:
-            rows.append(keep(row))
-    if keep is None:
-        return nodes, index, depth, (indptr, targets, counts)
-    return nodes, index, depth, rows
+            targets.append(j)
+            counts.append(c)
+        indptr.append(len(targets))
+    return nodes, index, depth, (indptr, targets, counts)
 
 
 class WalkModel:
@@ -342,15 +333,17 @@ class WalkModel:
     def enumerate_ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> ExplicitGraph:
         if radius < 0:
             raise ModelError("radius must be >= 0")
-        vertices, index, dist, adj = _truncate(
+        vertices, index, dist, csr = _truncate(
             self.root_vertex(), lambda v: [(w, 1) for w in self.neighbors(v)],
-            radius, cap, keep=sorted)
-        levels = None
+            radius, cap)
+        levels = t0 = None
         if self.level_base is not None:
             levels = [self.vertex_level(v) for v in vertices]
-        return ExplicitGraph(vertices=vertices, index=index, adj=adj,
-                             levels=levels, dist=dist, radius=radius,
-                             level_base=self.level_base)
+            t0 = self.level_profile().t0_lattice
+        return ExplicitGraph(states=vertices, csr=csr, denom=self.degree,
+                             level=levels, level_base=self.level_base,
+                             horizon=2 * radius + 1, depth=dist,
+                             t0=t0 or 1, index=index)
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -690,28 +683,17 @@ def build_model(spec: ModelSpec) -> WalkModel:
 # ---------------------------------------------------------------------------
 
 def ball_return_series(graph: ExplicitGraph, n_max: int, degree: int) -> list:
-    """Exact u_n for n <= n_max from a ball with radius >= n_max//2 + 1.
+    """Exact u_n for n <= n_max from a ball with radius >= n_max//2.
 
-    A walk that returns to the root by time n never leaves the ball of
-    radius n//2, where adjacency is complete, so the DP is exact.
+    A walk that returns to the root by time n never goes deeper than
+    n//2, and the ball holds every edge between its vertices, so the
+    count of such walks on the ball is exact.
     """
-    if graph.radius < n_max // 2 + 1:
+    if graph.radius < n_max // 2:
         raise ModelError(
             f"ball radius {graph.radius} too small for n_max={n_max}")
-    nverts = len(graph)
-    w = [0] * nverts
-    w[graph.root] = 1
-    out = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        nw = [0] * nverts
-        for i in range(nverts):
-            wi = w[i]
-            if wi:
-                for j in graph.adj[i]:
-                    nw[j] += wi
-        w = nw
-        out.append(Fraction(w[graph.root], degree ** n))
-    return out
+    return [Fraction(1)] + [Fraction(x, degree ** n)
+                            for n, x in enumerate(graph.root_walk(n_max), 1)]
 
 
 @dataclass
@@ -731,8 +713,9 @@ class ValidationReport:
 
 def validate_collapse(model: WalkModel, n_check: int = 12,
                       cap: int = DEFAULT_BALL_CAP) -> ValidationReport:
-    """Exact equality of u_n from ball DP and from the collapsed chain."""
-    graph = model.enumerate_ball(n_check // 2 + 1, cap=cap)
+    """Exact equality of u_n from the ball and from the collapsed chain,
+    both truncated at radius n_check // 2."""
+    graph = model.enumerate_ball(n_check // 2, cap=cap)
     ball_u = ball_return_series(graph, n_check, model.degree)
     chain = model.collapse(n_check, cap=cap)
     chain_u = chain.return_series_exact(n_check)

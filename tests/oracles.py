@@ -7,7 +7,8 @@ programs under test.  `QuadRef` is a plain reference for the exact
 quadratic-field arithmetic.  `window_visits` and `rebuild_distinct_means`
 are the direct forms of the bridge visit count and of the step-by-step
 vertex-path rebuild.  `coo_float_matrix` and `bfs_rows` build a chain's
-float matrix and its rows entry by entry.
+float matrix and its rows entry by entry.  `walk_count` counts walks on
+an adjacency list by pushing every vertex's mass at every step.
 """
 
 import itertools
@@ -339,3 +340,23 @@ def bfs_rows(model, n_max):
         frontier = nxt
     return [[(index[t], c) for t, c in model.orbit_moves(s) if t in index]
             for s in index]
+
+
+def walk_count(adj, n, src, dst, avoid=None):
+    """Number of length-n walks src -> dst on the adjacency lists ``adj``
+    that never visit ``avoid``: every vertex pushes its count to each of
+    its neighbors at every step."""
+    if avoid is not None and avoid in (src, dst):
+        return 0
+    w = [0] * len(adj)
+    w[src] = 1
+    for _ in range(n):
+        nw = [0] * len(adj)
+        for i, wi in enumerate(w):
+            if wi:
+                for j in adj[i]:
+                    nw[j] += wi
+        if avoid is not None:
+            nw[avoid] = 0
+        w = nw
+    return w[dst]

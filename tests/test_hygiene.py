@@ -1,8 +1,11 @@
 """Source hygiene: every name a `walklab` module imports is used there,
 no module reaches into another package's private modules unless listed,
-and every function, method and class it defines is referenced."""
+every function, method and class it defines is referenced, and every
+span the benchmark tracer wraps names a definition."""
 
 import ast
+import importlib
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -151,3 +154,54 @@ def test_scan_flags_an_unreferenced_definition(tmp_path):
         "def unused():\n    pass\n"
         "used()\nBox().shown()\nTRACED = ('mod.Box.hidden',)\n")
     assert unreferenced_defs([mod], [mod]) == ["mod:recursive", "mod:unused"]
+
+
+TRACER = ROOT / "perfbench" / "tracing.py"
+
+
+def tracer_spans(path: Path) -> list:
+    """The span names the benchmark tracer wraps or reads: the spans of
+    its time metrics, its ``METHODS`` table and its hooks.  The file is
+    compiled and run in a fresh namespace, so no bytecode is written."""
+    ns = {"__name__": "tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), ns)
+    names = [name for spans in ns["TIME_METRICS"].values() for name in spans]
+    names += [f"{layer}.{cls}.{meth}"
+              for layer, classes in ns["METHODS"].items()
+              for cls, meths in classes.items() for meth in meths]
+    return list(dict.fromkeys(names + list(ns["_HOOKS"])))
+
+
+def unresolved_spans(names) -> list:
+    """Each span name, ``[mode]`` suffix stripped, that does not name a
+    public function of ``walklab.layer`` (``layer.func``) or an entry of
+    the class's own ``__dict__`` (``layer.Class.meth``)."""
+    bad = []
+    for name in names:
+        layer, *path = name.split("[")[0].split(".")
+        mod = importlib.import_module(f"walklab.{layer}")
+        obj = vars(mod).get(path[0])
+        if len(path) == 1:
+            ok = (inspect.isfunction(obj) and not path[0].startswith("_")
+                  and obj.__module__ == mod.__name__)
+        else:
+            ok = isinstance(obj, type) and path[1] in vars(obj)
+        if not ok:
+            bad.append(name)
+    return bad
+
+
+def test_tracer_spans_name_walklab_definitions():
+    bad = unresolved_spans(tracer_spans(TRACER))
+    assert bad == [], "tracer spans that name nothing: " + ", ".join(bad)
+
+
+def test_span_scan_flags_a_missing_name():
+    assert unresolved_spans([
+        "models.ball_return_series", "series.first_return_probabilities[exact]",
+        "chains.CollapsedChain.return_series_float", "models._truncate",
+        "models.CollapsedChain", "chains.CollapsedChain.no_such_method",
+        "models.ExplicitGraph.walk", "doob.np"]) == [
+        "models._truncate", "models.CollapsedChain",
+        "chains.CollapsedChain.no_such_method", "models.ExplicitGraph.walk",
+        "doob.np"]
