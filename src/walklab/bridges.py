@@ -4,6 +4,8 @@ domination condition behind the f_n/u_n limit law.
 Bridge sampling is exact: a forward step from state s is reweighted by
 the probability of returning to the root in the remaining steps, so each
 sample is a draw from the conditioned path measure, no rejection needed.
+Those probabilities G_m are a float readout of `CollapsedChain.walk`,
+and the sampler reads each row as a slice of ``chain.csr``.
 
 Exact visit counts go through the occupation vector of a length-n
 bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
@@ -14,6 +16,7 @@ number of times a bridge sits in state s.  It is built once per
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,26 +38,31 @@ class BridgeError(ValueError):
 # Exact bridge visit DP
 # ---------------------------------------------------------------------------
 
-def _forward_backward_numerators(chain: CollapsedChain, n: int):
-    """Integer-numerator tables F[j][s] = d^j P[root->s in j] and
-    G[m][s] = d^m P[s->root in m]: walks from the root, F over the
-    transposed rows and G over ``chain.csr`` as it stands.  Both compute
-    only the light cone, so outside cone(min(j, n - j)) F_j and G_{n-j}
-    are not full sums; a product F_j[s] G_{n-j}[s] never reads them, as
-    the other true entry is 0 there.
-    """
-    start = np.zeros(len(chain.states), dtype=object)
-    start[chain.root] = 1
+def _backward_table(chain: CollapsedChain, n: int, exact: bool) -> list:
+    """G_0..G_n, G_m[s] = P[s -> root in m] as numerators over d^m if
+    ``exact``, else floats: a walk from the root over ``chain.csr`` as it
+    stands.  On the light cone only, so G_m[s] is full where depth(s) <=
+    min(m, n - m), and 0 where depth(s) > m, as the full value is."""
     indptr, targets, counts = map(np.asarray, chain.csr)
-    F = [start, *chain.walk(n)]
-    G = [start, *chain.walk(n, rows=(indptr, targets, counts.astype(object)))]
-    return F, G
+    one, data = ((1, counts.astype(object)) if exact
+                 else (1.0, counts * (1.0 / chain.denom)))
+    start = np.zeros(len(chain.states), dtype=data.dtype)
+    start[chain.root] = one
+    return [start, *chain.walk(n, one, (indptr, targets, data))]
+
+
+def _forward_backward_numerators(chain: CollapsedChain, n: int):
+    """(F, G): F yields F_j[s] = d^j P[root->s in j], j = 0..n, as the
+    walk produces them; G holds the exact `_backward_table`.  Off
+    cone(min(j, n - j)) F_j[s] G_{n-j}[s] = 0, as one true entry is 0."""
+    G = _backward_table(chain, n, exact=True)
+    return itertools.chain([G[0]], chain.walk(n)), G
 
 
 def bridge_cut_identity(chain: CollapsedChain, n: int) -> bool:
     """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j."""
     F, G = _forward_backward_numerators(chain, n)
-    totals = {(F[j] * G[n - j]).sum() for j in range(n + 1)}
+    totals = {(f * G[n - j]).sum() for j, f in enumerate(F)}
     return len(totals) == 1
 
 
@@ -91,9 +99,10 @@ def bridge_inclusion_probability(graph: ExplicitGraph, n: int,
     """P_{n,root}[x in w] on an explicit ball, exact.
 
     Counts length-n root-to-root walks avoiding x versus all of them.
-    Needs ball radius >= n//2 + 1 so both counts are complete.
+    Needs ball radius >= n//2, the farthest a closed n-walk gets from its
+    start, so both counts are complete.
     """
-    if graph.radius < n // 2 + 1:
+    if graph.radius < n // 2:
         raise BridgeError("ball too small")
     total = _walk_count(graph, n, graph.root, graph.root, avoid=None)
     if total == 0:
@@ -105,7 +114,7 @@ def bridge_inclusion_probability(graph: ExplicitGraph, n: int,
 def bridge_inclusion_symmetry(graph: ExplicitGraph, n: int, x: int,
                               degree: int) -> tuple:
     """(P_{n,root}[x in w], P_{n,x}[root in w]) for an interior x."""
-    if graph.dist[x] + n // 2 + 1 > graph.radius:
+    if graph.dist[x] + n // 2 > graph.radius:
         raise BridgeError("x too close to the ball boundary")
     p1 = bridge_inclusion_probability(graph, n, x, degree)
     total = _walk_count(graph, n, x, x, avoid=None)
@@ -151,20 +160,12 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
         raise BridgeError("a seed is required")
     if chain is None:
         chain = model.collapse(n)
-    P = chain.matrix()
-    ns = len(chain.states)
-    # backward tables G[m] = P[state -> root in m steps]
-    G = np.zeros((n + 1, ns))
-    G[0, chain.root] = 1.0
-    Pt = P.T.tocsr()
-    for m in range(1, n + 1):
-        G[m] = Pt @ G[m - 1]
-    if G[n, chain.root] <= 0:
+    # a draw reads G[rem] at targets of depth <= n - rem: full values, or
+    # past depth rem zeros that are true
+    G = _backward_table(chain, n, exact=False)
+    if G[n][chain.root] <= 0:
         raise BridgeError(f"u_{n} = 0: no bridges")
-    edges_t = [np.array([j for j, _ in row], dtype=np.int64)
-               for row in chain.edges]
-    edges_c = [np.array([c for _, c in row], dtype=float)
-               for row in chain.edges]
+    indptr, targets, counts = map(np.asarray, chain.csr)
     rng = np.random.default_rng(seed)
     traj = np.empty((samples, n + 1), dtype=np.int32)
     traj[:, 0] = chain.root
@@ -174,12 +175,13 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
         nxt = np.empty_like(cur)
         for s in np.unique(cur):
             idx = np.nonzero(cur == s)[0]
-            weights = edges_c[s] * G[rem, edges_t[s]]
+            row = slice(indptr[s], indptr[s + 1])
+            weights = counts[row] * G[rem][targets[row]]
             tot = weights.sum()
             if tot <= 0:
                 raise BridgeError(f"stranded state {s} at step {step}")
             draws = rng.choice(len(weights), size=len(idx), p=weights / tot)
-            nxt[idx] = edges_t[s][draws]
+            nxt[idx] = targets[row][draws]
         cur = nxt
         traj[:, step + 1] = cur
     level_arr = np.array(chain.level, dtype=np.int32)
@@ -187,16 +189,15 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
     t0 = chain.t0
     if k_grid is None:
         k_grid = range(-3, 9)
+    max_levels = lv_traj.max(axis=1)
     visit_means = {}
     hit_upper = {}
     for k in k_grid:
         lo, hi = k * t0, (k + 1) * t0
-        counts = ((lv_traj >= lo) & (lv_traj < hi)).sum(axis=1)
-        visit_means[k] = (float(counts.mean()),
-                          float(counts.std(ddof=1) / np.sqrt(samples)))
-        hits = (lv_traj >= lo).any(axis=1)
-        hit_upper[k] = float(hits.mean())
-    max_levels = lv_traj.max(axis=1)
+        visits = ((lv_traj >= lo) & (lv_traj < hi)).sum(axis=1)
+        visit_means[k] = (float(visits.mean()),
+                          float(visits.std(ddof=1) / np.sqrt(samples)))
+        hit_upper[k] = float((max_levels >= lo).mean())
     uniq, cnt = np.unique(max_levels, return_counts=True)
     max_level_counts = {int(a): int(b) for a, b in zip(uniq, cnt)}
     distinct_means = _distinct_counts(model, chain, traj, k_grid, t0,
@@ -220,12 +221,14 @@ def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     if not model.has_collapse:
         return {}
     index = {st: i for i, st in enumerate(chain.states)}
-    counts = {}  # count rows of the visited states only: less peak memory
+    indptr, targets, counts = chain.csr
+    rows = {}  # count rows of the visited states only: less peak memory
 
     def row_counts(s):
-        if s not in counts:
-            counts[s] = dict(chain.edges[s])
-        return counts[s]
+        if s not in rows:
+            a, b = indptr[s], indptr[s + 1]
+            rows[s] = dict(zip(targets[a:b], counts[a:b]))
+        return rows[s]
 
     out = {k: [] for k in k_grid}
     for row in traj[:m]:
@@ -420,8 +423,6 @@ def cnw_condition_scan(a: np.ndarray, epsilon_grid, n_max: int,
                 if a[n] <= 0:
                     continue
                 inner = full[n] - edge[n]
-                if N > 0 and 2 * N > n:
-                    inner = 0.0
                 if inner > eps * a[n] + 1e-15:
                     good = False
                     break

@@ -14,8 +14,8 @@ partition, with unit counts.
 One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
 over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
 bridge tables, ball series and walks that avoid a vertex.  The per-row
-lists ``edges`` of (j, count) pairs are built on first use, by the Doob
-transform, its reversibility check and the bridge Monte Carlo sampler.
+lists ``edges`` of (j, count) pairs are a view built on first use, only
+by the Doob transform and its reversibility check.
 """
 
 from __future__ import annotations
@@ -83,24 +83,21 @@ class CollapsedChain:
     def pull_rows(self, weights=None) -> tuple:
         """Transposed rows ``(indptr, sources, weights)``: row j lists the
         states i with an entry i -> j, ascending (the pattern of `matrix`),
-        with ``weights`` given per entry in ``csr`` order.  By default
-        they are the counts (None if all are 1), kept on the chain.
-        """
+        with ``weights`` given per entry in ``csr`` order and carried over
+        by `transpose_csr` of the entry numbers.  By default they are the
+        counts (None if all are 1), kept on the chain."""
         if weights is None and self._pull is not None:
             return self._pull
-        indptr, targets, counts = map(np.asarray, self.csr)
-        ns = len(self.states)
-        perm = np.argsort(targets, kind="stable")
+        indptr, targets, counts = self.csr
+        t = transpose_csr((indptr, targets,
+                           np.arange(len(targets), dtype=np.int32)))
         # int32 indices halve the pattern's memory on large balls
-        sources = np.repeat(np.arange(ns, dtype=np.int32),
-                            np.diff(indptr))[perm]
-        t_indptr = np.zeros(ns + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=ns), out=t_indptr[1:])
+        rows = (t.indptr.astype(np.int64), t.indices.astype(np.int32))
         if weights is not None:
-            return t_indptr, sources, weights[perm]
-        unit = (counts == 1).all()
-        self._pull = (t_indptr, sources,
-                      None if unit else counts[perm].astype(object))
+            return *rows, weights[t.data]
+        counts = np.asarray(counts)
+        self._pull = (*rows, None if (counts == 1).all()
+                      else counts[t.data].astype(object))
         return self._pull
 
     def walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
@@ -180,7 +177,7 @@ class CollapsedChain:
         """Column-stochastic float transition matrix P[j, i] = p(i -> j)."""
         if self._matrix is None:
             indptr, targets, counts = self.csr
-            self._matrix = float_matrix((
+            self._matrix = transpose_csr((
                 indptr, targets,
                 np.asarray(counts) * (1.0 / self.denom)))
         return self._matrix
@@ -212,10 +209,11 @@ class CollapsedChain:
                 f"chain truncated for horizon {self.horizon}, asked for {n_max}")
 
 
-def float_matrix(csr) -> sparse.csr_matrix:
-    """Sparse P[j, i] = weights[k] for the entries k of row i of the CSR
-    triple ``csr = (indptr, targets, weights)``: the triple is P in CSC
-    form, converted once to CSR."""
+def transpose_csr(csr) -> sparse.csr_matrix:
+    """Sparse P[j, i] = data[k] for the entries k of row i of the CSR
+    triple ``csr = (indptr, targets, data)``, numeric data of any dtype:
+    the triple is P in CSC form, converted once to CSR, so row j lists
+    its entries in ascending i and, within i, in ``csr`` order."""
     indptr, targets, weights = csr
     n = len(indptr) - 1
     return sparse.csc_matrix((weights, targets, indptr),

@@ -195,8 +195,7 @@ def cmd_quasi(args) -> int:
         "v": pd.v.tolist(),
         "pi": pd.pi.tolist(),
         "eigen_residual": pd.residual,
-        "checks": {k: (v if not isinstance(v, float) else v)
-                   for k, v in checks.items() if k != "witnesses"},
+        "checks": {k: v for k, v in checks.items() if k != "witnesses"},
     }
     with _out(args) as out:
         out.write(json.dumps(report, indent=2) + "\n")

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import CollapsedChain, float_matrix
+from .chains import CollapsedChain, transpose_csr
 from .models import LevelProfile, WalkModel
 from .qfield import QuadExt, sqrt_exact
 from .series import SpectralRadius, profile_rho
@@ -138,7 +138,7 @@ class DoobChain:
     def matrix(self):
         """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
         indptr, targets, _ = self.base_chain.csr
-        return float_matrix((indptr, targets, self.weights().astype(float)))
+        return transpose_csr((indptr, targets, self.weights().astype(float)))
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         return self.base_chain.float_root_walk(self.matrix(), n_max)

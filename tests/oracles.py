@@ -9,6 +9,8 @@ are the direct forms of the bridge visit count and of the step-by-step
 vertex-path rebuild.  `coo_float_matrix` and `bfs_rows` build a chain's
 float matrix and its rows entry by entry.  `walk_count` counts walks on
 an adjacency list by pushing every vertex's mass at every step.
+`argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
+the targets.
 """
 
 import itertools
@@ -360,3 +362,20 @@ def walk_count(adj, n, src, dst, avoid=None):
             nw[avoid] = 0
         w = nw
     return w[dst]
+
+
+def argsort_pull_rows(chain, weights=None):
+    """A chain's transposed rows ``(indptr, sources, weights)`` from a
+    stable argsort of its CSR targets: row j lists the sources i of the
+    entries i -> j in ascending order, ``weights`` (default the counts as
+    objects, None if all are 1) permuted along."""
+    indptr, targets, counts = map(np.asarray, chain.csr)
+    ns = len(chain.states)
+    perm = np.argsort(targets, kind="stable")
+    sources = np.repeat(np.arange(ns, dtype=np.int32),
+                        np.diff(indptr))[perm]
+    t_indptr = np.zeros(ns + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=ns), out=t_indptr[1:])
+    if weights is None:
+        weights = None if (counts == 1).all() else counts.astype(object)
+    return t_indptr, sources, None if weights is None else weights[perm]

@@ -1,7 +1,8 @@
 """Source hygiene: every name a `walklab` module imports is used there,
 no module reaches into another package's private modules unless listed,
-every function, method and class it defines is referenced, and every
-span the benchmark tracer wraps names a definition."""
+every function, method and class it defines is referenced, every span
+the benchmark tracer wraps names a definition, and a chain's ``edges``
+and ``matrix()`` views are read only where listed."""
 
 import ast
 import importlib
@@ -205,3 +206,42 @@ def test_span_scan_flags_a_missing_name():
         "models._truncate", "models.CollapsedChain",
         "chains.CollapsedChain.no_such_method", "models.ExplicitGraph.walk",
         "doob.np"]
+
+
+# `module:name` of each allowed read of a chain's views: the per-row
+# `edges` lists, built for the Doob rows and `reversibility_check` (and
+# the name of a level walk's own increments in `doob`), and the float
+# `matrix()`; every other reader goes through ``chain.csr``
+VIEWS_ALLOWED = {"doob:edges", "doob:matrix", "chains:matrix"}
+
+
+def view_reads(path: Path) -> list:
+    """`module:edges` for each read of an attribute named ``edges`` and
+    `module:matrix` for each call of a ``.matrix()`` method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "edges"
+                and isinstance(node.ctx, ast.Load)):
+            hits.append(f"{path.stem}:edges")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "matrix"):
+            hits.append(f"{path.stem}:matrix")
+    return hits
+
+
+def test_chain_views_read_only_where_allowed():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in view_reads(path)]
+    bad = sorted(set(hits) - VIEWS_ALLOWED)
+    assert bad == [], "chain views read outside the allow-list: " + \
+        ", ".join(bad)
+
+
+def test_scan_flags_a_chain_view_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def edges(chain):\n    chain.edges = []\n"
+                   "    rows = chain.edges[0]\n    P = chain.matrix()\n"
+                   "    M = chain.matrix\n    return rows, P, M, chain.csr\n")
+    assert sorted(view_reads(mod)) == ["mod:edges", "mod:matrix"]
