@@ -129,7 +129,7 @@ def _walk_count(graph: ExplicitGraph, n: int, src: int, dst: int,
     if avoid is not None and avoid in (src, dst):
         return 0
     count = int(src == dst)
-    for w in graph.walk(n, source=src):
+    for w in graph.walk(n, source=src, target=dst):
         if avoid is not None:
             w[avoid] = 0
         count = w[dst]
@@ -291,75 +291,52 @@ def excursion_record_law(u: ProbabilitySeries, f: ProbabilitySeries,
     ending by time n/2, one excursion across the midpoint, and beta
     excursions after it; the probability of a record is the product of
     the f-weights of its excursions divided by u_n.
+
+    Every sum is a convolution over the multiples of ``u.period``, the
+    only times at which u and f can be nonzero, on object arrays of
+    Fractions when both series are exact and on float64 otherwise.
     """
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
+    p = u.period
     half = n // 2           # first-half return times s <= n/2
     l_top = n - 1 - half    # second-half sum l satisfies n - l > n/2
+    top, j_top, last = half // p, l_top // p, n // p  # in units of p
     exact = u.exact and f.exact
-    if exact:
-        fv = [f[i] for i in range(n + 1)]
-        uv = [u[i] for i in range(n + 1)]
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        fv = [float(f[i]) for i in range(n + 1)]
-        uv = [float(u[i]) for i in range(n + 1)]
-        zero, one = 0.0, 1.0
+    uv, fv = (np.array((s.values if exact else s.floats)[:n + 1:p],
+                       dtype=object if exact else float) for s in (u, f))
+    fv[0] = 0               # an excursion takes at least one step
     if a_cap is None:
         a_cap = half // 2 + 1
-    # convs[a][s] = P[a first-return excursions totalling s steps]
-    c0 = [zero] * (half + 1)
-    c0[0] = one
-    convs = [c0]
-    while len(convs) <= a_cap:
-        prev = convs[-1]
-        nxt = [zero] * (half + 1)
-        nonzero = False
-        for s in range(half + 1):
-            ps = prev[s]
-            if not ps:
-                continue
-            for k in range(2, half - s + 1):
-                if fv[k]:
-                    nxt[s + k] = nxt[s + k] + ps * fv[k]
-                    nonzero = True
-        if not nonzero:
+    # laws[a][i] = P[a first-return excursions totalling p*i steps]
+    laws = [np.zeros(top + 1, dtype=fv.dtype)]
+    laws[0][0] = 1
+    while len(laws) <= a_cap:
+        prev = laws[-1]
+        lo = np.flatnonzero(prev)[0]
+        nxt = np.zeros_like(prev)
+        nxt[lo:] = np.convolve(prev[lo:], fv[:top + 1 - lo])[:top + 1 - lo]
+        if not nxt.any():
             break
-        convs.append(nxt)
-    # w[s] = sum over second-half records: sum_{l <= l_top} u_l f_{n-s-l}
-    # (sum over beta of the beta-fold convolutions is the renewal u_l)
-    w = [zero] * (half + 1)
-    for s in range(half + 1):
-        acc = zero
-        for l in range(0, min(l_top, n - s - 1) + 1):
-            if uv[l] and fv[n - s - l]:
-                acc = acc + uv[l] * fv[n - s - l]
-        w[s] = acc
-    alpha_law = []
-    total = zero
-    for ca in convs:
-        acc = zero
-        for s in range(half + 1):
-            if ca[s] and w[s]:
-                acc = acc + ca[s] * w[s]
-        alpha_law.append(acc / uv[n])
-        total = total + acc
-    joint = {}
-    for a in range(min(joint_cap, len(convs) - 1) + 1):
-        for b in range(min(joint_cap, len(convs) - 1) + 1):
-            ca, cb = convs[a], convs[b]
-            acc = zero
-            for s in range(half + 1):
-                if not ca[s]:
-                    continue
-                for l in range(0, min(l_top, n - s - 1) + 1):
-                    if l <= half and cb[l] and fv[n - s - l]:
-                        acc = acc + ca[s] * cb[l] * fv[n - s - l]
-            if acc:
-                joint[(a, b)] = acc / uv[n]
+        laws.append(nxt)
+    laws = np.array(laws)
+
+    def tail(c):
+        """t[i] = sum_{j <= l_top/p} c[j] f_{n-p*(i+j)}: the f slice it
+        reads starts at time n - p*(top + j_top) >= 1."""
+        return np.convolve(fv[last - top - j_top:], c[:j_top + 1],
+                           "valid")[::-1]
+
+    # second-half records summed over beta: the renewal u_l in place of
+    # the beta-fold convolutions
+    alpha_law = (laws @ tail(uv) / uv[-1]).tolist()
+    cap = min(joint_cap, len(laws) - 1) + 1
+    grid = (laws[:cap] @ np.array([tail(c) for c in laws[:cap]]).T
+            / uv[-1]).tolist()
+    joint = {(a, b): x for a, row in enumerate(grid)
+             for b, x in enumerate(row) if x}
     return ExcursionLaw(n=n, alpha_law=alpha_law, joint=joint,
-                        total_mass=total / uv[n],
-                        f_over_u=joint.get((0, 0), zero))
+                        total_mass=sum(alpha_law), f_over_u=grid[0][0])
 
 
 def limit_excursion_law(f: ProbabilitySeries, rho: SpectralRadius) -> dict:
@@ -411,25 +388,16 @@ def cnw_condition_scan(a: np.ndarray, epsilon_grid, n_max: int,
     edge = np.zeros(n_max + 1)  # edge[n] = 2 sum_{i<N} a_i a_{n-i}
     results = {float(eps): None for eps in epsilon_grid}
     pending = sorted((float(e) for e in epsilon_grid), reverse=True)
+    positive = np.flatnonzero(a > 0)
     for N in range(0, n_cap + 1):
         if N > 0:
-            i = N - 1
-            ns = np.arange(i, n_max + 1)
-            edge[ns] += 2 * a[i] * a[ns - i]
-        ok_eps = []
-        for eps in pending:
-            good = True
-            for n in range(max(2 * N, 2), n_max + 1):
-                if a[n] <= 0:
-                    continue
-                inner = full[n] - edge[n]
-                if inner > eps * a[n] + 1e-15:
-                    good = False
-                    break
-            if good:
-                results[eps] = N
-                ok_eps.append(eps)
-        pending = [e for e in pending if e not in ok_eps]
+            edge[N - 1:] += 2 * a[N - 1] * a[:n_max + 2 - N]
+        ns = positive[positive >= max(2 * N, 2)]
+        inner, bound = full[ns] - edge[ns], a[ns]
+        for eps in [e for e in pending
+                    if not (inner > e * bound + 1e-15).any()]:
+            results[eps] = N
+            pending.remove(eps)
         if not pending:
             break
     return results

@@ -101,7 +101,7 @@ class CollapsedChain:
         return self._pull
 
     def walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
-             source: Optional[int] = None):
+             source: Optional[int] = None, target: Optional[int] = None):
         """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
         and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
         row r of ``rows = (indptr, idx, data)``, by default `pull_rows`
@@ -110,26 +110,35 @@ class CollapsedChain:
 
         Float64 data steps with scipy's CSR matvec, other data (ints,
         `QuadExt`) as object arrays: one gather, one ``np.add.reduceat``.
-        From the root, step n computes only the rows within
-        min(n, n_max - n) of the root, a BFS prefix: the others are
-        unreachable or cannot reach the root in time, and stay 0.  An edge
-        changes depth by at most 1, so a kept row reads only kept entries,
-        in the order of a full product: the same to the bit.
+        Step n computes only the rows within min(depth[source] + n,
+        depth[target] + n_max - n) of the root, a BFS prefix, where
+        ``target`` (default ``source``) is the state the walk must reach
+        by step n_max: the other rows are unreachable from the source in
+        n steps or cannot reach the target in the n_max - n steps left,
+        and stay 0.  An edge changes depth by at most 1, so a kept row
+        reads only kept entries and true zeros, in the order of a full
+        product: every entry read at the target is the same to the bit.
         """
         indptr, idx, data = self.pull_rows() if rows is None else rows
         ns = len(self.states)
         source = self.root if source is None else source
+        target = source if target is None else target
+        reach, left = self.depth[source], self.depth[target] + n_max
         exact = data is None or data.dtype != np.float64
         if exact:
             # reduceat gives an empty row a neighbor's entry, not 0
             live = np.flatnonzero(np.diff(indptr))
             starts = indptr[live]
+        else:
+            # csr_matvec converts mismatched index arrays on every call
+            itype = np.promote_types(indptr.dtype, idx.dtype)
+            indptr, idx = (a.astype(itype, copy=False) for a in (indptr, idx))
         # zeros of start's type: a QuadExt times int 0 would go via Fraction
         zero = start * 0
         w = np.full(ns, zero, dtype=object if exact else np.float64)
         w[source] = start
         for n in range(1, n_max + 1):
-            m = self.cone(min(n, n_max - n)) if source == self.root else ns
+            m = self.cone(min(reach + n, left - n))
             nw = np.full(ns, zero, dtype=w.dtype)
             if not exact:
                 _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)

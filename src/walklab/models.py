@@ -687,13 +687,15 @@ def ball_return_series(graph: ExplicitGraph, n_max: int, degree: int) -> list:
 
     A walk that returns to the root by time n never goes deeper than
     n//2, and the ball holds every edge between its vertices, so the
-    count of such walks on the ball is exact.
+    count of such walks on the ball is exact.  ``degree`` is the graph's
+    degree, the ball's common denominator.
     """
     if graph.radius < n_max // 2:
         raise ModelError(
             f"ball radius {graph.radius} too small for n_max={n_max}")
-    return [Fraction(1)] + [Fraction(x, degree ** n)
-                            for n, x in enumerate(graph.root_walk(n_max), 1)]
+    if degree != graph.denom:
+        raise ModelError(f"degree {degree} is not the ball's {graph.denom}")
+    return graph.return_series_exact(n_max)
 
 
 @dataclass

@@ -308,6 +308,10 @@ def induced_chain(schema: OrbitSchema, perron_data: PerronData,
     initial = [pi[i - 1] * weight(i, j, q) for (i, j, q) in states]
     trans = [[weight(*s2) if s2[0] == s[1] else 0 * rho for s2 in states]
              for s in states]
+    if not exact:
+        # stochastic to rounding, not only to the Perron residual
+        initial = list(np.divide(initial, sum(initial)))
+        trans = [list(np.divide(row, sum(row))) for row in trans]
     steps = [schema.lattice_step(q) for (_, _, q) in states]
     chain = MarkovAdditiveChain(states=states, initial=initial, trans=trans,
                                 steps=steps, t0_lattice=schema.t0_lattice,

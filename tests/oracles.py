@@ -10,7 +10,9 @@ vertex-path rebuild.  `coo_float_matrix` and `bfs_rows` build a chain's
 float matrix and its rows entry by entry.  `walk_count` counts walks on
 an adjacency list by pushing every vertex's mass at every step.
 `argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
-the targets.
+the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
+are the term-by-term loop forms of the excursion record law and the
+convolution-domination scan.
 """
 
 import itertools
@@ -19,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
+
+from walklab.bridges import BridgeError, ExcursionLaw
 
 
 def enumerate_statistics(law, n, r_ballot=(), r_max=(), r_tau=()):
@@ -379,3 +383,111 @@ def argsort_pull_rows(chain, weights=None):
     if weights is None:
         weights = None if (counts == 1).all() else counts.astype(object)
     return t_indptr, sources, None if weights is None else weights[perm]
+
+
+def loop_excursion_record_law(u, f, n, a_cap=None, joint_cap=3):
+    """`walklab.bridges.excursion_record_law` summed term by term over
+    every time, skipping zero terms: the a-fold excursion laws, the
+    second-half weights, the alpha-law and the joint law."""
+    if u[n] == 0:
+        raise BridgeError(f"u_{n} = 0: conditioning undefined")
+    half = n // 2           # first-half return times s <= n/2
+    l_top = n - 1 - half    # second-half sum l satisfies n - l > n/2
+    exact = u.exact and f.exact
+    if exact:
+        fv = [f[i] for i in range(n + 1)]
+        uv = [u[i] for i in range(n + 1)]
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        fv = [float(f[i]) for i in range(n + 1)]
+        uv = [float(u[i]) for i in range(n + 1)]
+        zero, one = 0.0, 1.0
+    if a_cap is None:
+        a_cap = half // 2 + 1
+    # convs[a][s] = P[a first-return excursions totalling s steps]
+    c0 = [zero] * (half + 1)
+    c0[0] = one
+    convs = [c0]
+    while len(convs) <= a_cap:
+        prev = convs[-1]
+        nxt = [zero] * (half + 1)
+        nonzero = False
+        for s in range(half + 1):
+            ps = prev[s]
+            if not ps:
+                continue
+            for k in range(2, half - s + 1):
+                if fv[k]:
+                    nxt[s + k] = nxt[s + k] + ps * fv[k]
+                    nonzero = True
+        if not nonzero:
+            break
+        convs.append(nxt)
+    # w[s] = sum over second-half records: sum_{l <= l_top} u_l f_{n-s-l}
+    # (sum over beta of the beta-fold convolutions is the renewal u_l)
+    w = [zero] * (half + 1)
+    for s in range(half + 1):
+        acc = zero
+        for l in range(0, min(l_top, n - s - 1) + 1):
+            if uv[l] and fv[n - s - l]:
+                acc = acc + uv[l] * fv[n - s - l]
+        w[s] = acc
+    alpha_law = []
+    total = zero
+    for ca in convs:
+        acc = zero
+        for s in range(half + 1):
+            if ca[s] and w[s]:
+                acc = acc + ca[s] * w[s]
+        alpha_law.append(acc / uv[n])
+        total = total + acc
+    joint = {}
+    for a in range(min(joint_cap, len(convs) - 1) + 1):
+        for b in range(min(joint_cap, len(convs) - 1) + 1):
+            ca, cb = convs[a], convs[b]
+            acc = zero
+            for s in range(half + 1):
+                if not ca[s]:
+                    continue
+                for l in range(0, min(l_top, n - s - 1) + 1):
+                    if l <= half and cb[l] and fv[n - s - l]:
+                        acc = acc + ca[s] * cb[l] * fv[n - s - l]
+            if acc:
+                joint[(a, b)] = acc / uv[n]
+    return ExcursionLaw(n=n, alpha_law=alpha_law, joint=joint,
+                        total_mass=total / uv[n],
+                        f_over_u=joint.get((0, 0), zero))
+
+
+def loop_cnw_condition_scan(a, epsilon_grid, n_max, n_cap=None):
+    """`walklab.bridges.cnw_condition_scan` with the check of each n, per
+    (N, eps), as a loop that stops at the first failing n."""
+    a = np.asarray(a, dtype=float)[:n_max + 1]
+    if n_cap is None:
+        n_cap = n_max // 2
+    full = np.convolve(a, a)[:n_max + 1]
+    edge = np.zeros(n_max + 1)  # edge[n] = 2 sum_{i<N} a_i a_{n-i}
+    results = {float(eps): None for eps in epsilon_grid}
+    pending = sorted((float(e) for e in epsilon_grid), reverse=True)
+    for N in range(0, n_cap + 1):
+        if N > 0:
+            i = N - 1
+            ns = np.arange(i, n_max + 1)
+            edge[ns] += 2 * a[i] * a[ns - i]
+        ok_eps = []
+        for eps in pending:
+            good = True
+            for n in range(max(2 * N, 2), n_max + 1):
+                if a[n] <= 0:
+                    continue
+                inner = full[n] - edge[n]
+                if inner > eps * a[n] + 1e-15:
+                    good = False
+                    break
+            if good:
+                results[eps] = N
+                ok_eps.append(eps)
+        pending = [e for e in pending if e not in ok_eps]
+        if not pending:
+            break
+    return results

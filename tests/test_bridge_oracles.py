@@ -1,17 +1,21 @@
-"""Bridge visit counts and the distinct-vertex rebuild against their
-direct forms in `oracles`: the per-window F/G sum and the step-by-step
-vertex-path lift."""
+"""Bridge visit counts, the distinct-vertex rebuild, the excursion record
+law and the convolution-domination scan against their direct forms in
+`oracles`: the per-window F/G sum, the step-by-step vertex-path lift and
+the term-by-term loops."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from oracles import rebuild_distinct_means, window_visits
+from oracles import (loop_cnw_condition_scan, loop_excursion_record_law,
+                     rebuild_distinct_means, window_visits)
 from walklab import bridges
 from walklab.bridges import (BridgeError, bridge_level_visits,
-                             mc_bridge_statistics)
-from walklab.series import return_probabilities
+                             cnw_condition_scan, excursion_record_law,
+                             mc_bridge_statistics, synthetic_sequence)
+from walklab.series import (first_return_probabilities, normalized_series,
+                            return_probabilities, spectral_radius)
 
 FAMILIES = ["tree2", "fixed_end2", "grandparent2", "dl23"]
 N = 20
@@ -88,3 +92,47 @@ def test_neighbor_count_mismatch_raises(grandparent2):
     with pytest.raises(BridgeError, match="collapse counts"):
         mc_bridge_statistics(DropsANeighbor(grandparent2), 12, 50, seed=1,
                              chain=chain)
+
+
+@pytest.mark.parametrize("name", ["tree2", "grandparent2", "dl23"])
+def test_exact_excursion_laws_equal_loop_form(name, request):
+    model = request.getfixturevalue(name)
+    u = return_probabilities(model.collapse(60), 60)
+    f = first_return_probabilities(u)
+    for n in (10, 24, 60):
+        assert excursion_record_law(u, f, n) == \
+            loop_excursion_record_law(u, f, n), n
+
+
+# DL(2,3) is left out here: its chain for n = 400 has 692k states
+@pytest.mark.parametrize("name", ["tree2", "grandparent2"])
+def test_float_excursion_laws_match_loop_form(name, request):
+    """Float sums run in another order: equal to a few ulps per term."""
+    model = request.getfixturevalue(name)
+    u = return_probabilities(model.collapse(400), 400, mode="float")
+    f = first_return_probabilities(u)
+    for n in (100, 200, 400):
+        got = excursion_record_law(u, f, n)
+        want = loop_excursion_record_law(u, f, n)
+        assert len(got.alpha_law) == len(want.alpha_law)
+        assert got.joint.keys() == want.joint.keys()
+        pairs = [*zip(got.alpha_law, want.alpha_law),
+                 *((got.joint[k], want.joint[k]) for k in want.joint),
+                 (got.total_mass, want.total_mass),
+                 (got.f_over_u, want.f_over_u)]
+        assert all(abs(x - y) <= 1e-12 * abs(y) for x, y in pairs), n
+
+
+def test_cnw_scan_matches_loop_form(tree2):
+    """The inputs of acceptance criterion 13."""
+    u = return_probabilities(tree2.collapse(2000), 2000, mode="float")
+    a = np.asarray(normalized_series(u, spectral_radius(tree2)).floats)
+    eps_grid = [0.5, 0.2, 0.1]
+    cases = [(a, eps_grid, 2000, None)]
+    for case in ("power", "stretched", "log-exponential"):
+        un = synthetic_sequence(case, 600)
+        cases.append((un / 0.9 ** np.arange(601), eps_grid, 600, None))
+    un = synthetic_sequence("constant", 400)
+    cases.append((un / 0.9 ** np.arange(401), [0.2], 400, 100))
+    for args in cases:
+        assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args)

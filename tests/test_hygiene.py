@@ -1,8 +1,9 @@
 """Source hygiene: every name a `walklab` module imports is used there,
 no module reaches into another package's private modules unless listed,
 every function, method and class it defines is referenced, every span
-the benchmark tracer wraps names a definition, and a chain's ``edges``
-and ``matrix()`` views are read only where listed."""
+the benchmark tracer wraps names a definition, a chain's ``edges``
+and ``matrix()`` views are read only where listed, and no function nests
+loops three deep."""
 
 import ast
 import importlib
@@ -245,3 +246,67 @@ def test_scan_flags_a_chain_view_read(tmp_path):
                    "    rows = chain.edges[0]\n    P = chain.matrix()\n"
                    "    M = chain.matrix\n    return rows, P, M, chain.csr\n")
     assert sorted(view_reads(mod)) == ["mod:edges", "mod:matrix"]
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def loop_depth(node) -> int:
+    """Deepest nesting of loops in ``node``: each ``for`` and ``while``
+    and each ``for`` clause of a comprehension is one level around what
+    it runs per iteration.  The iterable of a ``for`` (the first one of a
+    comprehension) and an ``else`` run once, outside it.  A nested
+    function or lambda starts again at 0, being a function of its own."""
+    if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+        return 0
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return max(loop_depth(node.iter), deepest(node.orelse),
+                   1 + deepest(node.body))
+    if isinstance(node, ast.While):
+        return max(deepest(node.orelse), 1 + deepest([node.test, *node.body]))
+    if isinstance(node, COMPREHENSIONS):
+        gens = node.generators
+        looped = [n for n in ast.iter_child_nodes(node)
+                  if not isinstance(n, ast.comprehension)]
+        looped += [g.iter for g in gens[1:]] + [c for g in gens for c in g.ifs]
+        return max(loop_depth(gens[0].iter), len(gens) + deepest(looped))
+    return deepest(ast.iter_child_nodes(node))
+
+
+def deepest(nodes) -> int:
+    return max(map(loop_depth, nodes), default=0)
+
+
+def deep_loops(path: Path, limit: int = 3) -> list:
+    """`module:name` for each function whose loops nest ``limit`` deep."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.stem}:{node.name}" for node in ast.walk(tree)
+            if isinstance(node, FUNCTIONS)
+            and max(map(loop_depth, node.body), default=0) >= limit]
+
+
+def test_no_function_nests_loops_three_deep():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in deep_loops(path)]
+    assert hits == [], "loops nested three deep: " + ", ".join(hits)
+
+
+def test_scan_flags_loops_nested_three_deep(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def fors(xs):\n    for x in xs:\n        for y in x:\n"
+        "            for z in y:\n                pass\n"
+        "def mixed(xs):\n    while xs:\n"
+        "        xs = [y for x in xs for y in x]\n"
+        "def two(xs):\n    for x in xs:\n        while x:\n"
+        "            x = x[1:]\n        for y in [z for z in x]:\n"
+        "            pass\n        else:\n            [z for z in x]\n"
+        "    return [y for x in xs for y in x]\n"
+        "def comp(xs):\n"
+        "    return [[z for z in y] for x in xs for y in x]\n"
+        "def outer(xs):\n    for x in xs:\n"
+        "        def inner(y):\n            for a in y:\n"
+        "                for b in a:\n                    pass\n"
+        "        f = lambda y: [b for a in y for b in a]\n")
+    assert deep_loops(mod) == ["mod:fors", "mod:mixed", "mod:comp"]

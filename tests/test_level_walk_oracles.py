@@ -65,27 +65,43 @@ def test_exact_doob_statistics_match_enumeration(n, family):
                 assert _same(tau[k], res.get(("tau", r, k))), ("tau", r, k)
 
 
-def test_markov_additive_float_dps_match_enumeration():
+def _mb_statistics(chain, n, windows=range(0, 4)):
+    """(key, DP value, enumerated value or None) for the ballot and
+    maximum windows and the hitting laws of levels 1 and 2."""
+    taus = [(r, k) for r in (1, 2) for k in range(1, n + 1)]
+    res = enumerate_chain_statistics(chain, n, windows, windows, taus)
+    for r in windows:
+        yield (("ballot", n, r), mb_ballot_probability(chain, n, r),
+               res.get(("ballot", r)))
+        yield (("max", n, r), mb_max_and_return(chain, n, r),
+               res.get(("max", r)))
+    for r in (1, 2):
+        tau = mb_hitting_time_law(chain, r, n)
+        for k in range(1, n + 1):
+            yield ("tau", n, r, k), tau[k], res.get(("tau", r, k))
+
+
+def _nonuniform_chain():
     schema = parse_schema(NONUNIFORM_SCHEMA)
     assert schema.degrees == [4, 5]
     pd = perron(a_matrix(schema))
     assert abs(pd.pi[0] - pd.pi[1]) > 0.01  # the eigenvector is not uniform
-    chain = induced_chain(schema, pd, exact=False)
-    # the float rows sum to 1 only up to the Perron residual (~1e-13), so
-    # the DP and the enumeration, which multiply different numbers of
-    # rows into an event, agree to a few times n * 1e-13
+    return induced_chain(schema, pd, exact=False)
+
+
+def test_markov_additive_float_dps_match_enumeration():
+    chain = _nonuniform_chain()
+    # the DP and the enumeration multiply different numbers of rows into
+    # an event, so they agree to a few times n times the row-sum error
     tol = 1e-11
-    windows = range(0, 4)
     for n in (1, 2, 3, 6, 9, 10):
-        taus = [(r, k) for r in (1, 2) for k in range(1, n + 1)]
-        res = enumerate_chain_statistics(chain, n, windows, windows, taus)
-        for r in windows:
-            assert _same(mb_ballot_probability(chain, n, r),
-                         res.get(("ballot", r)), tol), ("ballot", n, r)
-            assert _same(mb_max_and_return(chain, n, r),
-                         res.get(("max", r)), tol), ("max", n, r)
-        for r in (1, 2):
-            tau = mb_hitting_time_law(chain, r, n)
-            for k in range(1, n + 1):
-                assert _same(tau[k], res.get(("tau", r, k)), tol), \
-                    ("tau", n, r, k)
+        for key, dp, enumerated in _mb_statistics(chain, n):
+            assert _same(dp, enumerated, tol), key
+
+
+def test_markov_additive_float_chain_is_stochastic_to_rounding():
+    chain = _nonuniform_chain()
+    gap = max(abs(float(dp) - float(enumerated or 0))
+              for n in range(1, 10)
+              for _, dp, enumerated in _mb_statistics(chain, n))
+    assert gap <= 1e-13, gap

@@ -56,10 +56,14 @@ def test_ball_at_half_the_horizon_is_exact(spec):
 def test_avoiding_counts_from_other_vertices(tree2):
     g = tree2.enumerate_ball(6)
     adj = g.adj
+    edge = len(adj) - 1  # a vertex at the ball's radius
+    assert g.dist[edge] == 6
     for n in range(7):
         for src, dst, avoid in ((1, 1, 0), (4, 4, 0), (10, 10, 1),
                                 (4, 10, 1), (0, 0, 4), (4, 4, None),
-                                (10, 4, None)):
+                                (10, 4, None), (0, 10, None), (10, 0, 4),
+                                (edge, 4, None), (0, edge, 1),
+                                (edge, edge, 0)):
             assert bridges._walk_count(g, n, src, dst, avoid) == \
                 walk_count(adj, n, src, dst, avoid), (n, src, dst, avoid)
 
