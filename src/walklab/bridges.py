@@ -4,8 +4,12 @@ domination condition behind the f_n/u_n limit law.
 Bridge sampling is exact: a forward step from state s is reweighted by
 the probability of returning to the root in the remaining steps, so each
 sample is a draw from the conditioned path measure, no rejection needed.
-Those probabilities G_m are a float readout of `CollapsedChain.walk`,
-and the sampler reads each row as a slice of ``chain.csr``.
+Those probabilities G_m are a float readout of `CollapsedChain.walk`.
+The sampler moves all bridges at once, one inversion draw per step over
+the cumulative weights of each ``chain.csr`` row, and adds up its
+statistics as it goes: it keeps no samples x (n+1) trajectory, only the
+state paths of the distinct-vertex subsample.  Their lift to vertex
+paths shares one memo across bridges that holds only the moves made.
 
 Exact visit counts go through the occupation vector of a length-n
 bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
@@ -17,7 +21,6 @@ number of times a bridge sits in state s.  It is built once per
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -154,10 +157,24 @@ class BridgeStatistics:
 def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
                          k_grid=None, distinct_subsample: int = 2000,
                          chain: Optional[CollapsedChain] = None) -> BridgeStatistics:
-    if samples < 1:
-        raise BridgeError("need samples >= 1")
+    """Visits per level window, the maximum level and distinct vertices
+    per window of ``samples`` seeded bridges of length n.
+
+    The bridges take each step together, by one inversion draw (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. III) against the
+    cumulative sums of counts * G[rem][target] along each row.  Window
+    visits and the running maximum level are added up step by step; of
+    the state paths only the first ``min(distinct_subsample, samples)``
+    are kept, for the distinct-vertex lift.
+    """
+    if samples < 2:
+        raise BridgeError("need samples >= 2 for a standard error")
     if seed is None:
         raise BridgeError("a seed is required")
+    m = min(distinct_subsample, samples)
+    if model.has_collapse and m < 2:
+        raise BridgeError("need a distinct-vertex subsample >= 2 for a "
+                          "standard error")
     if chain is None:
         chain = model.collapse(n)
     # a draw reads G[rem] at targets of depth <= n - rem: full values, or
@@ -166,89 +183,160 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
     if G[n][chain.root] <= 0:
         raise BridgeError(f"u_{n} = 0: no bridges")
     indptr, targets, counts = map(np.asarray, chain.csr)
-    rng = np.random.default_rng(seed)
-    traj = np.empty((samples, n + 1), dtype=np.int32)
-    traj[:, 0] = chain.root
-    cur = np.full(samples, chain.root, dtype=np.int64)
-    for step in range(n):
-        rem = n - step - 1
-        nxt = np.empty_like(cur)
-        for s in np.unique(cur):
-            idx = np.nonzero(cur == s)[0]
-            row = slice(indptr[s], indptr[s + 1])
-            weights = counts[row] * G[rem][targets[row]]
-            tot = weights.sum()
-            if tot <= 0:
-                raise BridgeError(f"stranded state {s} at step {step}")
-            draws = rng.choice(len(weights), size=len(idx), p=weights / tot)
-            nxt[idx] = targets[row][draws]
-        cur = nxt
-        traj[:, step + 1] = cur
-    level_arr = np.array(chain.level, dtype=np.int32)
-    lv_traj = level_arr[traj]
+    slot, width, tgt = _padded_rows(indptr, targets)
     t0 = chain.t0
-    if k_grid is None:
-        k_grid = range(-3, 9)
-    max_levels = lv_traj.max(axis=1)
+    k_grid = list(range(-3, 9) if k_grid is None else k_grid)
+    ks, col = _window_columns(chain, k_grid, t0)
+    level = np.asarray(chain.level, dtype=np.int32)
+    rng = np.random.default_rng(seed)
+    cur = np.full(samples, chain.root, dtype=np.int64)
+    # visits[i, b] = visits of bridge b to window ks[i]
+    visits = np.zeros((len(ks), samples), np.min_scalar_type(n + 1))
+    max_level = np.full(samples, level[chain.root])
+    kept = np.empty((m, n + 1), dtype=np.int32)
+    kept[:, 0] = chain.root
+    if col[chain.root] < len(ks):
+        visits[col[chain.root]] = 1
+    for step in range(n):
+        # the bridges are in cone(min(step, n - step)), a BFS prefix
+        rows = chain.cone(min(step, n - step))
+        end = indptr[rows]
+        weight = np.zeros(rows * width)
+        weight[slot[:end]] = counts[:end] * G[n - step - 1][targets[:end]]
+        weight = weight.reshape(rows, width)
+        cdf = np.cumsum(weight, axis=1)
+        total = cdf[:, -1].copy()
+        u = total[cur]  # times a uniform below
+        if (u <= 0).any():
+            raise BridgeError(f"stranded state {cur[u <= 0][0]} at step "
+                              f"{step}")
+        # cdf is inf from a row's last positive weight on: a draw stops
+        # there at the latest, so it lands on no zero weight and no
+        # padding, not even when u rounds up to the total
+        last = width - 1 - np.argmax(weight[:, ::-1] > 0, axis=1)
+        cdf[np.arange(width) >= last[:, None]] = np.inf
+        cdf = cdf.reshape(-1)
+        u *= rng.random(samples)
+        at = cur * width
+        for _ in range(width - 1):  # past slot j while u >= cdf[j]
+            at += u >= cdf[at]
+        cur = tgt[at]
+        window = col[cur]
+        for i, row in enumerate(visits):
+            row += window == i
+        np.maximum(max_level, level[cur], out=max_level)
+        kept[:, step + 1] = cur[:m]
     visit_means = {}
     hit_upper = {}
     for k in k_grid:
-        lo, hi = k * t0, (k + 1) * t0
-        visits = ((lv_traj >= lo) & (lv_traj < hi)).sum(axis=1)
-        visit_means[k] = (float(visits.mean()),
-                          float(visits.std(ddof=1) / np.sqrt(samples)))
-        hit_upper[k] = float((max_levels >= lo).mean())
-    uniq, cnt = np.unique(max_levels, return_counts=True)
+        v = visits[ks.index(k)]
+        visit_means[k] = (float(v.mean()),
+                          float(v.std(ddof=1) / np.sqrt(samples)))
+        hit_upper[k] = float((max_level >= k * t0).mean())
+    uniq, cnt = np.unique(max_level, return_counts=True)
     max_level_counts = {int(a): int(b) for a, b in zip(uniq, cnt)}
-    distinct_means = _distinct_counts(model, chain, traj, k_grid, t0,
-                                      min(distinct_subsample, samples), rng)
+    distinct_means = _distinct_counts(model, chain, kept, k_grid, t0, m, rng)
     return BridgeStatistics(n=n, samples=samples, seed=seed,
                             visit_means=visit_means, hit_upper=hit_upper,
                             distinct_means=distinct_means,
                             max_level_counts=max_level_counts)
 
 
+def _padded_rows(indptr, targets) -> tuple:
+    """(slot, width, tgt): the CSR rows laid out as a states x width
+    table, width the longest row; entry e sits at flat slot ``slot[e]``,
+    and ``tgt`` is the flat table of targets, padded with 0."""
+    lengths = np.diff(indptr)
+    width = int(lengths.max())
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    slot = row * width + np.arange(len(targets)) - indptr[row]
+    tgt = np.zeros(len(lengths) * width, dtype=np.int64)
+    tgt[slot] = targets
+    return slot, width, tgt
+
+
+def _window_columns(chain, k_grid, t0) -> tuple:
+    """(ks, col): the distinct windows of ``k_grid`` in order, and per
+    state the index in ``ks`` of its level window [k*t0, (k+1)*t0), or
+    len(ks) when that window is not in the grid."""
+    ks = list(dict.fromkeys(k_grid))
+    window = np.asarray(chain.level) // t0
+    col = np.full(len(window), len(ks), np.min_scalar_type(len(ks)))
+    for i, k in enumerate(ks):
+        col[window == k] = i
+    return ks, col
+
+
 def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
-    """Reconstruct vertex paths for a subsample and count distinct vertices
-    per level window.  A vertex path consistent with the orbit trajectory
-    is chosen uniformly, which is the correct conditional law because the
-    walk is uniform over neighbors realizing each orbit move.
+    """Lift the first m state paths of ``traj`` to vertex paths and count
+    distinct vertices per level window.  A vertex path consistent with
+    the state path is chosen uniformly, which is the correct conditional
+    law because the walk is uniform over neighbors realizing each move.
 
     A vertex in state s has c(s -> s') neighbors in state s', the collapse
-    count, so a bridge's choices are drawn up front by one ``rng.integers``
-    call over those counts, in the order a step-by-step rebuild draws them.
+    count, so the choices of all m paths are drawn up front by one
+    ``rng.integers`` call over those counts, in the order a step-by-step
+    lift draws them.
+
+    One memo serves all m paths and holds only the moves they make: the
+    lifted vertices are numbered as they first appear, and ``step`` maps
+    (vertex number, next state, choice) to the number of the vertex it
+    leads to.  A miss groups the vertex's neighbors by state
+    (`_neighbor_groups`, which checks the group sizes against the
+    collapse counts), at most once per vertex and path.  A vertex's
+    window is the level of the state it was visited in.
     """
     if not model.has_collapse:
         return {}
-    index = {st: i for i, st in enumerate(chain.states)}
-    indptr, targets, counts = chain.csr
-    rows = {}  # count rows of the visited states only: less peak memory
+    traj = traj[:m]
+    indptr, targets, counts = map(np.asarray, chain.csr)
+    ns, d = len(chain.states), chain.denom
+    # entry of each move s -> s' in csr, found by its key s * ns + s'
+    keys = np.repeat(np.arange(ns), np.diff(indptr)) * ns + targets
+    order = np.argsort(keys)
+    entry = order[np.searchsorted(
+        keys, traj[:, :-1].astype(np.int64) * ns + traj[:, 1:], sorter=order)]
+    moves = rng.integers(0, counts[entry].astype(np.int64))
+    moves += traj[:, 1:] * np.int64(d)  # next state * d + choice
+    del entry  # freed before the memo grows
+    index = dict(zip(chain.states, range(ns)))
+    rows = {}  # count rows of the states missed from: less peak memory
 
     def row_counts(s):
         if s not in rows:
             a, b = indptr[s], indptr[s + 1]
-            rows[s] = dict(zip(targets[a:b], counts[a:b]))
+            rows[s] = dict(zip(targets[a:b].tolist(), counts[a:b].tolist()))
         return rows[s]
 
-    out = {k: [] for k in k_grid}
-    for row in traj[:m]:
-        row = row.tolist()
-        pick = rng.integers(
-            0, [row_counts(s)[s2] for s, s2 in zip(row, row[1:])])
-        memo = {}  # vertex -> {state: neighbors in it}, for this bridge
-        v = model.root_vertex()
-        path = [v]
-        for s, s2, c in zip(row, row[1:], pick.tolist()):
-            if v not in memo:
-                memo[v] = _neighbor_groups(model, index, v, row_counts(s))
-            v = memo[v][s2][c]
-            path.append(v)
-        windows = Counter(model.vertex_level(w) // t0 for w in set(path))
-        for k in k_grid:
-            out[k].append(windows[k])
+    ks, col = _window_columns(chain, k_grid, t0)
+    tally = np.zeros((m, len(ks) + 1), dtype=np.int64)
+    vertex = [model.root_vertex()]  # lifted vertices by number
+    number = {vertex[0]: 0}
+    step = {}  # number * ns * d + move -> number of the next vertex
+    for i in range(m):
+        row = traj[i].tolist()
+        groups = {}  # vertex -> neighbors by state, for this path
+        path = [0]
+        for s, move in zip(row, moves[i].tolist()):
+            key = path[-1] * ns * d + move
+            nxt = step.get(key)
+            if nxt is None:
+                v = vertex[path[-1]]
+                if v not in groups:
+                    groups[v] = _neighbor_groups(model, index, v,
+                                                 row_counts(s))
+                w = groups[v][move // d][move % d]
+                nxt = number.setdefault(w, len(vertex))
+                if nxt == len(vertex):
+                    vertex.append(w)
+                step[key] = nxt
+            path.append(nxt)
+        # the state of each distinct vertex
+        distinct = list(dict(zip(path, row)).values())
+        tally[i] = np.bincount(col[distinct], minlength=len(ks) + 1)
     result = {}
     for k in k_grid:
-        arr = np.array(out[k], dtype=float)
+        arr = tally[:, ks.index(k)].astype(float)
         result[k] = (float(arr.mean()),
                      float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
     return result

@@ -141,7 +141,9 @@ def cmd_levels(args) -> int:
             ev = float(bridge_visits_safe(chain, u, args.n, k))
             dm, dse, _ = stats.distinct_means.get(k, (float("nan"),
                                                       float("nan"), 0))
-            bound = repr(float(args.n * np.exp(-t0 * k))) if k >= 1 else ""
+            # n e^{-k t0} bounds P[w reaches H_k+] only for a level family
+            bound = (repr(float(args.n * np.exp(-t0 * k)))
+                     if k >= 1 and profile.base is not None else "")
             out.write(f"{args.n},{k},{ev!r},{mean!r},{se!r},{dm!r},"
                       f"{dse!r},{bound}\n")
     return EXIT_OK

@@ -6,8 +6,10 @@ atom-count histograms.  Nothing below shares code with the dynamic
 programs under test.  `QuadRef` is a plain reference for the exact
 quadratic-field arithmetic.  `window_visits` and `rebuild_distinct_means`
 are the direct forms of the bridge visit count and of the step-by-step
-vertex-path rebuild.  `coo_float_matrix` and `bfs_rows` build a chain's
-float matrix and its rows entry by entry.  `walk_count` counts walks on
+vertex-path rebuild, and `trajectory_statistics` reads the Monte Carlo
+window visits and maxima off a whole trajectory array.
+`coo_float_matrix` and `bfs_rows` build a chain's float matrix and its
+rows entry by entry.  `walk_count` counts walks on
 an adjacency list by pushing every vertex's mass at every step.
 `argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
 the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
@@ -314,6 +316,28 @@ def rebuild_distinct_means(model, chain, traj, k_grid, t0, m, rng):
         result[k] = (float(arr.mean()),
                      float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
     return result
+
+
+def trajectory_statistics(chain, traj, k_grid):
+    """(visit_means, hit_upper, max_level_counts) of the bridges whose
+    state paths are the rows of ``traj``, read off the whole samples x
+    (n+1) array of their levels with one boolean mask per window."""
+    samples = len(traj)
+    level_arr = np.array(chain.level, dtype=np.int32)
+    lv_traj = level_arr[traj]
+    t0 = chain.t0
+    max_levels = lv_traj.max(axis=1)
+    visit_means = {}
+    hit_upper = {}
+    for k in k_grid:
+        lo, hi = k * t0, (k + 1) * t0
+        visits = ((lv_traj >= lo) & (lv_traj < hi)).sum(axis=1)
+        visit_means[k] = (float(visits.mean()),
+                          float(visits.std(ddof=1) / np.sqrt(samples)))
+        hit_upper[k] = float((max_levels >= lo).mean())
+    uniq, cnt = np.unique(max_levels, return_counts=True)
+    max_level_counts = {int(a): int(b) for a, b in zip(uniq, cnt)}
+    return visit_means, hit_upper, max_level_counts
 
 
 def coo_float_matrix(rows, scale=1.0):
