@@ -13,9 +13,10 @@ partition, with unit counts.
 
 One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
 over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
-bridge tables, ball series and walks that avoid a vertex.  The per-row
-lists ``edges`` of (j, count) pairs are a view built on first use, only
-by the Doob transform and its reversibility check.
+bridge tables, ball series and walks that avoid a vertex.  The Doob
+transform keeps its weights as one array in ``csr`` entry order.  The
+per-row lists ``edges`` of (j, count) pairs are a view built on first
+use, read only by tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ class CollapsedChain:
     @property
     def edges(self) -> list:
         """edges[i] = list of (j, count); the counts of a full row sum to
-        denom.  Built from ``csr`` on first use."""
+        denom.  Built from ``csr`` on first use, read only by tests and the
+        benchmark tracer (the Doob weights are a ``csr``-order array)."""
         if self._edges is None:
             indptr, targets, counts = self.csr
             targets, counts = targets.tolist(), counts.tolist()
@@ -64,10 +66,6 @@ class CollapsedChain:
     @property
     def radius(self) -> int:
         return self.horizon // 2
-
-    def interior(self, i: int) -> bool:
-        """Whether state i has its complete transition row present."""
-        return self.depth[i] < self.radius
 
     # ---- the walk kernel ------------------------------------------
 

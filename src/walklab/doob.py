@@ -55,90 +55,99 @@ def harmonic_check(model: WalkModel, rho: SpectralRadius) -> HarmonicReport:
 # Doob chain
 # ---------------------------------------------------------------------------
 
+def _doob_table(base, degree: int, rho: QuadExt, t0: int) -> np.ndarray:
+    """s**k / (degree * rho) at index k + t0 for k = -t0..t0, s = sqrt(base):
+    the h-walk weight of one neighbor k lattice units up."""
+    s, inv = sqrt_exact(base), (degree * rho).inverse()
+    return np.array([s ** k * inv for k in range(-t0, t0 + 1)], dtype=object)
+
+
 @dataclass
 class DoobChain:
     """Collapsed chain transformed by h = sqrt(base)**level.
 
-    Transition weights live in the quadratic field of sqrt(base), so row
+    ``weights`` holds p_h of every entry of ``base_chain.csr``, in its
+    order, as one object array of field elements of sqrt(base), so row
     sums, reversibility and the return series are exact.
     """
     base_chain: CollapsedChain
-    rows: list  # rows[i] = list of (j, QuadExt probability)
-
-    def __len__(self):
-        return len(self.rows)
+    weights: np.ndarray
 
     def row_sum_check(self) -> list:
         """Indices of interior states whose row does not sum to 1."""
-        return [i for i, row in enumerate(self.rows)
-                if self.base_chain.interior(i) and sum(p for _, p in row) != 1]
+        chain = self.base_chain
+        indptr = np.asarray(chain.csr[0])
+        m = chain.cone(chain.radius - 1)  # depth < radius: full rows
+        # reduceat gives an empty row a neighbor's entry: its sum stays 0
+        live = np.flatnonzero(np.diff(indptr[:m + 1]))
+        sums = np.zeros(m, dtype=object)
+        sums[live] = np.add.reduceat(self.weights[:indptr[m]], indptr[live])
+        return np.flatnonzero(sums != 1).tolist()
 
     def reversibility_check(self) -> dict:
         """Detailed balance with pi = (orbit size) * h**2.
 
-        Orbit sizes are recovered from edge-count symmetry: the number of
-        graph edges from orbit S to orbit S' equals N(S) c(S->S') and also
-        N(S') c(S'->S).  Propagating N along a BFS tree and checking every
-        edge both ways verifies reversibility of the h-walk exactly.
-        """
+        Orbit sizes N come from edge-count symmetry, N(S) c(S->S') =
+        N(S') c(S'->S): N(root) = 1, and each other state reads N off its
+        first entry in and that entry's reverse, or is a violation at that
+        entry (i = j if none).  Entries between states of known N are then
+        compared with their reverses (count and weight 0 if missing)."""
         chain = self.base_chain
-        counts = [dict(row) for row in chain.edges]
-        N = [None] * len(chain.states)
+        indptr, targets, counts = chain.csr
+        ns, nnz = len(chain), len(targets)
+        sources = np.repeat(np.arange(ns), np.diff(indptr))
+        targets = np.asarray(targets, dtype=np.int64)
+        keys, back = sources * ns + targets, targets * ns + sources
+        order = np.argsort(keys)
+        hit = order[np.minimum(np.searchsorted(keys, back, sorter=order),
+                               nnz - 1)]
+        rev = np.where(keys[hit] == back, hit, nnz)  # nnz: count, weight 0
+        zero = self.weights[0] * 0
+        c, w = np.append(counts, 0), np.append(self.weights, zero)
+        first = np.full(ns, nnz)
+        np.minimum.at(first, targets, np.arange(nnz))
+
+        src, cl, rl = sources.tolist(), c.tolist(), rev.tolist()
+        N = np.full(ns, None)
         N[chain.root] = Fraction(1)
-        for i in range(len(chain.states)):  # BFS order
-            if N[i] is None:
-                continue
-            for j, c in counts[i].items():
-                back = counts[j].get(i)
-                if back is None:
-                    continue
-                cand = N[i] * Fraction(c, back)
-                if N[j] is None:
-                    N[j] = cand
         bad = []
-        for i in range(len(chain.states)):
-            if N[i] is None:
+        # BFS order: a state's first entry in comes from an earlier state
+        for j, k in enumerate(first.tolist()):
+            if j == chain.root:
                 continue
-            for j, c in counts[i].items():
-                back = counts[j].get(i)
-                if back is None or N[j] is None:
-                    continue
-                if N[i] * c != N[j] * back:
-                    bad.append((i, j, "edge-count balance"))
-        # detailed balance of the h-walk itself
-        h2 = [Fraction(chain.level_base) ** chain.level[i]
-              for i in range(len(chain.states))]
-        prows = [dict(r) for r in self.rows]
-        for i in range(len(self.rows)):
-            if N[i] is None:
-                continue
-            for j, p in prows[i].items():
-                q = prows[j].get(i)
-                if q is None or N[j] is None:
-                    continue
-                if (N[i] * h2[i]) * p != (N[j] * h2[j]) * q:
-                    bad.append((i, j, "detailed balance"))
+            if k < nnz and cl[rl[k]] and N[src[k]] is not None:
+                N[j] = N[src[k]] * Fraction(cl[k], cl[rl[k]])
+            else:
+                bad.append((src[k] if k < nnz else j, j, "orbit size unknown"))
+        known = np.not_equal(N, None)
+        e = np.flatnonzero(known[sources] & known[targets])
+        i, j = sources[e], targets[e]
+        base = Fraction(chain.level_base)
+        pi = np.full(ns, None)  # field elements: no lift per entry
+        pi[known] = zero + N[known] * [base ** chain.level[s]
+                                       for s in np.flatnonzero(known)]
+        for kind, lhs, rhs in (
+                ("edge-count balance", N[i] * c[e], N[j] * c[rev[e]]),
+                ("detailed balance", pi[i] * w[e], pi[j] * w[rev[e]])):
+            miss = lhs != rhs
+            bad += [(a, b, kind)
+                    for a, b in zip(i[miss].tolist(), j[miss].tolist())]
         return {"ok": not bad, "violations": bad,
-                "orbit_sizes_known": sum(x is not None for x in N)}
+                "orbit_sizes_known": int(known.sum())}
 
     def return_series_exact(self, n_max: int) -> list:
         """a_n = root-return probability of the h-walk, exact QuadExt."""
         if n_max > self.base_chain.horizon:
             raise DoobError("beyond chain horizon")
         chain = self.base_chain
-        weights = self.weights()
-        one = weights[0] * 0 + 1
-        return [one] + chain.root_walk(n_max, one, chain.pull_rows(weights))
-
-    def weights(self) -> np.ndarray:
-        """The row weights as one object array, in ``csr`` order."""
-        return np.fromiter((p for row in self.rows for _, p in row),
-                           dtype=object)
+        one = self.weights[0] * 0 + 1
+        return [one] + chain.root_walk(n_max, one,
+                                       chain.pull_rows(self.weights))
 
     def matrix(self):
         """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
         indptr, targets, _ = self.base_chain.csr
-        return transpose_csr((indptr, targets, self.weights().astype(float)))
+        return transpose_csr((indptr, targets, self.weights.astype(float)))
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         return self.base_chain.float_root_walk(self.matrix(), n_max)
@@ -149,17 +158,12 @@ def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
         raise DoobError("chain has no level structure")
     if rho.exact is None:
         raise DoobError("doob transform needs the exact spectral radius")
-    sqrt_base = sqrt_exact(chain.level_base)
-    inv_rho = rho.exact.inverse()
-    rows = []
-    for i, edge_row in enumerate(chain.edges):
-        row = []
-        for j, c in edge_row:
-            ratio = sqrt_base ** (chain.level[j] - chain.level[i])
-            p = Fraction(c, chain.denom) * ratio * inv_rho
-            row.append((j, p))
-        rows.append(row)
-    dc = DoobChain(base_chain=chain, rows=rows)
+    indptr, targets, counts = chain.csr
+    level = np.asarray(chain.level)
+    table = _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0)
+    step = (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))
+            + chain.t0)
+    dc = DoobChain(base_chain=chain, weights=table[step] * np.asarray(counts))
     bad = dc.row_sum_check()
     if bad:
         raise DoobError(f"nonstochastic rows at states {bad[:5]} "
@@ -201,14 +205,10 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
         raise DoobError("profile has no lattice structure")
     if rho.exact is None:
         raise DoobError("increment law needs the exact spectral radius")
-    inv = (profile.degree * rho.exact).inverse()
-    atoms = []
-    for (q, t), (j, _) in zip(profile.entries, profile.lattice_entries()):
-        p = t * sqrt_exact(q) * inv
-        atoms.append((j, p))
-    atoms.sort(key=lambda x: x[0])
-    law = LevelIncrementLaw(atoms=atoms, base=profile.base,
-                            t0_lattice=profile.t0_lattice)
+    t0 = profile.t0_lattice
+    table = _doob_table(profile.base, profile.degree, rho.exact, t0)
+    atoms = sorted((j, t * table[j + t0]) for j, t in profile.lattice_entries())
+    law = LevelIncrementLaw(atoms=atoms, base=profile.base, t0_lattice=t0)
     law.validate()
     return law
 
@@ -218,7 +218,7 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 # ---------------------------------------------------------------------------
 #
 # A level walk is a Markov-additive chain: a start law pi over chain states
-# and edges (s, s2, j, p), a move from s to s2 with weight p that raises
+# and moves (s, s2, j, p), a move from s to s2 with weight p that raises
 # the level by j lattice units.  The increment law is the one-state case;
 # `quasi` walks on the orbits of a schema.  Arrays v[..., s, i] hold the
 # mass in state s at level a + i, as float64 or as exact field elements.
@@ -228,7 +228,7 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 @dataclass
 class _Walk:
     pi: np.ndarray   # start law over chain states
-    edges: list      # (s, s2, j, p)
+    moves: list      # (s, s2, j, p)
     zero: object     # 0.0, or the zero of the weights' field
     t0: int
 
@@ -242,8 +242,8 @@ def _law_walk(law: LevelIncrementLaw, mode: str) -> _Walk:
     """The increment law as a one-state walk."""
     cast = float if mode == "float" else (lambda p: p)
     zero = cast(law.atoms[0][1] * 0)
-    edges = [(0, 0, j, cast(p)) for j, p in law.atoms]
-    return _Walk(np.array([zero + 1]), edges, zero, law.t0_lattice)
+    moves = [(0, 0, j, cast(p)) for j, p in law.atoms]
+    return _Walk(np.array([zero + 1]), moves, zero, law.t0_lattice)
 
 
 def _killed_walk(walk: _Walk, v, a: int, n: int, live):
@@ -253,15 +253,15 @@ def _killed_walk(walk: _Walk, v, a: int, n: int, live):
     start state).  live(k) = (lo, hi) bounds the levels kept after step
     k, None meaning unbounded.
     """
-    down = min(j for _, _, j, _ in walk.edges)
-    up = max(j for _, _, j, _ in walk.edges)
+    down = min(j for _, _, j, _ in walk.moves)
+    up = max(j for _, _, j, _ in walk.moves)
     for k in range(1, n + 1):
         lo, hi = live(k)
         width = v.shape[-1]
         na = a + down if lo is None else max(a + down, lo)
         nb = a + width + up if hi is None else min(a + width + up, hi)
         new = walk.zeros(v.shape[:-1] + (max(nb - na, 0),))
-        for s, s2, j, p in walk.edges:
+        for s, s2, j, p in walk.moves:
             i0, i1 = max(na - a - j, 0), min(nb - a - j, width)
             if i0 < i1:
                 shift = a + j - na
@@ -337,8 +337,8 @@ def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
     come back below m_hi by step max(n_grid).
     """
     neg = dataclasses.replace(
-        walk, edges=[(s, s2, -j, p) for s, s2, j, p in walk.edges])
-    fall = max(j for _, _, j, _ in walk.edges)
+        walk, moves=[(s, s2, -j, p) for s, s2, j, p in walk.moves])
+    fall = max(j for _, _, j, _ in walk.moves)
     last = max(n_grid)
     S = len(walk.pi)
     v = walk.zeros((2, S, S, 2))  # (A or B, start state, state, level -1..0)

@@ -347,9 +347,9 @@ def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
     pi = np.array([zero] * L)
     for s, (i, _, _) in enumerate(chain.states):
         pi[i - 1] = pi[i - 1] + chain.initial[s]
-    edges = [(i - 1, j - 1, chain.steps[s], chain.trans[into[i]][s])
+    moves = [(i - 1, j - 1, chain.steps[s], chain.trans[into[i]][s])
              for s, (i, j, _) in enumerate(chain.states)]
-    return _Walk(pi, edges, zero, chain.t0_lattice)
+    return _Walk(pi, moves, zero, chain.t0_lattice)
 
 
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):

@@ -9,8 +9,9 @@ are the direct forms of the bridge visit count and of the step-by-step
 vertex-path rebuild, and `trajectory_statistics` reads the Monte Carlo
 window visits and maxima off a whole trajectory array.
 `coo_float_matrix` and `bfs_rows` build a chain's float matrix and its
-rows entry by entry.  `walk_count` counts walks on
-an adjacency list by pushing every vertex's mass at every step.
+rows entry by entry, and `doob_rows` its h-walk rows.  `walk_count`
+counts walks on an adjacency list by pushing every vertex's mass at
+every step.
 `argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
 the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
 are the term-by-term loop forms of the excursion record law and the
@@ -25,6 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from walklab.bridges import BridgeError, ExcursionLaw
+from walklab.qfield import sqrt_exact
 
 
 def enumerate_statistics(law, n, r_ballot=(), r_max=(), r_tau=()):
@@ -351,6 +353,22 @@ def coo_float_matrix(rows, scale=1.0):
             vals.append(float(p) * scale)
     n = len(rows)
     return sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(n, n))
+
+
+def doob_rows(chain, rho):
+    """The h-walk rows of a collapsed chain edge by edge: rows[i] lists
+    (j, p_h(i -> j)) with p_h = (c / d) sqrt(base)**(level j - level i)
+    / rho, for rho a `SpectralRadius` with its exact value."""
+    sqrt_base = sqrt_exact(chain.level_base)
+    inv_rho = rho.exact.inverse()
+    rows = []
+    for i, edge_row in enumerate(chain.edges):
+        row = []
+        for j, c in edge_row:
+            ratio = sqrt_base ** (chain.level[j] - chain.level[i])
+            row.append((j, Fraction(c, chain.denom) * ratio * inv_rho))
+        rows.append(row)
+    return rows
 
 
 def bfs_rows(model, n_max):

@@ -4,7 +4,7 @@ orbit moves, one float-matrix builder and the light-cone float DP."""
 import numpy as np
 import pytest
 
-from oracles import bfs_rows, coo_float_matrix
+from oracles import bfs_rows, coo_float_matrix, doob_rows
 from walklab.doob import doob_chain
 from walklab.models import ModelSpec, build_model
 from walklab.series import spectral_radius
@@ -66,8 +66,9 @@ def test_chain_matrix_equals_coo_oracle(spec):
 
 
 def test_doob_matrix_equals_coo_oracle(grandparent2):
-    dc = doob_chain(grandparent2.collapse(30), spectral_radius(grandparent2))
-    assert_same_csr(dc.matrix(), coo_float_matrix(dc.rows))
+    chain, rho = grandparent2.collapse(30), spectral_radius(grandparent2)
+    dc = doob_chain(chain, rho)
+    assert_same_csr(dc.matrix(), coo_float_matrix(doob_rows(chain, rho)))
 
 
 def full_float_walk(chain, P, n_max, taboo=False):
@@ -99,11 +100,11 @@ def test_light_cone_float_walk_equals_full_products(spec, n_max):
 
 
 def test_light_cone_doob_walk_equals_full_products(grandparent2):
-    chain = grandparent2.collapse(60)
-    dc = doob_chain(chain, spectral_radius(grandparent2))
+    chain, rho = grandparent2.collapse(60), spectral_radius(grandparent2)
+    dc = doob_chain(chain, rho)
     assert np.array_equal(
         dc.return_series_float(60),
-        full_float_walk(chain, coo_float_matrix(dc.rows), 60))
+        full_float_walk(chain, coo_float_matrix(doob_rows(chain, rho)), 60))
 
 
 def test_float_walk_rejects_a_matrix_it_cannot_read(grandparent2):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import doob_rows
 from walklab.doob import doob_chain
 from walklab.qfield import QuadExt
 from walklab.series import spectral_radius
@@ -59,8 +60,8 @@ def test_pruned_series_equal_full_loop(model_chain):
 @pytest.mark.parametrize("name", ["fixed_end2", "grandparent2", "dl23"])
 def test_pruned_hwalk_equals_full_loop(name, request):
     model = request.getfixturevalue(name)
-    chain = model.collapse(N)
-    dc = doob_chain(chain, spectral_radius(model))
+    chain, rho = model.collapse(N), spectral_radius(model)
+    dc = doob_chain(chain, rho)
     a = dc.return_series_exact(N)
     assert all(isinstance(x, QuadExt) for x in a)
-    assert a == [a[0]] + full_walk(chain, dc.rows, a[0], N)
+    assert a == [a[0]] + full_walk(chain, doob_rows(chain, rho), a[0], N)

@@ -209,11 +209,11 @@ def test_span_scan_flags_a_missing_name():
         "doob.np"]
 
 
-# `module:name` of each allowed read of a chain's views: the per-row
-# `edges` lists, built for the Doob rows and `reversibility_check` (and
-# the name of a level walk's own increments in `doob`), and the float
-# `matrix()`; every other reader goes through ``chain.csr``
-VIEWS_ALLOWED = {"doob:edges", "doob:matrix", "chains:matrix"}
+# `module:name` of each allowed read of a chain's views: the float
+# `matrix()` only.  The per-row `edges` lists are read by tests and the
+# benchmark tracer, never in `src/`; every other reader, the Doob
+# weights included, goes through ``chain.csr``
+VIEWS_ALLOWED = {"doob:matrix", "chains:matrix"}
 
 
 def view_reads(path: Path) -> list:
