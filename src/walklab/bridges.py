@@ -16,6 +16,8 @@ bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
 and G_m[s] = d^m P[s->root in m]: occ[s] / (d^n u_n) is the expected
 number of times a bridge sits in state s.  It is built once per
 (chain, n) and kept on the chain; a level window sums it over its states.
+The excursion record law convolves the numerators of u and f, integers
+over d^n when exact, and divides by U_n once.
 """
 
 from __future__ import annotations
@@ -381,18 +383,19 @@ def excursion_record_law(u: ProbabilitySeries, f: ProbabilitySeries,
     the f-weights of its excursions divided by u_n.
 
     Every sum is a convolution over the multiples of ``u.period``, the
-    only times at which u and f can be nonzero, on object arrays of
-    Fractions when both series are exact and on float64 otherwise.
+    only times at which u and f can be nonzero, on the numerators of the
+    series: every record has length n, so its weight is a numerator over
+    denom**n, and dividing by U_n gives its probability.
     """
+    if (u.denom, u.exact) != (f.denom, f.exact):
+        raise BridgeError("u and f must be numerators over one denominator")
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
     p = u.period
     half = n // 2           # first-half return times s <= n/2
     l_top = n - 1 - half    # second-half sum l satisfies n - l > n/2
     top, j_top, last = half // p, l_top // p, n // p  # in units of p
-    exact = u.exact and f.exact
-    uv, fv = (np.array((s.values if exact else s.floats)[:n + 1:p],
-                       dtype=object if exact else float) for s in (u, f))
+    uv, fv = (s.numerators[:n + 1:p].copy() for s in (u, f))
     fv[0] = 0               # an excursion takes at least one step
     if a_cap is None:
         a_cap = half // 2 + 1
@@ -415,12 +418,14 @@ def excursion_record_law(u: ProbabilitySeries, f: ProbabilitySeries,
         return np.convolve(fv[last - top - j_top:], c[:j_top + 1],
                            "valid")[::-1]
 
+    # int / Fraction stays exact, float / Fraction is float division
+    total = Fraction(uv[-1])
     # second-half records summed over beta: the renewal u_l in place of
     # the beta-fold convolutions
-    alpha_law = (laws @ tail(uv) / uv[-1]).tolist()
+    alpha_law = [x / total for x in (laws @ tail(uv)).tolist()]
     cap = min(joint_cap, len(laws) - 1) + 1
-    grid = (laws[:cap] @ np.array([tail(c) for c in laws[:cap]]).T
-            / uv[-1]).tolist()
+    grid = [[x / total for x in row] for row in (
+        laws[:cap] @ np.array([tail(c) for c in laws[:cap]]).T).tolist()]
     joint = {(a, b): x for a, row in enumerate(grid)
              for b, x in enumerate(row) if x}
     return ExcursionLaw(n=n, alpha_law=alpha_law, joint=joint,
@@ -522,10 +527,10 @@ def first_return_lower_bound_check(u: ProbabilitySeries, f: ProbabilitySeries,
     """Least c' >= 0 with f_n n^{c'} >= margin u_n on the range."""
     step = u.period
     ns = [n for n in range(n_lo, min(n_hi, u.n_max) + 1)
-          if n % step == 0 and float(u[n]) > 0 and float(f[n]) > 0]
+          if n % step == 0 and u.floats[n] > 0 and f.floats[n] > 0]
     if not ns:
         raise BridgeError("empty range")
-    ratios = {n: float(f[n]) / float(u[n]) for n in ns}
+    ratios = {n: float(f.floats[n] / u.floats[n]) for n in ns}
     cprime = 0.0
     for n, ratio in ratios.items():
         if ratio < margin:

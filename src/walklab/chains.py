@@ -13,10 +13,11 @@ partition, with unit counts.
 
 One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
 over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
-bridge tables, ball series and walks that avoid a vertex.  The Doob
-transform keeps its weights as one array in ``csr`` entry order.  The
-per-row lists ``edges`` of (j, count) pairs are a view built on first
-use, read only by tests and the benchmark tracer.
+bridge tables, ball series and walks that avoid a vertex.  The exact
+series of `walklab.series` are `root_walk`'s numerators over denom**n.
+The Doob transform keeps its weights as one array in ``csr`` entry
+order.  The per-row lists ``edges`` of (j, count) pairs are a view
+built on first use, read only by tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -168,12 +169,9 @@ class CollapsedChain:
             for n, x in enumerate(self.root_walk(n_max), 1)]
 
     def taboo_series_exact(self, n_max: int) -> list:
-        """First-return probabilities f_n via the taboo DP.
-
-        The walk is killed on every visit to the root, so the mass that
-        arrives at the root at step n through killed dynamics is exactly
-        the first-return probability.
-        """
+        """First-return probabilities f_n via the taboo DP: the walk is
+        killed on every visit to the root, so the mass that arrives there
+        at step n is the first-return probability."""
         return [Fraction(0)] + [
             Fraction(x, self.denom ** n)
             for n, x in enumerate(self.root_walk(n_max, taboo=True), 1)]

@@ -84,10 +84,10 @@ def cmd_series(args) -> int:
         out.write("# " + json.dumps(_provenance(args, {"rho": rho.value}))
                   + "\n")
         out.write("n,u_n,f_n,a_n,f_over_u\n")
-        for n in range(args.nmax + 1):
-            un, fn = float(u[n]), float(f[n])
+        for n, un, fn, an in zip(range(args.nmax + 1), u.floats.tolist(),
+                                 f.floats.tolist(), a.floats.tolist()):
             ratio = repr(fn / un) if un > 0 else ""
-            out.write(f"{n},{un!r},{fn!r},{float(a.floats[n])!r},{ratio}\n")
+            out.write(f"{n},{un!r},{fn!r},{an!r},{ratio}\n")
     return EXIT_OK
 
 
@@ -116,7 +116,7 @@ def cmd_ballot(args) -> int:
     scan = doob.bound_constant_scan(law, n_grid, r_grid)
     with _out(args) as out:
         out.write("# " + json.dumps(_provenance(args, {
-            "sup_ballot": scan["sup_ballot"],
+            "arithmetic": "float", "sup_ballot": scan["sup_ballot"],
             "sup_tau": scan["sup_tau"],
             "sup_max_and_return": scan["sup_max_and_return"]})) + "\n")
         out.write("n,r,ballot,max_and_return,ballot_norm,max_norm\n")
@@ -168,7 +168,7 @@ def cmd_excursions(args) -> int:
     tv = bridges.geometric_tv_distance(law.alpha_law,
                                        limit["geometric_parameter"])
     report = {
-        "provenance": _provenance(args),
+        "provenance": _provenance(args, {"arithmetic": mode}),
         "n": args.n,
         "alpha_law": [float(x) for x in law.alpha_law[:20]],
         "total_mass": float(law.total_mass),
@@ -190,7 +190,7 @@ def cmd_quasi(args) -> int:
     pd = quasi.perron(A, tol=args.tol)
     checks = quasi.stationary_and_mean_checks(schema, pd)
     report = {
-        "provenance": _provenance(args),
+        "provenance": _provenance(args, {"arithmetic": "float"}),
         "L": schema.L,
         "degrees": schema.degrees,
         "rho": pd.rho,
@@ -233,7 +233,7 @@ def cmd_check(args) -> int:
         u = series.return_probabilities(chain, 40)
         f1 = series.first_return_probabilities(u)
         f2 = series.taboo_first_return(chain, 40)
-        if f1.values == f2.values:
+        if np.array_equal(f1.numerators, f2.numerators):
             print(f"PASS renewal-vs-taboo {model.name()} n<=40")
         else:
             print(f"FAIL renewal-vs-taboo {model.name()}")

@@ -1,5 +1,6 @@
 """Return and first-return series: exact DPs, renewal inversion, spectral
-radius, normalization, generating functions and smoothness checks."""
+radius, normalization, generating functions and smoothness checks.  An
+exact series is the walk kernel's integer numerators over d**n."""
 
 from __future__ import annotations
 
@@ -22,97 +23,95 @@ class SeriesError(ValueError):
 
 @dataclass
 class ProbabilitySeries:
-    """A sequence u_n or f_n, exact when available, with a float view."""
-    floats: np.ndarray
+    """u_n or f_n as value_n = numerators[n] / denom**n: the walk kernel's
+    integers (an object array) over the degree d, so renewal and every
+    convolution run on integers, as d**k * d**(n-k) = d**n; float64 or
+    Fractions over 1.  ``floats`` rounds each value; ``values`` and
+    indexing give Fractions."""
+    numerators: np.ndarray
+    denom: int
     kind: str  # "u" (return) or "f" (first return)
-    period: int
-    values: Optional[list] = None  # exact Fractions, indices 0..n_max
+
+    def __post_init__(self):
+        nums = self.numerators
+        # int / int is correctly rounded, as float(Fraction) is
+        self.floats = nums if not self.exact else np.array(
+            [float(x / self.denom ** n) for n, x in enumerate(nums)])
+        self.period = 2 if len(nums) >= 4 and not any(nums[1::2]) else 1
 
     @classmethod
     def from_exact(cls, values: Sequence[Fraction], kind: str) -> "ProbabilitySeries":
-        values = list(values)
-        floats = np.array([float(v) for v in values])
-        return cls(floats=floats, kind=kind, period=_detect_period(floats),
-                   values=values)
+        return cls(np.array(values, dtype=object), 1, kind)
 
     @classmethod
     def from_float(cls, floats: np.ndarray, kind: str) -> "ProbabilitySeries":
-        floats = np.asarray(floats, dtype=float)
-        return cls(floats=floats, kind=kind, period=_detect_period(floats))
+        return cls(np.asarray(floats, dtype=float), 1, kind)
 
     @property
     def exact(self) -> bool:
-        return self.values is not None
+        return self.numerators.dtype == object
+
+    @property
+    def values(self) -> Optional[list]:
+        """The exact values as Fractions, None for a float series."""
+        return [self[n] for n in range(len(self))] if self.exact else None
 
     @property
     def n_max(self) -> int:
-        return len(self.floats) - 1
+        return len(self.numerators) - 1
 
     def __len__(self):
-        return len(self.floats)
+        return len(self.numerators)
 
     def __getitem__(self, n):
-        if self.values is not None:
-            return self.values[n]
+        if self.exact:
+            return Fraction(self.numerators[n], self.denom ** n)
         return self.floats[n]
-
-
-def _detect_period(floats: np.ndarray) -> int:
-    if len(floats) >= 4 and all(floats[n] == 0 for n in range(1, len(floats), 2)):
-        return 2
-    return 1
 
 
 def return_probabilities(chain: CollapsedChain, n_max: int,
                          mode: str = "exact") -> ProbabilitySeries:
     if mode == "exact":
-        return ProbabilitySeries.from_exact(chain.return_series_exact(n_max), "u")
+        return ProbabilitySeries(np.array([1, *chain.root_walk(n_max)],
+                                          dtype=object), chain.denom, "u")
     if mode == "float":
         return ProbabilitySeries.from_float(chain.return_series_float(n_max), "u")
     raise SeriesError(f"unknown mode {mode!r}")
 
 
 def first_return_probabilities(u: ProbabilitySeries) -> ProbabilitySeries:
-    """Renewal inversion: f_n = u_n - sum_{k=1}^{n-1} f_k u_{n-k}."""
+    """Renewal inversion: f_n = u_n - sum_{k=1}^{n-1} f_k u_{n-k}, on the
+    numerators, exact or float alike."""
     if u.kind != "u":
         raise SeriesError("expected a return series")
-    if u.exact:
-        uv = u.values
-        if uv[0] != 1:
-            raise SeriesError("return series must start at u_0 = 1")
-        f = [Fraction(0)] * len(uv)
-        for n in range(1, len(uv)):
-            acc = uv[n]
-            for k in range(1, n):
-                if f[k] and uv[n - k]:
-                    acc -= f[k] * uv[n - k]
-            f[n] = acc
-        return ProbabilitySeries.from_exact(f, "f")
-    uv = u.floats
-    f = np.zeros_like(uv)
-    for n in range(1, len(uv)):
-        f[n] = uv[n] - np.dot(f[1:n], uv[1:n][::-1])
-    return ProbabilitySeries.from_float(f, "f")
+    U = u.numerators
+    if U[0] != 1:
+        raise SeriesError("return series must start at u_0 = 1")
+    F = np.zeros_like(U)
+    for n in range(1, len(U)):
+        F[n] = U[n] - np.dot(F[1:n], U[n - 1:0:-1])
+    return ProbabilitySeries(F, u.denom, "f")
 
 
 def taboo_first_return(chain: CollapsedChain, n_max: int,
                        mode: str = "exact") -> ProbabilitySeries:
     if mode == "exact":
-        return ProbabilitySeries.from_exact(chain.taboo_series_exact(n_max), "f")
+        return ProbabilitySeries(np.array(
+            [0, *chain.root_walk(n_max, taboo=True)], dtype=object),
+            chain.denom, "f")
     if mode == "float":
         return ProbabilitySeries.from_float(chain.taboo_series_float(n_max), "f")
     raise SeriesError(f"unknown mode {mode!r}")
 
 
 def renewal_residuals(u: ProbabilitySeries, f: ProbabilitySeries) -> list:
-    """u_n - sum_k f_k u_{n-k} for n >= 1; all zero when consistent."""
-    out = []
-    for n in range(1, min(len(u), len(f))):
-        acc = u[n]
-        for k in range(1, n + 1):
-            acc -= f[k] * u[n - k]
-        out.append(acc)
-    return out
+    """u_n - sum_k f_k u_{n-k} for n >= 1, as numerators over denom**n;
+    all zero when consistent."""
+    if u.denom != f.denom:
+        raise SeriesError("u and f must share a denominator")
+    U, F = u.numerators, f.numerators
+    return [U[n] - np.dot(F[1:n + 1], U[n - 1::-1])
+            for n in range(1, min(len(U), len(F)))]
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,12 @@ def normalized_series(u: ProbabilitySeries, rho: SpectralRadius) -> NormalizedSe
     floats = u.floats / rho.value ** np.arange(len(u.floats))
     exact_even = None
     if u.exact and rho.rho_squared is not None:
-        rs = rho.rho_squared
-        exact_even = []
-        power = Fraction(1) if isinstance(rs, Fraction) else QuadExt(rs.d, 1, 0)
-        for mth in range(0, (len(u.values) - 1) // 2 + 1):
-            exact_even.append(u.values[2 * mth] / power if mth else Fraction(1))
-            power = power * rs
+        # a_{2m} = U_{2m} / (denom**2 rho**2)**m
+        step = rho.rho_squared * u.denom ** 2
+        exact_even, power = [Fraction(1)], step
+        for x in u.numerators[2::2]:
+            exact_even.append(x / power)
+            power = power * step
     return NormalizedSeries(floats=floats, period=u.period, exact_even=exact_even)
 
 
@@ -272,14 +271,12 @@ def fit_exponent(a: NormalizedSeries, n_lo: int, n_hi: int,
         idx = 2 * ns
         idx = idx[idx <= a.n_max]
         ns = ns[: len(idx)]
-        vals = a.floats[idx]
     else:
         step = a.period
         start = n_lo if n_lo % step == 0 or step == 1 else n_lo + 1
-        ns = np.arange(start, min(n_hi, a.n_max) + 1, step)
-        vals = a.floats[ns]
-    keep = vals > 0
-    ns, vals = ns[keep], vals[keep]
+        idx = ns = np.arange(start, min(n_hi, a.n_max) + 1, step)
+    vals = a.floats[idx]
+    _check_fit_cells(idx, vals)
     if len(ns) < 3 + correction:
         raise SeriesError("degenerate fit window")
     x, y = np.log(ns), np.log(vals)
@@ -294,12 +291,20 @@ def fit_exponent(a: NormalizedSeries, n_lo: int, n_hi: int,
     return float(coef[1]), float(np.sqrt(cov[1, 1])), float(coef[0])
 
 
+def _check_fit_cells(ns, vals) -> None:
+    """Raise on the first a_n of ``ns`` that is not finite and positive
+    (an underflow to 0, a NaN): a log fit must not drop it silently."""
+    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+    if len(bad):
+        raise SeriesError(f"cannot fit log a_n: a_{ns[bad[0]]} = "
+                          f"{float(vals[bad[0]])!r} in the window")
+
+
 def stretched_exponential_fit(a: NormalizedSeries, n_lo: int, n_hi: int):
     """Fit log a_n against n^{1/3} (even n); returns (slope, intercept, r2)."""
     ns = np.arange(n_lo + n_lo % 2, min(n_hi, a.n_max) + 1, 2)
     vals = a.floats[ns]
-    keep = vals > 0
-    ns, vals = ns[keep], vals[keep]
+    _check_fit_cells(ns, vals)
     x, y = ns ** (1 / 3), np.log(vals)
     coef = np.polyfit(x, y, 1)
     pred = np.polyval(coef, x)
@@ -381,20 +386,18 @@ def cartesian_series(u1: ProbabilitySeries, d1: int,
 
     Each step picks the first factor with probability d1/(d1+d2), so
     u_n of the product is the binomial mixture of the factor series.
+    Over the factors' degrees the weights d1**k d2**(n-k) cancel: the
+    numerators are sum_k C(n, k) U1_k U2_{n-k} over (d1+d2)**n.
     """
     if u1.n_max < n_max or u2.n_max < n_max:
         raise SeriesError("factor series too short")
-    p1 = Fraction(d1, d1 + d2)
-    p2 = Fraction(d2, d1 + d2)
-    out = []
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            t1, t2 = u1[k], u2[n - k]
-            if t1 and t2:
-                acc += comb(n, k) * p1 ** k * p2 ** (n - k) * t1 * t2
-        out.append(acc)
-    return ProbabilitySeries.from_exact(out, "u")
+    if (u1.denom, u2.denom) != (d1, d2) or not (u1.exact and u2.exact):
+        raise SeriesError("factor series must be exact numerators over "
+                          "their degrees")
+    U1, U2 = u1.numerators, u2.numerators
+    return ProbabilitySeries(np.array(
+        [sum(comb(n, k) * U1[k] * U2[n - k] for k in range(n + 1))
+         for n in range(n_max + 1)], dtype=object), d1 + d2, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -450,29 +453,22 @@ def check_smoothness(u: ProbabilitySeries, rho: SpectralRadius) -> SmoothnessRep
         for n in range(2, len(uv), 2):
             if uv[n] == 0:
                 continue
-            power = Fraction(1) if isinstance(rho2, Fraction) else QuadExt(rho2.d, 1, 0)
+            power = rho2
             for k in range(1, n // 2 + 1):
-                power = power * rho2
                 cand = power * Fraction(uv[n - 2 * k], uv[n])
+                power = power * rho2
                 if even_c1 is None or cand < even_c1:
                     even_c1 = cand
     even_c1_ge_1 = even_c1 is None or not (even_c1 < 1)
 
-    odd_c1 = None
-    odds = [n for n in range(1, len(uv)) if uv[n] > 0 and n % 2 == 1]
-    if odds and rho2 is not None:
-        rho2f = float(rho2)
-        best = None
-        for n in odds:
-            for k in range(1, (n - odds[0]) // 2 + 1):
-                cand = float(uv[n - 2 * k]) * rho2f ** k / float(uv[n])
-                if best is None or cand < best:
-                    best = cand
-        odd_c1 = best
+    uf, odd_c1 = u.floats.tolist(), None
+    if rho2 is not None:
+        r2, odds = float(rho2), [n for n in range(1, len(uv), 2) if uv[n] > 0]
+        odd_c1 = min((uf[n - 2 * k] * r2 ** k / uf[n] for n in odds
+                      for k in range(1, (n - odds[0]) // 2 + 1)), default=None)
 
     d = u.period
-    traj = [float(uv[n + d]) / float(uv[n])
-            for n in range(d, len(uv) - d, d) if uv[n] > 0]
+    traj = [uf[n + d] / uf[n] for n in range(d, len(uv) - d, d) if uv[n] > 0]
 
     return SmoothnessReport(
         ratio_lower_ok=lower_ok, ratio_upper_ok=upper_ok,

@@ -15,7 +15,8 @@ every step.
 `argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
 the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
 are the term-by-term loop forms of the excursion record law and the
-convolution-domination scan.
+convolution-domination scan.  `fraction_renewal` and `float_renewal`
+invert the renewal equation on exact Fraction values and on floats.
 """
 
 import itertools
@@ -533,3 +534,26 @@ def loop_cnw_condition_scan(a, epsilon_grid, n_max, n_cap=None):
         if not pending:
             break
     return results
+
+
+def fraction_renewal(u):
+    """f_n = u_n - sum_{k=1}^{n-1} f_k u_{n-k} on the Fraction values of
+    the exact series ``u``, term by term."""
+    uv = u.values
+    f = [Fraction(0)] * len(uv)
+    for n in range(1, len(uv)):
+        acc = uv[n]
+        for k in range(1, n):
+            if f[k] and uv[n - k]:
+                acc -= f[k] * uv[n - k]
+        f[n] = acc
+    return f
+
+
+def float_renewal(u):
+    """The same inversion on the floats of ``u``, one dot product per n."""
+    uv = u.floats
+    f = np.zeros_like(uv)
+    for n in range(1, len(uv)):
+        f[n] = uv[n] - np.dot(f[1:n], uv[1:n][::-1])
+    return f

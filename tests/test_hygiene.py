@@ -2,8 +2,9 @@
 no module reaches into another package's private modules unless listed,
 every function, method and class it defines is referenced, every span
 the benchmark tracer wraps names a definition, a chain's ``edges``
-and ``matrix()`` views are read only where listed, and no function nests
-loops three deep."""
+and ``matrix()`` views are read only where listed, a series' Fraction
+view ``values`` is read only in `series`, and no function nests loops
+three deep."""
 
 import ast
 import importlib
@@ -246,6 +247,34 @@ def test_scan_flags_a_chain_view_read(tmp_path):
                    "    rows = chain.edges[0]\n    P = chain.matrix()\n"
                    "    M = chain.matrix\n    return rows, P, M, chain.csr\n")
     assert sorted(view_reads(mod)) == ["mod:edges", "mod:matrix"]
+
+
+def values_reads(path: Path) -> list:
+    """`module:values` for each read of an attribute named ``values``
+    that is not called: a dict's ``.values()`` is not a series view."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    return [f"{path.stem}:values" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values"
+            and isinstance(node.ctx, ast.Load) and id(node) not in called]
+
+
+def test_series_values_read_only_in_series():
+    """Outside `series` a series is read as its numerators or floats, so
+    exact and float series take one code path."""
+    hits = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "series"
+            for hit in values_reads(path)]
+    assert hits == [], "series values read outside series: " + \
+        ", ".join(hits)
+
+
+def test_scan_flags_a_values_read(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(u, d):\n    u.values = []\n    a = u.values\n"
+                   "    b = d.values()\n    c = [*d.values(), *u.values]\n"
+                   "    return a, b, c, u.values[0], u.numerators\n")
+    assert values_reads(mod) == ["mod:values"] * 3
 
 
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
