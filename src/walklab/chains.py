@@ -23,6 +23,7 @@ built on first use, read only by tests and the benchmark tracer.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -34,7 +35,7 @@ from scipy.sparse import _sparsetools
 
 @dataclass
 class CollapsedChain:
-    states: list
+    states: Sequence     # state per number, as the family writes it
     csr: tuple           # (indptr, targets, counts): array("q"), array("i") x2
     denom: int           # common denominator of every row (graph degree)
     level: list          # lattice level per state
@@ -119,7 +120,7 @@ class CollapsedChain:
         product: every entry read at the target is the same to the bit.
         """
         indptr, idx, data = self.pull_rows() if rows is None else rows
-        ns = len(self.states)
+        ns = len(self.depth)
         source = self.root if source is None else source
         target = source if target is None else target
         reach, left = self.depth[source], self.depth[target] + n_max
@@ -193,7 +194,7 @@ class CollapsedChain:
         edges, by `walk` over P's rows; ``taboo`` as in `root_walk`, with
         w_0 counted as no return.
         """
-        ns = len(self.states)
+        ns = len(self.depth)
         # the kernel trusts its row count: a matrix of another size or
         # format would be read out of bounds or transposed
         if P.format != "csr" or P.shape != (ns, ns):

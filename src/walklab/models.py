@@ -17,21 +17,29 @@ first letter of w is nonzero when s > 0 (letter 0 is reserved for the
 child pointing back toward o), which makes the encoding canonical.  The
 orbit of a vertex under the stabilizer of o is then exactly ``(s, len(w))``.
 
-A family defines five methods: ``root_vertex``, ``neighbors`` and
-``vertex_orbit`` on vertices, ``orbit_moves`` and ``orbit_level`` on
-orbits.  `WalkModel` derives ``orbit_root``, ``vertex_level`` and
-``level_profile`` from them, and builds balls and collapsed chains with
-one breadth-first truncation, `_truncate`.
+A family defines ``root_vertex``, ``neighbors`` and ``vertex_orbit`` on
+vertices; a ball is their breadth-first truncation, `_truncate`.  A
+family with a collapse writes an orbit as a row of nonnegative integers
+(``_coords`` and ``_state``) and defines ``_moves(state)``, the (state,
+count) moves of one orbit; ``_clip``, such that the moves of a row depend
+only on its boundary class, the row clipped at ``_clip``; and ``_level``
+on coordinate columns.  `WalkModel` derives the orbit API from them, and
+`collapse` builds the chain one BFS depth at a time from one offset
+pattern per boundary class.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import log
 from typing import Optional
+
+import numpy as np
 
 from .chains import CollapsedChain
 
@@ -192,6 +200,25 @@ class ExplicitGraph(CollapsedChain):
         return "\n".join(lines) + "\n"
 
 
+class OrbitStates(Sequence):
+    """A collapsed chain's states: a read-only view of its coordinate rows
+    that decodes a row to the family's state tuple only when read."""
+
+    def __init__(self, rows: np.ndarray, decode):
+        self.rows, self.decode = rows, decode
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        row = self.rows[i].tolist()
+        return list(map(self.decode, row)) if isinstance(i, slice) \
+            else self.decode(row)
+
+    def __iter__(self):
+        return map(self.decode, self.rows.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Family implementations
 # ---------------------------------------------------------------------------
@@ -238,23 +265,23 @@ def _compose_moves(moves1, moves2_fn):
     return list(out.items())
 
 
-def _truncate(root, moves, radius: int, cap: int):
-    """Breadth-first truncation at ``radius`` of the graph ``moves``.
+def _truncate(root, neighbors, radius: int, cap: int):
+    """Breadth-first truncation at ``radius`` of the graph ``neighbors``.
 
-    ``moves(node)`` lists (target, count) pairs and is called once per
-    node, in BFS order.  Nodes at depth < radius number their new
-    targets; all nodes at depth radius are numbered before the first is
-    read.  Row i holds node i's moves to numbered nodes, in ``moves``
-    order.  Returns (nodes, index, depth, csr), csr the triple (indptr,
-    targets, counts) of an array("q") and two array("i")s.
+    ``neighbors(node)`` is called once per node, in BFS order.  Nodes at
+    depth < radius number their new neighbors; all nodes at depth radius
+    are numbered before the first is read.  Row i holds node i's edges to
+    numbered nodes, in ``neighbors`` order.  Returns (nodes, index, depth,
+    csr), csr the triple (indptr, targets, counts) of an array("q") and
+    two array("i")s, the counts all 1.
     """
     nodes = [root]
     index = {root: 0}
     depth = [0]
-    indptr, targets, counts = array("q", [0]), array("i"), array("i")
+    indptr, targets = array("q", [0]), array("i")
     for i, node in enumerate(nodes):
         d = depth[i] + 1
-        for tgt, c in moves(node):
+        for tgt in neighbors(node):
             j = index.get(tgt)
             if j is None:
                 if d > radius:
@@ -265,9 +292,9 @@ def _truncate(root, moves, radius: int, cap: int):
                 if len(nodes) > cap:
                     raise BallCapExceeded(len(nodes), cap)
             targets.append(j)
-            counts.append(c)
         indptr.append(len(targets))
-    return nodes, index, depth, (indptr, targets, counts)
+    return nodes, index, depth, (indptr, targets,
+                                 array("i", [1]) * len(targets))
 
 
 class WalkModel:
@@ -297,18 +324,59 @@ class WalkModel:
     def vertex_level(self, v) -> Optional[int]:
         return self.orbit_level(self.vertex_orbit(v))
 
-    # orbit-space API (for collapsed chains)
+    # orbit-space API (for collapsed chains): see the module docstring
     has_collapse = True
+    _clip: tuple = ()
+
+    def _coords(self, state) -> tuple:
+        return state if isinstance(state, tuple) else (state,)
+
+    def _state(self, row: list):
+        return tuple(row) if len(row) > 1 else row[0]
 
     def orbit_root(self):
         return self.vertex_orbit(self.root_vertex())
 
     def orbit_moves(self, state) -> list:
         """List of (state, neighbor count) pairs; counts sum to the degree."""
-        raise NotImplementedError
+        _, tgt, cnt = self._expand(np.array([self._coords(state)]))
+        return [(self._state(t), n) for t, n in zip(tgt.tolist(), cnt.tolist())]
 
     def orbit_level(self, state) -> int:
-        raise NotImplementedError
+        return self._level(self._coords(state))
+
+    def _boundary(self, c):
+        """Boundary class of coordinate columns ``c`` (ints or arrays): the
+        mixed-radix number of the coordinates clipped at ``_clip``."""
+        cls = 0
+        for x, k in zip(c, self._clip):
+            cls = cls * (k + 1) + np.minimum(x, k)
+        return cls
+
+    @cached_property
+    def _table(self) -> tuple:
+        """Moves by boundary class c: offsets ``offs[c, k]`` and counts
+        ``cnts[c, k]`` of move k in `_moves` order, padded with count 0.
+        `_moves` runs once per class, on the clipped row itself."""
+        classes = [[(np.subtract(self._coords(t), row), n)
+                    for t, n in self._moves(self._state(list(row)))]
+                   for row in np.ndindex(*np.add(self._clip, 1))]
+        offs = np.zeros((len(classes), max(map(len, classes)),
+                         len(self._clip)), dtype=np.int64)
+        cnts = np.zeros(offs.shape[:2], dtype=np.int64)
+        for c, moves in enumerate(classes):
+            offs[c, :len(moves)] = [off for off, _ in moves]
+            cnts[c, :len(moves)] = [n for _, n in moves]
+        return offs, cnts
+
+    def _expand(self, rows: np.ndarray) -> tuple:
+        """The moves of coordinate rows in (row, move) order, as arrays of
+        source rows, target rows and counts."""
+        offs, cnts = self._table
+        cls = self._boundary(rows.T)
+        c = cnts[cls]
+        keep = c > 0
+        return np.nonzero(keep)[0], (rows[:, None, :] + offs[cls])[keep], c[keep]
 
     def level_profile(self) -> LevelProfile:
         """The root's neighbor counts grouped by level step j, as entries
@@ -334,8 +402,7 @@ class WalkModel:
         if radius < 0:
             raise ModelError("radius must be >= 0")
         vertices, index, dist, csr = _truncate(
-            self.root_vertex(), lambda v: [(w, 1) for w in self.neighbors(v)],
-            radius, cap)
+            self.root_vertex(), self.neighbors, radius, cap)
         levels = t0 = None
         if self.level_base is not None:
             levels = [self.vertex_level(v) for v in vertices]
@@ -356,12 +423,50 @@ class WalkModel:
             raise ModelError(f"{self.name()} has no collapsed chain")
         if n_max < 0:
             raise ModelError("n_max must be >= 0")
-        states, _, depth, csr = _truncate(
-            self.orbit_root(), self.orbit_moves, n_max // 2, cap)
+        radius, dim = n_max // 2, len(self._clip)
+        # the root is all zeros, so a coordinate at depth <= radius + 1 is
+        # at most reach * (radius + 1), below the key radix
+        radix = int(np.abs(self._table[0]).max()) * (radius + 1) + 1
+        if radix ** dim > 2 ** 63:
+            raise ModelError(f"{self.name()}: radius {radius} overflows "
+                             "the int64 state keys")
+        scale = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        rows = [np.array([self._coords(self.orbit_root())], dtype=np.int64)]
+        indptr, targets, counts = array("q", [0]), array("i"), array("i")
+        ns = 1
+        for d in range(radius + 1):
+            src, tgt, c = self._expand(rows[-1])
+            tkeys = tgt @ scale
+            # an edge changes depth by at most 1: a known target is in
+            # frontier d - 1 or d, the states from ns - len(near) on
+            near = np.concatenate(rows[-2:]) @ scale
+            order = np.argsort(near)
+            j = order[np.minimum(np.searchsorted(near, tkeys, sorter=order),
+                                 len(near) - 1)]
+            new = near[j] != tkeys
+            j += ns - len(near)
+            if d == radius:  # targets at depth radius + 1 are dropped
+                src, j, c = src[~new], j[~new], c[~new]
+            else:  # new targets, numbered in (row, move) order
+                _, first, inv = np.unique(
+                    tkeys[new], return_index=True, return_inverse=True)
+                rank = np.argsort(first)
+                j[new] = ns + np.argsort(rank)[inv]
+                rows.append(tgt[new][first[rank]])
+                ns += len(rank)
+                if ns > cap:
+                    raise BallCapExceeded(ns, cap)
+            lens = np.bincount(src, minlength=len(rows[d]))
+            indptr.frombytes((indptr[-1] + np.cumsum(lens)).tobytes())
+            targets.frombytes(j.astype(np.int32).tobytes())
+            counts.frombytes(c.astype(np.int32).tobytes())
+        coords, sizes = np.concatenate(rows), list(map(len, rows))
+        # lists of Python ints: exact arithmetic raises bases to levels
         return CollapsedChain(
-            states=states, csr=csr, denom=self.degree,
-            level=[self.orbit_level(st) for st in states],
-            level_base=self.level_base, horizon=n_max, depth=depth,
+            states=OrbitStates(coords, self._state),
+            csr=(indptr, targets, counts), denom=self.degree,
+            level=self._level(coords.T).tolist(), level_base=self.level_base,
+            horizon=n_max, depth=np.repeat(range(len(rows)), sizes).tolist(),
             t0=self.level_profile().t0_lattice or 1, root=0)
 
 
@@ -396,13 +501,15 @@ class RegularTreeModel(WalkModel):
     def vertex_orbit(self, v):
         return len(v)
 
-    def orbit_moves(self, state):
+    _clip = (1,)
+
+    def _moves(self, state):
         if state == 0:
             return [(1, self.b + 1)]
         return [(state - 1, 1), (state + 1, self.b)]
 
-    def orbit_level(self, state):
-        return 0
+    def _level(self, c):
+        return 0 * c[0]
 
 
 class FixedEndTreeModel(WalkModel):
@@ -429,23 +536,25 @@ class FixedEndTreeModel(WalkModel):
         s, w = v
         return (s, len(w))
 
-    def orbit_moves(self, state):
+    _clip = (1, 1)
+
+    def _moves(self, state):
         return _orbit_up(state) + _orbit_down(state, self.b)
 
-    def orbit_level(self, state):
-        s, t = state
-        return s - t
+    def _level(self, c):
+        return c[0] - c[1]
 
 
 class GrandparentModel(FixedEndTreeModel):
     """Fixed-end tree with extra edges to each vertex's second ancestor;
     same coordinates, orbits and levels as the tree."""
 
+    _clip = (2, 2)
+
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         self.degree = spec.b * spec.b + spec.b + 2
         self.bipartite = False
-        self._patterns = {}  # boundary class -> [(ds, dt, count)]
 
     def name(self):
         return f"grandparent(b={self.b})"
@@ -459,17 +568,6 @@ class GrandparentModel(FixedEndTreeModel):
         for c in down:
             out.extend(_tree_down(c, b))
         return out
-
-    def orbit_moves(self, state):
-        """`_moves` as offsets, memoized by the boundary class of the
-        state: the moves of (s, t) depend only on min(s, 2), min(t, 2)."""
-        s, t = state
-        key = (s if s < 2 else 2, t if t < 2 else 2)
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            pattern = self._patterns[key] = [
-                (s2 - s, t2 - t, c) for (s2, t2), c in self._moves(state)]
-        return [((s + ds, t + dt), c) for ds, dt, c in pattern]
 
     def _moves(self, state):
         b = self.b
@@ -503,9 +601,9 @@ class DiestelLeaderModel(WalkModel):
             self.level_base = Fraction(hi, lo)
         else:
             self.level_base = None
-        # level = +h1 when q > r, -h1 when q < r (h1 = first-tree horocycle)
-        self._sign = 1 if spec.q > spec.r else -1
-        self._patterns = {}  # boundary class -> [(ds1, dt1, ds2, dt2, count)]
+        # level = +h1 when q > r, -h1 when q < r, 0 when q = r (h1 =
+        # first-tree horocycle)
+        self._sign = (spec.q > spec.r) - (spec.q < spec.r)
 
     def name(self):
         return f"diestel_leader(q={self.q},r={self.r})"
@@ -528,18 +626,14 @@ class DiestelLeaderModel(WalkModel):
         (s1, w1), (s2, w2) = v
         return ((s1, len(w1)), (s2, len(w2)))
 
-    def orbit_moves(self, state):
-        """`_moves` as offsets, memoized by the boundary class of the
-        state: which of s1, t1, s2, t2 are positive."""
-        (s1, t1), (s2, t2) = state
-        key = (s1 > 0, t1 > 0, s2 > 0, t2 > 0)
-        pattern = self._patterns.get(key)
-        if pattern is None:
-            pattern = self._patterns[key] = [
-                (a1 - s1, b1 - t1, a2 - s2, b2 - t2, c)
-                for ((a1, b1), (a2, b2)), c in self._moves(state)]
-        return [(((s1 + d1, t1 + e1), (s2 + d2, t2 + e2)), c)
-                for d1, e1, d2, e2, c in pattern]
+    # coordinates (s1, t1, s2, t2); the moves see which are positive
+    _clip = (1, 1, 1, 1)
+
+    def _coords(self, state):
+        return (*state[0], *state[1])
+
+    def _state(self, row):
+        return (tuple(row[:2]), tuple(row[2:]))
 
     def _moves(self, state):
         st1, st2 = state
@@ -554,11 +648,8 @@ class DiestelLeaderModel(WalkModel):
                 merged[key] = merged.get(key, 0) + c1 * c2
         return list(merged.items())
 
-    def orbit_level(self, state):
-        if self.level_base is None:
-            return 0
-        (s1, t1), _ = state
-        return self._sign * (s1 - t1)
+    def _level(self, c):
+        return self._sign * (c[0] - c[1])
 
 
 class CartesianProductModel(WalkModel):

@@ -17,7 +17,11 @@ the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
 are the term-by-term loop forms of the excursion record law and the
 convolution-domination scan.  `fraction_renewal` and `float_renewal`
 invert the renewal equation on exact Fraction values and on floats.
+`truncate_moves` is the state-by-state breadth-first truncation of a
+collapsed chain, one dict lookup per move.
 """
+
+from array import array
 
 import itertools
 import math
@@ -370,6 +374,31 @@ def doob_rows(chain, rho):
             row.append((j, Fraction(c, chain.denom) * ratio * inv_rho))
         rows.append(row)
     return rows
+
+
+def truncate_moves(root, moves, radius, cap):
+    """Breadth-first truncation at ``radius`` of the chain ``moves``:
+    ``moves(state)`` lists (target, count) pairs and is read once per
+    state in BFS order, new targets are numbered as met, and targets
+    past ``radius`` are dropped.  Returns (states, depth, csr), csr the
+    triple (indptr, targets, counts) of an array("q") and two
+    array("i")s."""
+    states, index, depth = [root], {root: 0}, [0]
+    indptr, targets, counts = array("q", [0]), array("i"), array("i")
+    for i, state in enumerate(states):
+        for tgt, c in moves(state):
+            if tgt not in index:
+                if depth[i] == radius:
+                    continue
+                index[tgt] = len(states)
+                states.append(tgt)
+                depth.append(depth[i] + 1)
+                if len(states) > cap:
+                    raise ValueError(f"more than {cap} states")
+            targets.append(index[tgt])
+            counts.append(c)
+        indptr.append(len(targets))
+    return states, depth, (indptr, targets, counts)
 
 
 def bfs_rows(model, n_max):

@@ -1,4 +1,4 @@
-"""One breadth-first truncation builds balls and collapsed chains, and the
+"""Balls and collapsed chains are breadth-first truncations, and the
 orbit API alone determines levels, level profiles and the chain's level
 step."""
 
@@ -12,20 +12,34 @@ from walklab.models import (BallCapExceeded, ModelSpec, build_model,
                             validate_collapse)
 
 
-def test_collapse_reads_each_state_once():
-    model = build_model(ModelSpec("grandparent", b=2))
-    calls = Counter()
-    moves = model.orbit_moves
+@pytest.mark.parametrize("spec", [
+    ModelSpec("tree", b=2), ModelSpec("fixed_end_tree", b=3),
+    ModelSpec("grandparent", b=2), ModelSpec("diestel_leader", q=2, r=3)],
+    ids=lambda spec: build_model(spec).name())
+def test_collapse_computes_each_move_once(spec):
+    """No move is computed twice: over two collapses `_moves` runs once
+    per boundary class, and `orbit_moves` only for the level profile's
+    root."""
+    model = build_model(spec)
+    classes, reads = Counter(), []
+    moves, orbit_moves = model._moves, model.orbit_moves
 
-    def counting(state):
-        calls[state] += 1
+    def counting_moves(state):
+        classes[int(model._boundary(model._coords(state)))] += 1
         return moves(state)
 
-    model.orbit_moves = counting
+    def counting_orbit_moves(state):
+        reads.append(state)
+        return orbit_moves(state)
+
+    model._moves, model.orbit_moves = counting_moves, counting_orbit_moves
     chain = model.collapse(40)
-    expected = Counter(chain.states)
-    expected[chain.states[chain.root]] += 1  # the level profile reads the root
-    assert calls == expected
+    model.collapse(30)
+    met = {int(model._boundary(model._coords(s))) for s in chain.states}
+    assert met <= set(classes) and set(classes.values()) == {1}
+    # a family without levels has a profile without moves
+    profiled = model.level_base is not None
+    assert reads == [model.orbit_root()] * 2 * profiled
 
 
 def test_ball_reads_each_vertex_once():
