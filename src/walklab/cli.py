@@ -134,7 +134,8 @@ def cmd_levels(args) -> int:
     profile = model.level_profile()
     t0 = profile.t0
     with _out(args) as out:
-        out.write("# " + json.dumps(_provenance(args)) + "\n")
+        out.write("# " + json.dumps(_provenance(
+            args, {"mc_arithmetic": "float"})) + "\n")
         out.write("n,k,exact_visits,mc_visit_mean,mc_visit_se,"
                   "mc_distinct_mean,mc_distinct_se,bound\n")
         for k, (mean, se) in sorted(stats.visit_means.items()):

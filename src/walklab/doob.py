@@ -249,9 +249,9 @@ def _law_walk(law: LevelIncrementLaw, mode: str) -> _Walk:
 def _killed_walk(walk: _Walk, v, a: int, n: int, live):
     """Yield (k, v, a) after steps k = 1..n of `walk` started from (v, a).
 
-    Leading axes of v are carried along (the ladder runs keep one row per
-    start state).  live(k) = (lo, hi) bounds the levels kept after step
-    k, None meaning unbounded.
+    Leading axes of v are carried along, and a caller may zero cells of
+    the yielded v before the next step.  live(k) = (lo, hi) bounds the
+    levels kept after step k, None meaning unbounded.
     """
     down = min(j for _, _, j, _ in walk.moves)
     up = max(j for _, _, j, _ in walk.moves)
@@ -270,13 +270,6 @@ def _killed_walk(walk: _Walk, v, a: int, n: int, live):
         yield k, v, a
 
 
-def _final(walk: _Walk, n: int, live, v, a: int = 0):
-    """(v, a) after n steps; the start itself when n = 0."""
-    for _, v, a in _killed_walk(walk, v, a, n, live):
-        pass
-    return v, a
-
-
 def _levels(walk: _Walk, v, a: int, lo: int, hi: int, out=None):
     """Mass of v at each level in [lo, hi), summed over chain states."""
     if out is None:
@@ -291,33 +284,35 @@ def _window(walk: _Walk, levels, r: int):
     return walk.zero + levels[r * walk.t0:(r + 1) * walk.t0].sum()
 
 
-def _last_steps(walk: _Walk, n_grid, live, land) -> dict:
-    """{n: (v, a)} after n - 1 steps kept inside the interval `live` and
-    one last step kept inside `land`, for every n in n_grid (n >= 1)."""
+def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
+    """{n: P[Y_1..Y_{n-1} > 0, Y_n = m] for m in [0, m_hi)} for n in n_grid,
+    read after each step of a run that then drops its mass at level 0."""
     out = {}
-    v, a = walk.pi[:, None], 0
-    last = max(n_grid, default=1)
-    run = _killed_walk(walk, v, a, last - 1, lambda k: live)
-    for k, v, a in itertools.chain([(0, v, a)], run):
-        if k + 1 in n_grid:
-            out[k + 1] = _final(walk, 1, lambda k: land, v, a)
+    for k, v, a in _killed_walk(walk, walk.pi[:, None], 0, max(n_grid),
+                                lambda k: (0, None)):  # a stays 0
+        if k in n_grid:
+            out[k] = _levels(walk, v, a, 0, m_hi)
+        v[:, 0] = walk.zero
     return out
 
 
-def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
-    """{n: P[Y_1..Y_{n-1} > 0, Y_n = m] for m in [0, m_hi)}: the
-    strict-positive run plus one free last step."""
-    ends = _last_steps(walk, n_grid, (1, None), (0, m_hi))
-    return {n: _levels(walk, v, a, 0, m_hi) for n, (v, a) in ends.items()}
-
-
-def _hitting(walk: _Walk, barrier: int, n_max: int) -> list:
-    """P[Y_k >= barrier for the first time] for k = 0..n_max: the mass an
-    upper-barrier run loses at each step."""
-    ends = _last_steps(walk, range(1, n_max + 1), (None, barrier),
-                       (barrier, None))
-    return [walk.zero] + [walk.zero + ends[k][0].sum()
-                          for k in range(1, n_max + 1)]
+def _hitting(walk: _Walk, barriers, n_max: int) -> np.ndarray:
+    """Row i: P[Y_k >= barriers[i] for the first time], k = 0..n_max, from
+    one killed run whose row i loses its mass at levels >= barriers[i] after
+    each step; levels that cannot reach min(barriers) by n_max are dropped."""
+    out = walk.zeros((len(barriers), n_max + 1))
+    if not barriers:
+        return out
+    up = max(j for _, _, j, _ in walk.moves)
+    lo, hi = min(barriers), max(barriers) + up  # one step of overshoot
+    v = walk.zeros((len(barriers), len(walk.pi), hi))  # levels 0..hi-1
+    v[:, :, 0] = walk.pi
+    cells = (np.asarray(barriers)[:, None] + np.arange(up))[:, None]
+    for k, v, a in _killed_walk(walk, v, 0, n_max,
+                                lambda k: (lo - (n_max - k) * up, hi)):
+        out[:, k] = np.take_along_axis(v, cells - a, -1).sum(axis=(1, 2))
+        np.put_along_axis(v, cells - a, walk.zero, -1)
+    return out
 
 
 def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
@@ -376,8 +371,8 @@ def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
     """P[tau_r = k] for k = 1..n_max, tau_r = first time Y >= r*t0."""
     if r < 1:
         raise DoobError("need r >= 1")
-    out = _hitting(_law_walk(law, mode), r * law.t0_lattice, n_max)
-    return np.array(out, dtype=float) if mode == "float" else out
+    out = _hitting(_law_walk(law, mode), [r * law.t0_lattice], n_max)[0]
+    return out if mode == "float" else out.tolist()
 
 
 def max_and_return(law: LevelIncrementLaw, n: int, r: int,
@@ -391,7 +386,9 @@ def max_and_return(law: LevelIncrementLaw, n: int, r: int,
 def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
     """P[Y_n = 0] for the unconstrained increment walk."""
     walk = _law_walk(law, mode)
-    v, a = _final(walk, n, lambda k: (None, None), walk.pi[:, None])
+    v, a = walk.pi[:, None], 0
+    for _, v, a in _killed_walk(walk, v, a, n, lambda k: (None, None)):
+        pass
     return _value(walk.zero + _levels(walk, v, a, 0, 1).sum(), mode)
 
 
@@ -434,7 +431,7 @@ def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
       max_and_return(n,r) * n^{3/2} / (r v 1)^{3/2},
     and the assembled sum_r max_and_return(n,r) e^{-r t0} * n^{3/2}.
     Ballot and maximum tables for every (n, r) come from one sweep to
-    max(n_grid); each barrier r needs its own hitting run.
+    max(n_grid), and one stacked hitting run serves every barrier r.
     """
     t0_real = law.t0_lattice * float(np.log(float(law.base)))
     walk = _law_walk(law, "float")
@@ -451,11 +448,10 @@ def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
             table.append((n, r, bp, mr, bp * n ** 1.5 / max(r, 1),
                           mr * n ** 1.5 / max(r, 1) ** 1.5))
         assembled[n] = acc * n ** 1.5
-    sup_tau, n_tau = 0.0, max(n_grid)
-    ks = np.arange(1, n_tau + 1)
-    for r in [r for r in r_grid if r >= 1]:
-        tau = hitting_time_law(law, r, n_tau, mode="float")
-        sup_tau = max(sup_tau, float((tau[1:] * ks ** 1.5).max() / r))
+    rs, ks = [r for r in r_grid if r >= 1], np.arange(1, max(n_grid) + 1)
+    taus = _hitting(walk, [r * walk.t0 for r in rs], max(n_grid))
+    sup_tau = max([0.0] + [float((tau[1:] * ks ** 1.5).max() / r)
+                           for r, tau in zip(rs, taus)])
     return {"sup_ballot": max([0.0] + [row[4] for row in table]),
             "sup_tau": sup_tau,
             "sup_max_and_return": max([0.0] + [row[5] for row in table]),

@@ -366,4 +366,5 @@ def mb_hitting_time_law(chain: MarkovAdditiveChain, r: int, n_max: int):
     """P[tau_r = k], tau_r the first time the additive level reaches r*t0."""
     if r < 1:
         raise SchemaError("need r >= 1")
-    return _hitting(_orbit_walk(chain), r * chain.t0_lattice, n_max)
+    walk = _orbit_walk(chain)
+    return _hitting(walk, [r * walk.t0], n_max)[0].tolist()

@@ -18,7 +18,8 @@ are the term-by-term loop forms of the excursion record law and the
 convolution-domination scan.  `fraction_renewal` and `float_renewal`
 invert the renewal equation on exact Fraction values and on floats.
 `truncate_moves` is the state-by-state breadth-first truncation of a
-collapsed chain, one dict lookup per move.
+collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
+hitting law of one barrier from its own killed level-walk run.
 """
 
 from array import array
@@ -586,3 +587,33 @@ def float_renewal(u):
     for n in range(1, len(uv)):
         f[n] = uv[n] - np.dot(f[1:n], uv[1:n][::-1])
     return f
+
+
+def hitting_per_barrier(walk, barrier, n_max):
+    """P[Y_k >= barrier for the first time] for k = 0..n_max, one run per
+    barrier: the level walk ``walk`` (start law ``pi``, moves (s, s2, j,
+    p), ``zero``) is stepped k - 1 times with levels >= barrier removed,
+    and one last step kept at levels >= barrier gives P[tau = k]."""
+    states = len(walk.pi)
+    js = [j for _, _, j, _ in walk.moves]
+
+    def step(v, a, lo, hi):
+        """One step from mass v[s, i] at level a + i, keeping levels in
+        [lo, hi) (None: unbounded); returns the new array and its level."""
+        na = a + min(js) if lo is None else max(a + min(js), lo)
+        nb = a + v.shape[1] + max(js)
+        nb = nb if hi is None else min(nb, hi)
+        new = np.full((states, max(nb - na, 0)), walk.zero,
+                      dtype=float if isinstance(walk.zero, float) else object)
+        for s, s2, j, p in walk.moves:
+            i0, i1 = max(na - a - j, 0), min(nb - a - j, v.shape[1])
+            if i0 < i1:
+                new[s2, i0 + a + j - na:i1 + a + j - na] += p * v[s, i0:i1]
+        return new, na
+
+    v, a = walk.pi[:, None], 0
+    out = [walk.zero]
+    for _ in range(n_max):
+        out.append(walk.zero + step(v, a, barrier, None)[0].sum())
+        v, a = step(v, a, None, barrier)
+    return out
