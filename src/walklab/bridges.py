@@ -133,12 +133,9 @@ def _walk_count(graph: ExplicitGraph, n: int, src: int, dst: int,
     """Number of length-n walks src -> dst never visiting `avoid`."""
     if avoid is not None and avoid in (src, dst):
         return 0
-    count = int(src == dst)
-    for w in graph.walk(n, source=src, target=dst):
-        if avoid is not None:
-            w[avoid] = 0
-        count = w[dst]
-    return count
+    if n == 0:
+        return int(src == dst)
+    return graph.walk_entries(n, source=src, target=dst, kill=avoid)[-1]
 
 
 # ---------------------------------------------------------------------------

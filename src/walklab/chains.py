@@ -15,6 +15,15 @@ One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
 over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
 bridge tables, ball series and walks that avoid a vertex.  The exact
 series of `walklab.series` are `root_walk`'s numerators over denom**n.
+An integer walk read at one state (`walk_entries`: u_n, f_n, ball
+series, avoiding counts) steps int64 residues modulo a few primes, by
+the same CSR matvec as the float walk, and rebuilds each entry by the
+Chinese remainder theorem.  It is exact because each prime is below
+2**63 / W, W the largest row sum of |weights|, so no int64 sum
+overflows; the primes' product exceeds 2 |start| C**n, C the largest
+column sum, which bounds every |entry|; and the symmetric
+representative is taken.  Only the `QuadExt` h-walk and the bridge
+F/G tables, which need whole integer vectors, step object arrays.
 The Doob transform keeps its weights as one array in ``csr`` entry
 order.  The per-row lists ``edges`` of (j, count) pairs are a view
 built on first use, read only by tests and the benchmark tracer.
@@ -22,6 +31,8 @@ built on first use, read only by tests and the benchmark tracer.
 
 from __future__ import annotations
 
+import functools
+import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -47,6 +58,7 @@ class CollapsedChain:
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
     _edges: Optional[list] = field(default=None, repr=False)
     _pull: Optional[tuple] = field(default=None, repr=False)
+    _int_pull: Optional[tuple] = field(default=None, repr=False)
     # bridge length n -> occupation numerators, memoized by `bridges`
     occupation: dict = field(default_factory=dict, repr=False)
 
@@ -101,15 +113,19 @@ class CollapsedChain:
         return self._pull
 
     def walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
-             source: Optional[int] = None, target: Optional[int] = None):
+             source: Optional[int] = None, target: Optional[int] = None,
+             primes: Optional[tuple] = None):
         """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
         and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
         row r of ``rows = (indptr, idx, data)``, by default `pull_rows`
         (w_n = w_{n-1} P in counts; data None means unit weights).  The
         caller may change a yielded vector before the next step.
 
-        Float64 data steps with scipy's CSR matvec, other data (ints,
-        `QuadExt`) as object arrays: one gather, one ``np.add.reduceat``.
+        Float64 data steps with scipy's CSR matvec, and int64 data with
+        ``primes`` as (states, k) residues mod the k primes, by its CSR
+        matvecs and a ``%=`` (see `walk_entries`).  Other data (`QuadExt`,
+        object counts) steps as object arrays: one gather, one
+        ``np.add.reduceat``.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
         ``target`` (default ``source``) is the state the walk must reach
@@ -124,8 +140,8 @@ class CollapsedChain:
         source = self.root if source is None else source
         target = source if target is None else target
         reach, left = self.depth[source], self.depth[target] + n_max
-        exact = data is None or data.dtype != np.float64
-        if exact:
+        objects = primes is None and (data is None or data.dtype != np.float64)
+        if objects:
             # reduceat gives an empty row a neighbor's entry, not 0
             live = np.flatnonzero(np.diff(indptr))
             starts = indptr[live]
@@ -135,12 +151,21 @@ class CollapsedChain:
             indptr, idx = (a.astype(itype, copy=False) for a in (indptr, idx))
         # zeros of start's type: a QuadExt times int 0 would go via Fraction
         zero = start * 0
-        w = np.full(ns, zero, dtype=object if exact else np.float64)
-        w[source] = start
+        if primes is None:
+            w = np.full(ns, zero, dtype=object if objects else np.float64)
+            w[source] = start
+        else:
+            mod = np.array(primes, dtype=np.int64)
+            w = np.zeros((ns, len(primes)), dtype=np.int64)
+            w[source] = [start % p for p in primes]
         for n in range(1, n_max + 1):
             m = self.cone(min(reach + n, left - n))
-            nw = np.full(ns, zero, dtype=w.dtype)
-            if not exact:
+            nw = np.full_like(w, zero)
+            if primes is not None:
+                _sparsetools.csr_matvecs(m, ns, len(primes), indptr, idx,
+                                         data, w, nw)
+                nw[:m] %= mod
+            elif not objects:
                 _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
             elif (k := np.searchsorted(live, m)):
                 end = indptr[m]
@@ -151,17 +176,47 @@ class CollapsedChain:
             w = nw
             yield w
 
+    def walk_entries(self, n_max: int, start=1, rows: Optional[tuple] = None,
+                     source: Optional[int] = None,
+                     target: Optional[int] = None,
+                     kill: Optional[int] = None) -> list:
+        """w_n[target] for n = 1..n_max of `walk` (``target`` default the
+        source); after each read the mass at ``kill`` is removed.
+
+        An integer walk (integer ``start`` and data) steps residues and
+        returns Python ints, exact as the module docstring argues:
+        ||w_n||_1 <= |start| C**n, and removing mass only lowers it.
+        Raises ValueError when W leaves no room for primes of
+        ``_MIN_PRIME_BITS`` bits.
+        """
+        source = self.root if source is None else source
+        target = source if target is None else target
+        primes = None
+        if isinstance(start, (int, np.integer)) and (
+                rows is None or _integer_data(rows[2])):
+            if rows is None:  # the counts: ints, kept on the chain
+                if self._int_pull is None:
+                    self._int_pull = _integer_rows(self.pull_rows(),
+                                                   len(self.depth))
+                rows, W, C = self._int_pull
+            else:
+                rows, W, C = _integer_rows(rows, len(self.depth))
+            primes = _residue_primes(W, abs(int(start)) * C ** n_max)
+        reads = []
+        for w in self.walk(n_max, start, rows, source, target, primes):
+            reads.append(w[target] if primes is None else w[target].tolist())
+            if kill is not None:
+                w[kill] = 0
+        return reads if primes is None else _crt(reads, primes)
+
     def root_walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
                   taboo: bool = False) -> list:
-        """Root entries of w_1..w_{n_max} of `walk` from the root; with
-        ``taboo`` the root's mass is removed after each is read."""
+        """Root entries of w_1..w_{n_max} of `walk` from the root, by
+        `walk_entries`; with ``taboo`` the root's mass is removed after
+        each is read."""
         self._check_horizon(n_max)
-        out = []
-        for w in self.walk(n_max, start, rows):
-            out.append(w[self.root])
-            if taboo:
-                w[self.root] = 0
-        return out
+        return self.walk_entries(n_max, start, rows,
+                                 kill=self.root if taboo else None)
 
     def return_series_exact(self, n_max: int) -> list:
         """u_n for n = 0..n_max as exact Fractions."""
@@ -224,3 +279,98 @@ def transpose_csr(csr) -> sparse.csr_matrix:
     n = len(indptr) - 1
     return sparse.csc_matrix((weights, targets, indptr),
                              shape=(n, n)).tocsr()
+
+
+# ---- integer walks by residues --------------------------------------
+
+# narrowest primes the residue walk uses: a W of 2**47 or more leaves
+# int64 sums no room for them
+_MIN_PRIME_BITS = 16
+# Miller-Rabin with these bases decides primality below 3.3e24 > 2**63
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _integer_data(data) -> bool:
+    """True for walk data None, of an integer dtype, or Python ints."""
+    return data is None or data.dtype.kind in "iu" or (
+        data.dtype == object and set(map(type, data.tolist())) <= {int})
+
+
+def _integer_rows(rows, ns: int) -> tuple:
+    """(rows, W, C) for the residue walk: ``rows`` with int64 data (unit
+    data for None), and W and C, the largest row and column sums of
+    |data|, as Python ints.
+
+    The sums are taken in float64, exact for integer sums below 2**53; a
+    larger column sum of m terms is off by a factor of at most
+    1 + m 2**-52 and is rounded up by that much.  A W of 2**47 or more
+    raises ValueError before the data are cast to int64."""
+    indptr, idx, data = rows
+    mag = (np.ones(len(idx)) if data is None
+           else np.abs(np.asarray(data, dtype=np.float64)))
+    row_of = np.repeat(np.arange(ns), np.diff(indptr))
+    W = int(np.bincount(row_of, mag, minlength=1).max())
+    if W >= 2 ** (63 - _MIN_PRIME_BITS):
+        raise ValueError(f"a row of weights sums to {W}: no primes of "
+                         f"{_MIN_PRIME_BITS} bits keep its int64 sums exact")
+    C = int(np.bincount(idx, mag, minlength=1).max())
+    if C >= 2 ** 53:
+        C += C * len(idx) // 2 ** 52 + 1
+    data = (np.ones(len(idx), dtype=np.int64) if data is None
+            else data.astype(np.int64))
+    return (indptr, idx, data), W, C
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < 2**63."""
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.cache
+def _primes_below(bits: int, k: int) -> tuple:
+    """The k largest primes below 2**bits, descending; ValueError if
+    fewer than k lie above 2**(bits - 1)."""
+    primes, p = [], 1 << bits
+    while len(primes) < k:
+        p -= 1
+        if p < 1 << (bits - 1):
+            raise ValueError(f"fewer than {k} primes of {bits} bits")
+        if _is_prime(p):
+            primes.append(p)
+    return tuple(primes)
+
+
+def _residue_primes(W: int, bound: int) -> tuple:
+    """The largest primes p with (p - 1) W < 2**63, as many as it takes
+    for their product to exceed 2 * bound when each is counted as
+    2**(bits - 1), the least it can be."""
+    bits = 63 - W.bit_length()
+    return _primes_below(bits, max(1, -(-(2 * bound).bit_length()
+                                        // (bits - 1))))
+
+
+def _crt(residues: list, primes: tuple) -> list:
+    """The integers x with |x| < M/2, M the product of ``primes``, and
+    x = residues[n][i] mod primes[i], one per row of ``residues``."""
+    M = math.prod(primes)
+    basis = np.array([M // p * pow(M // p, -1, p) for p in primes],
+                     dtype=object)
+    k = len(primes)
+    rows = np.array(residues, dtype=object).reshape(len(residues), k)
+    return [x - M if x > M // 2 else x for x in (rows @ basis % M).tolist()]

@@ -180,6 +180,9 @@ class LevelIncrementLaw:
     atoms: list  # (lattice step j, QuadExt probability), sorted by j
     base: Fraction
     t0_lattice: int
+    # (readout, mode, n) -> the widest table at step n built so far
+    tables: dict = dataclasses.field(default_factory=dict, repr=False,
+                                     compare=False)
 
     def validate(self) -> None:
         probs = dict(self.atoms)
@@ -354,6 +357,27 @@ def _windowed(readout, walk: _Walk, n: int, r: int):
     return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
 
 
+def _law_table(law: LevelIncrementLaw, walk: _Walk, mode: str, readout,
+               n: int, m_hi: int):
+    """readout(walk, [n], m_hi)[n] for the law's ``walk`` in ``mode``,
+    memoized on the law: a stored table of the same readout, mode and n
+    with at least m_hi levels serves, cut to m_hi.  Its levels below m_hi
+    are the same to the bit, since `_ballots` keeps every level and
+    `_max_laws` drops only levels that cannot come back below m_hi."""
+    key = (readout, mode, n)
+    table = law.tables.get(key)
+    if table is None or len(table) < m_hi:
+        table = law.tables[key] = readout(walk, [n], m_hi)[n]
+    return table[:m_hi]
+
+
+def _law_window(law: LevelIncrementLaw, mode: str, readout, n: int, r: int):
+    """Window r of a readout at step n, from the law's memoized table."""
+    walk = _law_walk(law, mode)
+    return _window(walk, _law_table(law, walk, mode, readout, n,
+                                    (r + 1) * walk.t0), r)
+
+
 def _value(x, mode):
     return float(x) if mode == "float" else x
 
@@ -363,7 +387,7 @@ def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r]."""
     if n < 1 or r < 0:
         raise DoobError("need n >= 1, r >= 0")
-    return _value(_windowed(_ballots, _law_walk(law, mode), n, r), mode)
+    return _value(_law_window(law, mode, _ballots, n, r), mode)
 
 
 def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
@@ -380,7 +404,7 @@ def max_and_return(law: LevelIncrementLaw, n: int, r: int,
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0]."""
     if r < 0 or n < 1:
         raise DoobError("need n >= 1, r >= 0")
-    return _value(_windowed(_max_laws, _law_walk(law, mode), n, r), mode)
+    return _value(_law_window(law, mode, _max_laws, n, r), mode)
 
 
 def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
@@ -418,7 +442,8 @@ def completeness_residual(law: LevelIncrementLaw, n: int,
     maximum against the unkilled run; zero when the ladder is complete."""
     walk = _law_walk(law, mode)
     top = max(j for j, _ in law.atoms)  # a maximum m needs 2m/top steps
-    total = _max_laws(walk, [n], n * top // 2 + 1)[n].sum()
+    total = _law_table(law, walk, mode, _max_laws, n,
+                       n * top // 2 + 1).sum()
     return _value(total - return_to_zero(law, n, mode=mode), mode)
 
 

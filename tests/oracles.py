@@ -20,6 +20,8 @@ invert the renewal equation on exact Fraction values and on floats.
 `truncate_moves` is the state-by-state breadth-first truncation of a
 collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
+`object_root_walk` steps a chain's root walk on Python-int object
+arrays, with no residues.
 """
 
 from array import array
@@ -616,4 +618,36 @@ def hitting_per_barrier(walk, barrier, n_max):
     for _ in range(n_max):
         out.append(walk.zero + step(v, a, barrier, None)[0].sum())
         v, a = step(v, a, None, barrier)
+    return out
+
+
+def object_root_walk(chain, n_max, start=1, rows=None, taboo=False):
+    """Root entries of w_1..w_{n_max} of a chain's walk from the root,
+    stepped as Python-int object arrays: one gather and one
+    ``np.add.reduceat`` per step over the light-cone rows, the root's
+    mass removed after each read with ``taboo``.  ``rows`` is a pull-row
+    triple (indptr, idx, data), default the chain's counts."""
+    indptr, idx, data = chain.pull_rows() if rows is None else rows
+    ns = len(chain.depth)
+    reach, left = chain.depth[chain.root], chain.depth[chain.root] + n_max
+    # reduceat gives an empty row a neighbor's entry, not 0
+    live = np.flatnonzero(np.diff(indptr))
+    starts = indptr[live]
+    zero = start * 0
+    w = np.full(ns, zero, dtype=object)
+    w[chain.root] = start
+    out = []
+    for n in range(1, n_max + 1):
+        m = chain.cone(min(reach + n, left - n))
+        nw = np.full(ns, zero, dtype=object)
+        if (k := np.searchsorted(live, m)):
+            end = indptr[m]
+            terms = w[idx[:end]]
+            if data is not None:
+                terms *= data[:end]
+            nw[live[:k]] = np.add.reduceat(terms, starts[:k])
+        w = nw
+        out.append(w[chain.root])
+        if taboo:
+            w[chain.root] = 0
     return out

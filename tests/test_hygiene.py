@@ -3,15 +3,19 @@ no module reaches into another package's private modules unless listed,
 every function, method and class it defines is referenced, every span
 the benchmark tracer wraps names a definition, a chain's ``edges``
 and ``matrix()`` views are read only where listed, a series' Fraction
-view ``values`` is read only in `series`, and no function nests loops
-three deep."""
+view ``values`` is read only in `series`, no function nests loops
+three deep, and every third-party package a module imports is a
+declared dependency."""
 
 import ast
 import importlib
 import inspect
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "walklab"
@@ -339,3 +343,46 @@ def test_scan_flags_loops_nested_three_deep(tmp_path):
         "                for b in a:\n                    pass\n"
         "        f = lambda y: [b for a in y for b in a]\n")
     assert deep_loops(mod) == ["mod:fors", "mod:mixed", "mod:comp"]
+
+
+def declared_dependencies(pyproject: Path) -> set:
+    """Import names of the packages in ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in deps}
+
+
+def undeclared_imports(path: Path, declared: set) -> list:
+    """`module:package` for each absolute import of a package that is
+    neither in the standard library, nor `walklab`, nor ``declared``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.append(node.module.split(".")[0])
+    known = sys.stdlib_module_names | {"walklab"} | declared
+    return [f"{path.stem}:{root}" for root in dict.fromkeys(roots)
+            if root not in known]
+
+
+def test_imports_are_declared_dependencies():
+    declared = declared_dependencies(ROOT / "pyproject.toml")
+    assert {"numpy", "scipy", "mpmath"} <= declared
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in undeclared_imports(path, declared)]
+    assert hits == [], "undeclared third-party imports: " + ", ".join(hits)
+
+
+def test_scan_flags_an_undeclared_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\n"
+                   "import os.path, sympy\nimport numpy as np\n"
+                   "from scipy.sparse import csr_matrix\n"
+                   "from sympy.ntheory import nextprime\n"
+                   "from gmpy2 import mpz\nfrom .chains import walk\n"
+                   "import walklab.models\n")
+    declared = {"numpy", "scipy", "mpmath"}
+    assert undeclared_imports(mod, declared) == ["mod:sympy", "mod:gmpy2"]
