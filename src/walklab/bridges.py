@@ -8,8 +8,8 @@ Those probabilities G_m are a float readout of `CollapsedChain.walk`.
 The sampler moves all bridges at once, one inversion draw per step over
 the cumulative weights of each ``chain.csr`` row, and adds up its
 statistics as it goes: it keeps no samples x (n+1) trajectory, only the
-state paths of the distinct-vertex subsample.  Their lift to vertex
-paths shares one memo across bridges that holds only the moves made.
+state paths of the distinct-vertex subsample, lifted to vertex paths
+all at once too, on integer vertex rows (`WalkModel.vertex_row`).
 
 Exact visit counts go through the occupation vector of a length-n
 bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
@@ -269,91 +269,116 @@ def _window_columns(chain, k_grid, t0) -> tuple:
 def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     """Lift the first m state paths of ``traj`` to vertex paths and count
     distinct vertices per level window.  A vertex path consistent with
-    the state path is chosen uniformly, which is the correct conditional
-    law because the walk is uniform over neighbors realizing each move.
+    the state path is chosen uniformly, the correct conditional law as
+    the walk is uniform over neighbors realizing each move: a move goes to
+    the choice-th neighbor in the next state, in `neighbors` order, the
+    choices drawn up front by one ``rng.integers`` over the collapse counts.
 
-    A vertex in state s has c(s -> s') neighbors in state s', the collapse
-    count, so the choices of all m paths are drawn up front by one
-    ``rng.integers`` call over those counts, in the order a step-by-step
-    lift draws them.
-
-    One memo serves all m paths and holds only the moves they make: the
-    lifted vertices are numbered as they first appear, and ``step`` maps
-    (vertex number, next state, choice) to the number of the vertex it
-    leads to.  A miss groups the vertex's neighbors by state
-    (`_neighbor_groups`, which checks the group sizes against the
-    collapse counts), at most once per vertex and path.  A vertex's
-    window is the level of the state it was visited in.
+    The paths step together on vertex rows (`WalkModel.vertex_row`): a
+    state gives the orbit coordinates and boundary class, and the word
+    codes are carried.  The class's neighbors at the offset of the move
+    are counted by a cumsum, must number the collapse count (else
+    `BridgeError`), and the choice-th gives the word maps.  Codes are
+    int64 or, past 2**62 (`_vertex_numbering`), Python ints: one code
+    path, exact at any n.  A path's distinct vertices are the runs of its
+    sorted vertex numbers; a vertex's window is the level of its state.
     """
     if not model.has_collapse:
         return {}
-    traj = traj[:m]
+    _check_neighbors(model)
+    traj, src, n = traj[:m], traj[:m, :-1], traj.shape[1] - 1
+    offs, maps = model._vertex_table
+    nc, deg, dim = offs.shape
+    # an offset as one integer (balanced digits), then as its rank o in
+    # ``okeys``; the chain's moves are among them
+    digits = (2 * int(np.abs(offs).max()) + 1) ** np.arange(dim)
+    okeys, place = np.unique(offs @ digits), chain.states.rows @ digits
+    # counts[entry] of each move, from a states x offsets count table
     indptr, targets, counts = map(np.asarray, chain.csr)
-    ns, d = len(chain.states), chain.denom
-    # entry of each move s -> s' in csr, found by its key s * ns + s'
-    keys = np.repeat(np.arange(ns), np.diff(indptr)) * ns + targets
-    order = np.argsort(keys)
-    entry = order[np.searchsorted(
-        keys, traj[:, :-1].astype(np.int64) * ns + traj[:, 1:], sorter=order)]
-    moves = rng.integers(0, counts[entry].astype(np.int64))
-    moves += traj[:, 1:] * np.int64(d)  # next state * d + choice
-    del entry  # freed before the memo grows
-    index = dict(zip(chain.states, range(ns)))
-    rows = {}  # count rows of the states missed from: less peak memory
-
-    def row_counts(s):
-        if s not in rows:
-            a, b = indptr[s], indptr[s + 1]
-            rows[s] = dict(zip(targets[a:b].tolist(), counts[a:b].tolist()))
-        return rows[s]
-
+    at = np.repeat(np.arange(len(place)), np.diff(indptr))
+    table = np.zeros((len(place), len(okeys)), dtype=counts.dtype)
+    table[at, np.searchsorted(okeys, place[targets] - place[at])] = counts
+    move = place[traj[:, 1:]]
+    move -= place[src]
+    move = np.searchsorted(okeys, move).astype(np.int32)
+    counts = table[src, move]
+    # seen[c * len(okeys) + o, j]: neighbors 0..j of class c at offset o;
+    # pick[., i] is c * deg + the index of the i-th, its row of ``maps``
+    seen = (offs @ digits == okeys[:, None, None]).transpose(1, 0, 2)
+    seen = seen.cumsum(2).reshape(-1, deg)
+    pick = (seen[:, None, :] <= np.arange(deg)[:, None]).sum(2)
+    pick += np.arange(len(seen))[:, None] // len(okeys) * deg
+    move += model._boundary(chain.states.rows.T).astype(np.int32)[src] \
+        * len(okeys)
+    for i, j in np.argwhere(seen[move, -1] != counts)[:1]:
+        raise BridgeError(f"move {traj[i, j]} -> {traj[i, j + 1]}: "
+                          f"{seen[move[i, j], -1]} neighbors differ from "
+                          f"the collapse count {counts[i, j]}")
+    move = pick[move, rng.integers(0, counts.astype(np.int64))]
+    move = move.astype(np.int32)
+    del counts
+    maps = maps.reshape(nc * deg, -1, 3)
+    offset, stride, limbs = _vertex_numbering(model, chain)
+    code = np.zeros((m, maps.shape[1]), dtype=offset.dtype)
+    number = np.zeros((limbs, m, n + 1), dtype=np.int64)  # the root is 0
+    for step in range(n):
+        f, nxt = maps[move[:, step]], traj[:, step + 1]
+        code = code // f[..., 0] * f[..., 1] + f[..., 2]
+        v = offset[nxt] + code[:, -1]
+        for i in range(stride.shape[1]):
+            v += code[:, i] * stride[nxt, i]
+        for i in range(limbs - 1):
+            number[i, :, step + 1] = v & (2 ** 62 - 1)
+            v >>= 62
+        number[-1, :, step + 1] = v
+    del move
     ks, col = _window_columns(chain, k_grid, t0)
-    tally = np.zeros((m, len(ks) + 1), dtype=np.int64)
-    vertex = [model.root_vertex()]  # lifted vertices by number
-    number = {vertex[0]: 0}
-    step = {}  # number * ns * d + move -> number of the next vertex
-    for i in range(m):
-        row = traj[i].tolist()
-        groups = {}  # vertex -> neighbors by state, for this path
-        path = [0]
-        for s, move in zip(row, moves[i].tolist()):
-            key = path[-1] * ns * d + move
-            nxt = step.get(key)
-            if nxt is None:
-                v = vertex[path[-1]]
-                if v not in groups:
-                    groups[v] = _neighbor_groups(model, index, v,
-                                                 row_counts(s))
-                w = groups[v][move // d][move % d]
-                nxt = number.setdefault(w, len(vertex))
-                if nxt == len(vertex):
-                    vertex.append(w)
-                step[key] = nxt
-            path.append(nxt)
-        # the state of each distinct vertex
-        distinct = list(dict(zip(path, row)).values())
-        tally[i] = np.bincount(col[distinct], minlength=len(ks) + 1)
+    idx = np.lexsort(number)
+    number = np.take_along_axis(number, idx[None], 2)
+    new = np.c_[np.ones(m, dtype=bool),
+                (number[..., 1:] != number[..., :-1]).any(0)]
+    del number
+    window = col[np.take_along_axis(traj, idx, 1)]
     result = {}
     for k in k_grid:
-        arr = tally[:, ks.index(k)].astype(float)
+        arr = (new & (window == ks.index(k))).sum(1).astype(float)
         result[k] = (float(arr.mean()),
                      float(arr.std(ddof=1) / np.sqrt(len(arr))), m)
     return result
 
 
-def _neighbor_groups(model, index, v, expected: dict) -> dict:
-    """Neighbors of v grouped by chain state, in `neighbors` order; the
-    group sizes must be the collapse counts ``expected`` of v's state."""
-    groups = {}
-    for w in model.neighbors(v):
-        j = index.get(model.vertex_orbit(w))
-        if j is not None:
-            groups.setdefault(j, []).append(w)
-    sizes = {j: len(g) for j, g in groups.items()}
-    if sizes != expected:
-        raise BridgeError(f"vertex {v!r}: neighbors per state {sizes} "
-                          f"differ from the collapse counts {expected}")
-    return groups
+def _vertex_numbering(model, chain) -> tuple:
+    """(offset, stride, limbs): vertex (s, x_0..x_k) is number offset[s] +
+    x_k + sum_{i<k} x_i stride[s, i], distinct as word i of state s is
+    below base_i ** t_i; int64 when all are below 2**62, else Python
+    ints, a number then taking ``limbs`` 62-bit limbs."""
+    cols, bases = zip(*model._words)
+    size = np.power(np.array(bases, dtype=object),
+                    chain.states.rows[:, list(cols)].astype(object))
+    space = size.prod(1)
+    limbs = max(1, -(-(int(space.sum()) - 1).bit_length() // 62))
+    dtype = np.int64 if limbs == 1 else object
+    stride = space[:, None] // np.cumprod(size, axis=1)[:, :-1]
+    return (np.cumsum(space) - space).astype(dtype), stride.astype(dtype), limbs
+
+
+def _check_neighbors(model) -> None:
+    """`BridgeError` unless `neighbors` gives the rows of
+    `WalkModel.neighbor_rows`, the vertex moves the collapse counts come
+    from, at one vertex per boundary class: a breadth-first search from
+    the root (class 0) that expands each class once."""
+    todo, met = [model.root_vertex()], {0}
+    for v in todo:
+        nbrs = model.neighbors(v)
+        rows = [list(model.vertex_row(w)) for w in nbrs]
+        if model.neighbor_rows(np.array([model.vertex_row(v)]))[0].tolist() \
+                != rows:
+            raise BridgeError(f"vertex {v!r}: neighbors {nbrs} differ from "
+                              "the vertex moves behind the collapse counts")
+        classes = model._boundary(np.array(rows)[:, :len(model._clip)].T)
+        reps = dict(zip(classes.tolist(), nbrs))
+        todo += [w for c, w in reps.items() if c not in met]
+        met.update(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ this module computes its increment law and its ballot-type statistics.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -414,26 +412,6 @@ def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
     for _, v, a in _killed_walk(walk, v, a, n, lambda k: (None, None)):
         pass
     return _value(walk.zero + _levels(walk, v, a, 0, 1).sum(), mode)
-
-
-def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
-    """Exact check that (Y_1,..,Y_n) and (Y_n - Y_{n-1},..,Y_n) agree in law.
-
-    Brute force over all increment sequences of length n; the joint laws
-    are accumulated as exact field elements keyed by the path tuple.
-    """
-    fwd: dict = {}
-    rev: dict = {}
-    for seq in itertools.product(law.atoms, repeat=n):
-        mass = math.prod(p for _, p in seq)
-        steps = [j for j, _ in seq]
-        path = tuple(np.cumsum(steps))
-        rpath = tuple(np.cumsum(steps[::-1]))
-        fwd[path] = fwd[path] + mass if path in fwd else mass
-        rev[rpath] = rev[rpath] + mass if rpath in rev else mass
-    if set(fwd) != set(rev):
-        return False
-    return all(fwd[k] == rev[k] for k in fwd)
 
 
 def completeness_residual(law: LevelIncrementLaw, n: int,

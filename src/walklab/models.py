@@ -20,21 +20,24 @@ orbit of a vertex under the stabilizer of o is then exactly ``(s, len(w))``.
 A family defines ``root_vertex``, ``neighbors`` and ``vertex_orbit`` on
 vertices; a ball is their breadth-first truncation, `_truncate`.  A
 family with a collapse writes an orbit as a row of nonnegative integers
-(``_coords`` and ``_state``) and defines ``_moves(state)``, the (state,
-count) moves of one orbit; ``_clip``, such that the moves of a row depend
-only on its boundary class, the row clipped at ``_clip``; and ``_level``
-on coordinate columns.  `WalkModel` derives the orbit API from them, and
-`collapse` builds the chain one BFS depth at a time from one offset
-pattern per boundary class.
+(``_coords``, ``_state``) and defines ``_vertex_moves(state)``, the
+(orbit, word maps) of a vertex's neighbors in `neighbors` order;
+``_words``, the (t column, base) of each word w, and ``_vertex_words``;
+``_clip``, such that the moves of a row depend only on its boundary
+class, the row clipped at ``_clip``; and ``_level`` on coordinate
+columns.  `WalkModel` derives the orbit moves and API and the vertex
+rows (Woess 2000; for DL Bartholdi, Neuhauser and Woess, JEMS 2008) from
+them, and `collapse` builds the chain one BFS depth at a time from one
+offset pattern per boundary class.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import log
 from typing import Optional
@@ -241,28 +244,19 @@ def _tree_down(v, b):
     return [(0, (c,)) for c in range(b)]
 
 
-def _orbit_up(state):
+def _word_up(state, b):
+    """(orbit, word map) of `_tree_up` from orbit ``state``: the map
+    (div, mul, add) takes a word code x to x // div * mul + add."""
     s, t = state
-    if t > 0:
-        return [((s, t - 1), 1)]
-    return [((s + 1, 0), 1)]
+    return ((s, t - 1) if t else (s + 1, 0)), (b, 1, 0)
 
 
-def _orbit_down(state, b):
+def _word_down(state, b):
+    """The same for `_tree_down`: at t = 0 the code is 0, so every child
+    reads x * b + c, the child toward o too."""
     s, t = state
-    if t > 0:
-        return [((s, t + 1), b)]
-    if s > 0:
-        return [((s - 1, 0), 1), ((s, 1), b - 1)]
-    return [((0, 1), b)]
-
-
-def _compose_moves(moves1, moves2_fn):
-    out = {}
-    for mid, c1 in moves1:
-        for tgt, c2 in moves2_fn(mid):
-            out[tgt] = out.get(tgt, 0) + c1 * c2
-    return list(out.items())
+    return [((s - 1, 0) if s and not t and not c else (s, t + 1), (1, b, c))
+            for c in range(b)]
 
 
 def _truncate(root, neighbors, radius: int, cap: int):
@@ -345,6 +339,26 @@ class WalkModel:
     def orbit_level(self, state) -> int:
         return self._level(self._coords(state))
 
+    def _moves(self, state) -> list:
+        """(state, count) pairs: the vertex moves counted by target."""
+        return list(Counter(t for t, _ in self._vertex_moves(state)).items())
+
+    def vertex_row(self, v) -> tuple:
+        """v's orbit coordinates, then its words read in their bases."""
+        return (*self._coords(self.vertex_orbit(v)), *(
+            reduce(lambda x, c: x * base + c, w, 0)
+            for w, (_, base) in zip(self._vertex_words(v), self._words)))
+
+    def neighbor_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The (m, degree, columns) block of the neighbors of m vertex rows,
+        in `neighbors` order; exact on object rows."""
+        offs, maps = self._vertex_table
+        dim = len(self._clip)
+        cls = self._boundary(rows[:, :dim].T).astype(np.int64)
+        f, x = maps[cls], rows[:, None, dim:]
+        return np.concatenate([rows[:, None, :dim] + offs[cls],
+                               x // f[..., 0] * f[..., 1] + f[..., 2]], 2)
+
     def _boundary(self, c):
         """Boundary class of coordinate columns ``c`` (ints or arrays): the
         mixed-radix number of the coordinates clipped at ``_clip``."""
@@ -368,6 +382,17 @@ class WalkModel:
             offs[c, :len(moves)] = [off for off, _ in moves]
             cnts[c, :len(moves)] = [n for _, n in moves]
         return offs, cnts
+
+    @cached_property
+    def _vertex_table(self) -> tuple:
+        """Orbit offsets ``offs[c, j]`` and word maps ``maps[c, j, i]`` of
+        neighbor j in boundary class c, from `_vertex_moves` on the class."""
+        rows = list(np.ndindex(*np.add(self._clip, 1)))
+        moves = [self._vertex_moves(self._state(list(row))) for row in rows]
+        offs = [[np.subtract(self._coords(t), row) for t, _ in ms]
+                for row, ms in zip(rows, moves)]
+        maps = np.array([[f for _, f in ms] for ms in moves])
+        return np.array(offs), maps.reshape(*maps.shape[:2], -1, 3)
 
     def _expand(self, rows: np.ndarray) -> tuple:
         """The moves of coordinate rows in (row, move) order, as arrays of
@@ -480,6 +505,7 @@ class RegularTreeModel(WalkModel):
         self.nonunimodular = False
         self.bipartite = True
         self.level_base = None
+        self._words = ((0, spec.b + 1),)
 
     def name(self):
         return f"tree(b={self.b})"
@@ -503,10 +529,12 @@ class RegularTreeModel(WalkModel):
 
     _clip = (1,)
 
-    def _moves(self, state):
-        if state == 0:
-            return [(1, self.b + 1)]
-        return [(state - 1, 1), (state + 1, self.b)]
+    _vertex_words = staticmethod(lambda v: (v,))  # read in base b + 1
+
+    def _vertex_moves(self, t):
+        b1 = self.b + 1
+        return [(t - 1, (b1, 1, 0))] * (t > 0) + [
+            (t + 1, (1, b1, c)) for c in range(self.b + (t == 0))]
 
     def _level(self, c):
         return 0 * c[0]
@@ -522,6 +550,7 @@ class FixedEndTreeModel(WalkModel):
         self.nonunimodular = True
         self.bipartite = True
         self.level_base = Fraction(spec.b)
+        self._words = ((1, spec.b),)
 
     def name(self):
         return f"fixed_end_tree(b={self.b})"
@@ -538,8 +567,10 @@ class FixedEndTreeModel(WalkModel):
 
     _clip = (1, 1)
 
-    def _moves(self, state):
-        return _orbit_up(state) + _orbit_down(state, self.b)
+    _vertex_words = staticmethod(lambda v: (v[1],))
+
+    def _vertex_moves(self, state):
+        return [_word_up(state, self.b), *_word_down(state, self.b)]
 
     def _level(self, c):
         return c[0] - c[1]
@@ -569,16 +600,13 @@ class GrandparentModel(FixedEndTreeModel):
             out.extend(_tree_down(c, b))
         return out
 
-    def _moves(self, state):
+    def _vertex_moves(self, state):
         b = self.b
-        up1 = _orbit_up(state)
-        up2 = _compose_moves(up1, _orbit_up)
-        down1 = _orbit_down(state, b)
-        down2 = _compose_moves(down1, lambda s: _orbit_down(s, b))
-        merged = {}
-        for tgt, c in itertools.chain(up1, up2, down1, down2):
-            merged[tgt] = merged.get(tgt, 0) + c
-        return list(merged.items())
+        up, f = _word_up(state, b)
+        down = _word_down(state, b)
+        moves = [(up, f), (_word_up(up, b)[0], (b * b, 1, 0)), *down]
+        return moves + [(t, (1, b * b, c * b + a)) for mid, (_, _, c) in down
+                        for t, (_, _, a) in _word_down(mid, b)]
 
 
 class DiestelLeaderModel(WalkModel):
@@ -604,6 +632,7 @@ class DiestelLeaderModel(WalkModel):
         # level = +h1 when q > r, -h1 when q < r, 0 when q = r (h1 =
         # first-tree horocycle)
         self._sign = (spec.q > spec.r) - (spec.q < spec.r)
+        self._words = ((1, spec.q), (3, spec.r))
 
     def name(self):
         return f"diestel_leader(q={self.q},r={self.r})"
@@ -635,18 +664,13 @@ class DiestelLeaderModel(WalkModel):
     def _state(self, row):
         return (tuple(row[:2]), tuple(row[2:]))
 
-    def _moves(self, state):
-        st1, st2 = state
-        merged = {}
-        for t1, c1 in _orbit_up(st1):
-            for t2, c2 in _orbit_down(st2, self.r):
-                key = (t1, t2)
-                merged[key] = merged.get(key, 0) + c1 * c2
-        for t2, c2 in _orbit_up(st2):
-            for t1, c1 in _orbit_down(st1, self.q):
-                key = (t1, t2)
-                merged[key] = merged.get(key, 0) + c1 * c2
-        return list(merged.items())
+    _vertex_words = staticmethod(lambda v: (v[0][1], v[1][1]))
+
+    def _vertex_moves(self, state):
+        (u1, f1), (u2, f2) = _word_up(state[0], self.q), _word_up(state[1],
+                                                                   self.r)
+        return [((u1, t), (f1, f)) for t, f in _word_down(state[1], self.r)] \
+            + [((t, u2), (f, f2)) for t, f in _word_down(state[0], self.q)]
 
     def _level(self, c):
         return self._sign * (c[0] - c[1])

@@ -21,7 +21,8 @@ invert the renewal equation on exact Fraction values and on floats.
 collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
 `object_root_walk` steps a chain's root walk on Python-int object
-arrays, with no residues.
+arrays, with no residues.  `reversal_check` compares the laws of a level
+walk and of its time reversal over every increment sequence.
 """
 
 from array import array
@@ -34,6 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from walklab.bridges import BridgeError, ExcursionLaw
+from walklab.doob import LevelIncrementLaw
 from walklab.qfield import sqrt_exact
 
 
@@ -651,3 +653,23 @@ def object_root_walk(chain, n_max, start=1, rows=None, taboo=False):
         if taboo:
             w[chain.root] = 0
     return out
+
+
+def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
+    """Exact check that (Y_1,..,Y_n) and (Y_n - Y_{n-1},..,Y_n) agree in law.
+
+    Brute force over all increment sequences of length n; the joint laws
+    are accumulated as exact field elements keyed by the path tuple.
+    """
+    fwd: dict = {}
+    rev: dict = {}
+    for seq in itertools.product(law.atoms, repeat=n):
+        mass = math.prod(p for _, p in seq)
+        steps = [j for j, _ in seq]
+        path = tuple(np.cumsum(steps))
+        rpath = tuple(np.cumsum(steps[::-1]))
+        fwd[path] = fwd[path] + mass if path in fwd else mass
+        rev[rpath] = rev[rpath] + mass if rpath in rev else mass
+    if set(fwd) != set(rev):
+        return False
+    return all(fwd[k] == rev[k] for k in fwd)

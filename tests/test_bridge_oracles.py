@@ -136,3 +136,73 @@ def test_cnw_scan_matches_loop_form(tree2):
     cases.append((un / 0.9 ** np.arange(401), [0.2], 400, 100))
     for args in cases:
         assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args)
+
+
+def lift_inputs(monkeypatch, model, n, samples, seed):
+    """(stats, seen): the statistics and the arguments and rng states of
+    the distinct-vertex lift, which gets all ``samples`` paths."""
+    seen = {}
+    real = bridges._distinct_counts
+
+    def capture(model, chain, traj, k_grid, t0, m, rng):
+        seen.update(args=(model, chain, traj.copy(), list(k_grid), t0, m),
+                    state=copy.deepcopy(rng.bit_generator.state))
+        out = real(model, chain, traj, k_grid, t0, m, rng)
+        seen["after"] = rng.bit_generator.state
+        return out
+
+    monkeypatch.setattr(bridges, "_distinct_counts", capture)
+    stats = mc_bridge_statistics(model, n, samples, seed,
+                                 distinct_subsample=samples)
+    return stats, seen
+
+
+@pytest.mark.parametrize("name", ["grandparent2", "dl23"])
+def test_distinct_means_match_rebuild_past_int64(name, request, monkeypatch):
+    """At n = 100 the words outgrow int64 (2^100 for grandparent b=2,
+    3^50 for the second tree of DL(2,3)), and the lift runs on Python
+    ints."""
+    model = request.getfixturevalue(name)
+    stats, seen = lift_inputs(monkeypatch, model, 100, 40, 5)
+    offset, _, limbs = bridges._vertex_numbering(model, seen["args"][1])
+    assert offset.dtype == object and limbs == 2
+    rng = np.random.default_rng()
+    rng.bit_generator.state = seen["state"]
+    assert stats.distinct_means == rebuild_distinct_means(*seen["args"], rng)
+    assert rng.bit_generator.state == seen["after"]
+
+
+@pytest.mark.parametrize("name", ["grandparent2", "dl23"])
+def test_vertex_numbers_are_int64_at_bench_size(name, request):
+    """The `levels` benchmark jobs run at n = 48."""
+    model = request.getfixturevalue(name)
+    offset, stride, limbs = bridges._vertex_numbering(model,
+                                                      model.collapse(48))
+    assert offset.dtype == stride.dtype == np.int64 and limbs == 1
+
+
+class CountsNeighbors:
+    """A model that counts its `neighbors` calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def neighbors(self, v):
+        self.calls += 1
+        return self.model.neighbors(v)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_lift_reads_neighbors_once_per_boundary_class(name, request):
+    model = request.getfixturevalue(name)
+    classes = int(np.prod(np.add(model._clip, 1)))
+    calls = set()
+    for n, samples, m in ((8, 20, 2), (N, 400, 300), (40, 3000, 3000)):
+        counted = CountsNeighbors(model)
+        mc_bridge_statistics(counted, n, samples, seed=2,
+                             distinct_subsample=m)
+        calls.add(counted.calls)
+    assert len(calls) == 1 and 0 < calls.pop() <= classes

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import reversal_check
 from walklab.doob import (DoobError, LevelIncrementLaw, ballot_probability,
                           completeness_residual, doob_chain, harmonic_check,
                           hitting_time_law, increment_law, max_and_return,
-                          return_to_zero, reversal_check)
+                          return_to_zero)
 from walklab.qfield import QuadExt, sqrt_exact
 from walklab.series import (normalized_series, return_probabilities,
                             spectral_radius)
