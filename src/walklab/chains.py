@@ -16,14 +16,15 @@ over the light cone only: u_n, the taboo f_n, the Doob h-walk, the
 bridge tables, ball series and walks that avoid a vertex.  The exact
 series of `walklab.series` are `root_walk`'s numerators over denom**n.
 An integer walk read at one state (`walk_entries`: u_n, f_n, ball
-series, avoiding counts) steps int64 residues modulo a few primes, by
-the same CSR matvec as the float walk, and rebuilds each entry by the
-Chinese remainder theorem.  It is exact because each prime is below
-2**63 / W, W the largest row sum of |weights|, so no int64 sum
-overflows; the primes' product exceeds 2 |start| C**n, C the largest
-column sum, which bounds every |entry|; and the symmetric
-representative is taken.  Only the `QuadExt` h-walk and the bridge
-F/G tables, which need whole integer vectors, step object arrays.
+series, avoiding counts, the Doob h-walk as integer pairs) steps int64
+residues modulo a few primes, by the same CSR matvec as the float walk,
+reduced only every r steps, and rebuilds each entry by the Chinese
+remainder theorem.  It is exact because each prime has W**r (p - 1) <
+2**63, W the largest row sum of |weights|, so no int64 sum overflows
+between reductions; the primes' product exceeds 2 |start| C**n, C the
+largest column sum, which bounds every |entry|; and the symmetric
+representative is taken.  Only the bridge F/G tables, which need whole
+integer vectors, step object arrays.
 The Doob transform keeps its weights as one array in ``csr`` entry
 order.  The per-row lists ``edges`` of (j, count) pairs are a view
 built on first use, read only by tests and the benchmark tracer.
@@ -121,19 +122,22 @@ class CollapsedChain:
         (w_n = w_{n-1} P in counts; data None means unit weights).  The
         caller may change a yielded vector before the next step.
 
-        Float64 data steps with scipy's CSR matvec, and int64 data with
-        ``primes`` as (states, k) residues mod the k primes, by its CSR
-        matvecs and a ``%=`` (see `walk_entries`).  Other data (`QuadExt`,
-        object counts) steps as object arrays: one gather, one
-        ``np.add.reduceat``.
+        Float64 data steps with scipy's CSR matvec.  Int64 data with
+        ``primes = (ps, r)`` steps as (states, k) residues mod the k primes
+        ps by its CSR matvecs, in two buffers the walk owns and yields in
+        turn, reduced by ``np.fmod`` every r steps (see `walk_entries`).
+        Other data (`QuadExt`, object counts) steps as object arrays: one
+        gather, one ``np.add.reduceat``.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
         ``target`` (default ``source``) is the state the walk must reach
         by step n_max: the other rows are unreachable from the source in
         n steps or cannot reach the target in the n_max - n steps left,
-        and stay 0.  An edge changes depth by at most 1, so a kept row
-        reads only kept entries and true zeros, in the order of a full
-        product: every entry read at the target is the same to the bit.
+        and are 0, or, in a reused buffer, stale from a wider step while
+        the cone shrinks.  An edge changes depth by at most 1, so a kept
+        row reads only the kept rows of the step before and true zeros, in
+        the order of a full product: every entry read at the target is the
+        same to the bit.
         """
         indptr, idx, data = self.pull_rows() if rows is None else rows
         ns = len(self.depth)
@@ -155,33 +159,38 @@ class CollapsedChain:
             w = np.full(ns, zero, dtype=object if objects else np.float64)
             w[source] = start
         else:
+            primes, lazy = primes
             mod = np.array(primes, dtype=np.int64)
-            w = np.zeros((ns, len(primes)), dtype=np.int64)
+            w, nw = np.zeros((2, ns, len(primes)), dtype=np.int64)
             w[source] = [start % p for p in primes]
         for n in range(1, n_max + 1):
             m = self.cone(min(reach + n, left - n))
-            nw = np.full_like(w, zero)
             if primes is not None:
+                nw[:m] = 0
                 _sparsetools.csr_matvecs(m, ns, len(primes), indptr, idx,
                                          data, w, nw)
-                nw[:m] %= mod
-            elif not objects:
-                _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
-            elif (k := np.searchsorted(live, m)):
-                end = indptr[m]
-                terms = w[idx[:end]]
-                if data is not None:
-                    terms *= data[:end]
-                nw[live[:k]] = np.add.reduceat(terms, starts[:k])
-            w = nw
+                if n % lazy == 0:  # fmod keeps the sign: |residue| < p
+                    np.fmod(nw[:m], mod, out=nw[:m])
+            else:
+                nw = np.full_like(w, zero)
+                if not objects:
+                    _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
+                elif (k := np.searchsorted(live, m)):
+                    end = indptr[m]
+                    terms = w[idx[:end]]
+                    if data is not None:
+                        terms *= data[:end]
+                    nw[live[:k]] = np.add.reduceat(terms, starts[:k])
+            w, nw = nw, w
             yield w
 
     def walk_entries(self, n_max: int, start=1, rows: Optional[tuple] = None,
                      source: Optional[int] = None,
-                     target: Optional[int] = None,
+                     target: Optional[int | slice] = None,
                      kill: Optional[int] = None) -> list:
         """w_n[target] for n = 1..n_max of `walk` (``target`` default the
-        source); after each read the mass at ``kill`` is removed.
+        source, or a slice of states at one depth, read as a list); after
+        each read the mass at ``kill`` is removed.
 
         An integer walk (integer ``start`` and data) steps residues and
         returns Python ints, exact as the module docstring argues:
@@ -202,12 +211,14 @@ class CollapsedChain:
             else:
                 rows, W, C = _integer_rows(rows, len(self.depth))
             primes = _residue_primes(W, abs(int(start)) * C ** n_max)
+            primes = primes, _lazy_steps(W)
+        at = target.start if isinstance(target, slice) else target
         reads = []
-        for w in self.walk(n_max, start, rows, source, target, primes):
+        for w in self.walk(n_max, start, rows, source, at, primes):
             reads.append(w[target] if primes is None else w[target].tolist())
             if kill is not None:
                 w[kill] = 0
-        return reads if primes is None else _crt(reads, primes)
+        return reads if primes is None else _crt(reads, primes[0])
 
     def root_walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
                   taboo: bool = False) -> list:
@@ -356,21 +367,29 @@ def _primes_below(bits: int, k: int) -> tuple:
     return tuple(primes)
 
 
+def _lazy_steps(W: int) -> int:
+    """r, the steps the residue walk takes between reductions: the most
+    with r W.bit_length() <= 8 (at most 8 bits of each prime), at least 1."""
+    return max(1, 8 // max(1, W.bit_length()))
+
+
 def _residue_primes(W: int, bound: int) -> tuple:
-    """The largest primes p with (p - 1) W < 2**63, as many as it takes
-    for their product to exceed 2 * bound when each is counted as
-    2**(bits - 1), the least it can be."""
-    bits = 63 - W.bit_length()
+    """The largest primes p with W**r (p - 1) < 2**63, r = `_lazy_steps`,
+    as many as it takes for their product to exceed 2 * bound when each
+    is counted as 2**(bits - 1), the least it can be."""
+    bits = 63 - _lazy_steps(W) * W.bit_length()
     return _primes_below(bits, max(1, -(-(2 * bound).bit_length()
                                         // (bits - 1))))
 
 
 def _crt(residues: list, primes: tuple) -> list:
     """The integers x with |x| < M/2, M the product of ``primes``, and
-    x = residues[n][i] mod primes[i], one per row of ``residues``."""
+    x = residues[..][i] mod primes[i], for each list of k residues in
+    ``residues``, nested as there."""
+    if not residues:
+        return []
     M = math.prod(primes)
     basis = np.array([M // p * pow(M // p, -1, p) for p in primes],
                      dtype=object)
-    k = len(primes)
-    rows = np.array(residues, dtype=object).reshape(len(residues), k)
-    return [x - M if x > M // 2 else x for x in (rows @ basis % M).tolist()]
+    x = np.array(residues, dtype=object) @ basis % M
+    return np.where(x > M // 2, x - M, x).tolist()

@@ -10,15 +10,17 @@ this module computes its increment law and its ballot-type statistics.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .chains import CollapsedChain, transpose_csr
 from .models import LevelProfile, WalkModel
-from .qfield import QuadExt, sqrt_exact
+from .qfield import QuadExt, integer_pairs, sqrt_exact
 from .series import SpectralRadius, profile_rho
 
 
@@ -66,7 +68,8 @@ class DoobChain:
 
     ``weights`` holds p_h of every entry of ``base_chain.csr``, in its
     order, as one object array of field elements of sqrt(base), so row
-    sums, reversibility and the return series are exact.
+    sums, reversibility and the return series are exact.  The last two
+    read them as integer pairs, L p_h = A + B sqrt(D) (`integer_pairs`).
     """
     base_chain: CollapsedChain
     weights: np.ndarray
@@ -83,13 +86,15 @@ class DoobChain:
         return np.flatnonzero(sums != 1).tolist()
 
     def reversibility_check(self) -> dict:
-        """Detailed balance with pi = (orbit size) * h**2.
+        """Detailed balance with pi = (orbit size) * h**2, in integers.
 
         Orbit sizes N come from edge-count symmetry, N(S) c(S->S') =
         N(S') c(S'->S): N(root) = 1, and each other state reads N off its
         first entry in and that entry's reverse, or is a violation at that
         entry (i = j if none).  Entries between states of known N are then
-        compared with their reverses (count and weight 0 if missing)."""
+        compared with their reverses (count and weight 0 if missing) as
+        integers: N times the lcm of its denominators, h**2 = (P/Q)**level
+        times P**-lo Q**hi (levels in [lo, hi]), and L p_h = A + B sqrt(D)."""
         chain = self.base_chain
         indptr, targets, counts = chain.csr
         ns, nnz = len(chain), len(targets)
@@ -100,47 +105,67 @@ class DoobChain:
         hit = order[np.minimum(np.searchsorted(keys, back, sorter=order),
                                nnz - 1)]
         rev = np.where(keys[hit] == back, hit, nnz)  # nnz: count, weight 0
-        zero = self.weights[0] * 0
-        c, w = np.append(counts, 0), np.append(self.weights, zero)
+        c, A, B = (np.array([*x, 0], dtype=object) for x in (
+            counts, *integer_pairs(self.weights.tolist())[:2]))
         first = np.full(ns, nnz)
         np.minimum.at(first, targets, np.arange(nnz))
 
         src, cl, rl = sources.tolist(), c.tolist(), rev.tolist()
-        N = np.full(ns, None)
-        N[chain.root] = Fraction(1)
+        num, den = [None] * ns, [1] * ns  # orbit size num / den
+        num[chain.root] = 1
         bad = []
         # BFS order: a state's first entry in comes from an earlier state
         for j, k in enumerate(first.tolist()):
             if j == chain.root:
                 continue
-            if k < nnz and cl[rl[k]] and N[src[k]] is not None:
-                N[j] = N[src[k]] * Fraction(cl[k], cl[rl[k]])
+            if k < nnz and cl[rl[k]] and num[src[k]] is not None:
+                a, b = num[src[k]] * cl[k], den[src[k]] * cl[rl[k]]
+                g = math.gcd(a, b)
+                num[j], den[j] = a // g, b // g
             else:
                 bad.append((src[k] if k < nnz else j, j, "orbit size unknown"))
-        known = np.not_equal(N, None)
+        known = np.not_equal(num, None)
+        N = (np.array([x or 0 for x in num], dtype=object)
+             * (math.lcm(*den) // np.array(den, dtype=object)))
+        lo, hi = min(chain.level), max(chain.level)
+        P, Q = Fraction(chain.level_base).as_integer_ratio()
+        h2 = {x: P ** (x - lo) * Q ** (hi - x) for x in set(chain.level)}
+        pi = N * np.array([h2[x] for x in chain.level], dtype=object)
         e = np.flatnonzero(known[sources] & known[targets])
-        i, j = sources[e], targets[e]
-        base = Fraction(chain.level_base)
-        pi = np.full(ns, None)  # field elements: no lift per entry
-        pi[known] = zero + N[known] * [base ** chain.level[s]
-                                       for s in np.flatnonzero(known)]
-        for kind, lhs, rhs in (
-                ("edge-count balance", N[i] * c[e], N[j] * c[rev[e]]),
-                ("detailed balance", pi[i] * w[e], pi[j] * w[rev[e]])):
-            miss = lhs != rhs
+        i, j, r = sources[e], targets[e], rev[e]
+        for kind, size, x in (("edge-count balance", N, c[:, None]),
+                              ("detailed balance", pi, np.stack([A, B], 1))):
+            miss = (size[i, None] * x[e] != size[j, None] * x[r]).any(1)
             bad += [(a, b, kind)
                     for a, b in zip(i[miss].tolist(), j[miss].tolist())]
         return {"ok": not bad, "violations": bad,
                 "orbit_sizes_known": int(known.sum())}
 
     def return_series_exact(self, n_max: int) -> list:
-        """a_n = root-return probability of the h-walk, exact QuadExt."""
-        if n_max > self.base_chain.horizon:
-            raise DoobError("beyond chain horizon")
+        """a_n = root-return probability of the h-walk, exact QuadExt.
+
+        Multiplication by A + B sqrt(D) is the integer matrix [[A, D B],
+        [B, A]] on pairs (X, Y) for X + Y sqrt(D): state i becomes rows 2i
+        and 2i + 1, at its depth, and one residue walk of L P_h reads both
+        root rows, a_n = (X_n + Y_n sqrt(D)) / L**n."""
         chain = self.base_chain
-        one = self.weights[0] * 0 + 1
-        return [one] + chain.root_walk(n_max, one,
-                                       chain.pull_rows(self.weights))
+        if n_max > chain.horizon:
+            raise DoobError("beyond chain horizon")
+        A, B, L, D = integer_pairs(self.weights.tolist())
+        indptr, targets, _ = chain.csr
+        pull = [transpose_csr((indptr, targets, np.array(x, dtype=np.int64)))
+                for x in (A, [D * b for b in B], B)]  # raises past int64
+        P = (sparse.kron(pull[0], np.eye(2, dtype=np.int64))
+             + sparse.kron(pull[1], [[0, 1], [0, 0]])
+             + sparse.kron(pull[2], [[0, 0], [1, 0]])).tocsr()
+        P.eliminate_zeros()  # rational weights leave their B entries 0
+        pair = dataclasses.replace(chain, root=2 * chain.root,
+                                   depth=np.repeat(chain.depth, 2).tolist())
+        xy = pair.walk_entries(n_max, 1, (P.indptr, P.indices, P.data),
+                               target=slice(pair.root, pair.root + 2))
+        return [QuadExt(D, 1)] + [
+            QuadExt(D, Fraction(x, L ** n), Fraction(y, L ** n))
+            for n, (x, y) in enumerate(xy, 1)]
 
     def matrix(self):
         """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
@@ -161,7 +186,9 @@ def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
     table = _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0)
     step = (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))
             + chain.t0)
-    dc = DoobChain(base_chain=chain, weights=table[step] * np.asarray(counts))
+    counts = np.asarray(counts)  # one product per (step, count), shared
+    table = np.multiply.outer(table, np.arange(counts.max() + 1))
+    dc = DoobChain(base_chain=chain, weights=table[step, counts])
     bad = dc.row_sum_check()
     if bad:
         raise DoobError(f"nonstochastic rows at states {bad[:5]} "
@@ -195,9 +222,6 @@ class LevelIncrementLaw:
         mean = sum(j * p for j, p in self.atoms)
         if mean != 0:
             raise DoobError(f"nonzero mean {mean}")
-
-    def float_atoms(self) -> dict:
-        return {j: float(p) for j, p in self.atoms}
 
 
 def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementLaw:

@@ -190,18 +190,6 @@ class ExplicitGraph(CollapsedChain):
         indptr, targets, _ = self.csr
         return [sorted(targets[a:b]) for a, b in zip(indptr, indptr[1:])]
 
-    def degree_of(self, i: int) -> int:
-        indptr = self.csr[0]
-        return indptr[i + 1] - indptr[i]
-
-    def to_csv(self) -> str:
-        lines = ["vertex_id,neighbor_id,level"]
-        for i, nbrs in enumerate(self.adj):
-            lev = self.levels[i] if self.levels is not None else 0
-            for j in nbrs:
-                lines.append(f"{i},{j},{lev}")
-        return "\n".join(lines) + "\n"
-
 
 class OrbitStates(Sequence):
     """A collapsed chain's states: a read-only view of its coordinate rows

@@ -289,6 +289,15 @@ def _inv(x: QuadExt) -> QuadExt:
     return _new(x.d, den * a, -den * b, norm)
 
 
+def integer_pairs(xs: list) -> tuple:
+    """(A, B, L, D) for elements ``xs`` of one Q(sqrt(D)): L x = A[i] +
+    B[i] sqrt(D) for the i-th x, with A and B lists of ints and L the
+    least common denominator of ``xs``."""
+    L = math.lcm(*{x._den for x in xs})
+    return ([x._a * (L // x._den) for x in xs],
+            [x._b * (L // x._den) for x in xs], L, xs[0].d)
+
+
 def sqrt_exact(q) -> QuadExt:
     """sqrt(q) as c*sqrt(D) with D a squarefree integer.
 

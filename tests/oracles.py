@@ -21,8 +21,11 @@ invert the renewal equation on exact Fraction values and on floats.
 collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
 `object_root_walk` steps a chain's root walk on Python-int object
-arrays, with no residues.  `reversal_check` compares the laws of a level
+arrays, with no residues, and `quadext_hwalk` the Doob h-walk on
+`QuadExt` object arrays.  `reversal_check` compares the laws of a level
 walk and of its time reversal over every increment sequence.
+`float_atoms`, `degree_of` and `to_csv` read an increment law's atoms as
+floats, a ball's vertex degree and a ball's edge list as CSV.
 """
 
 from array import array
@@ -673,3 +676,34 @@ def reversal_check(law: LevelIncrementLaw, n: int) -> bool:
     if set(fwd) != set(rev):
         return False
     return all(fwd[k] == rev[k] for k in fwd)
+
+
+def quadext_hwalk(dc, n_max):
+    """a_0..a_{n_max} of a `DoobChain` as the root walk of its weights
+    stepped on `QuadExt` object arrays (`object_root_walk` over the
+    `argsort_pull_rows` of the weights), from a_0 = 1."""
+    chain = dc.base_chain
+    one = dc.weights[0] * 0 + 1
+    return [one] + object_root_walk(chain, n_max, one,
+                                    argsort_pull_rows(chain, dc.weights))
+
+
+def float_atoms(law: LevelIncrementLaw) -> dict:
+    """A level increment law as {lattice step: float probability}."""
+    return {j: float(p) for j, p in law.atoms}
+
+
+def degree_of(graph, i: int) -> int:
+    """Number of entries in row i of a ball's CSR rows."""
+    indptr = graph.csr[0]
+    return indptr[i + 1] - indptr[i]
+
+
+def to_csv(graph) -> str:
+    """A ball's edges as CSV rows ``vertex_id,neighbor_id,level``."""
+    lines = ["vertex_id,neighbor_id,level"]
+    for i, nbrs in enumerate(graph.adj):
+        lev = graph.levels[i] if graph.levels is not None else 0
+        for j in nbrs:
+            lines.append(f"{i},{j},{lev}")
+    return "\n".join(lines) + "\n"

@@ -133,8 +133,9 @@ def test_streamed_statistics_equal_trajectory_form(name, k_grid, request,
 
 def test_sampler_keeps_no_trajectory_array(grandparent2):
     """The traced peak stays below half of a samples x (n+1) int32
-    trajectory; the lift's memo grows with the subsample, not with the
-    samples, so a small subsample leaves the sampler's own arrays."""
+    trajectory; the lift keeps no memo, only arrays of m x (n+1) limbs
+    for a subsample of m paths, so a small subsample leaves the
+    sampler's own arrays."""
     n, samples = 48, 50_000
     chain = grandparent2.collapse(n)
     mc_bridge_statistics(grandparent2, n, 100, 1, chain=chain)  # warm up

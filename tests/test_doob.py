@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reversal_check
+from oracles import float_atoms, reversal_check
 from walklab.doob import (DoobError, LevelIncrementLaw, ballot_probability,
                           completeness_residual, doob_chain, harmonic_check,
                           hitting_time_law, increment_law, max_and_return,
@@ -34,8 +34,8 @@ def test_harmonicity_exact(fixed_end2, grandparent2, dl23):
 
 
 def test_increment_law_values(pm1_law, gp_law):
-    assert pm1_law.float_atoms() == {-1: 0.5, 1: 0.5}
-    atoms = gp_law.float_atoms()
+    assert float_atoms(pm1_law) == {-1: 0.5, 1: 0.5}
+    atoms = float_atoms(gp_law)
     s2 = math.sqrt(2)
     assert abs(atoms[2] - (2 - s2) / 2) < 1e-15
     assert abs(atoms[1] - (s2 - 1) / 2) < 1e-15
