@@ -14,15 +14,14 @@ all at once too, on integer vertex rows (`WalkModel.vertex_row`).
 Exact visit counts go through the occupation vector of a length-n
 bridge, occ[s] = sum_j F_j[s] G_{n-j}[s] with F_j[s] = d^j P[root->s in j]
 and G_m[s] = d^m P[s->root in m]: occ[s] / (d^n u_n) is the expected
-number of times a bridge sits in state s.  It is built once per
-(chain, n) and kept on the chain; a level window sums it over its states.
+number of times a bridge sits in state s.  It is built on residues
+once per (chain, n) and kept on the chain; a level window sums it.
 The excursion record law convolves the numerators of u and f, integers
 over d^n when exact, and divides by U_n once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
@@ -30,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import CollapsedChain
+from .chains import CollapsedChain, _crt, _integer_rows, _residue_primes
 from .models import WalkModel, ExplicitGraph
 from .series import ProbabilitySeries, SpectralRadius, evaluate_generating
 
@@ -43,43 +42,63 @@ class BridgeError(ValueError):
 # Exact bridge visit DP
 # ---------------------------------------------------------------------------
 
-def _backward_table(chain: CollapsedChain, n: int, exact: bool) -> list:
-    """G_0..G_n, G_m[s] = P[s -> root in m] as numerators over d^m if
-    ``exact``, else floats: a walk from the root over ``chain.csr`` as it
-    stands.  On the light cone only, so G_m[s] is full where depth(s) <=
-    min(m, n - m), and 0 where depth(s) > m, as the full value is."""
-    indptr, targets, counts = map(np.asarray, chain.csr)
-    one, data = ((1, counts.astype(object)) if exact
-                 else (1.0, counts * (1.0 / chain.denom)))
-    start = np.zeros(len(chain.states), dtype=data.dtype)
-    start[chain.root] = one
-    return [start, *chain.walk(n, one, (indptr, targets, data))]
+def _csr(chain: CollapsedChain, n: int):
+    """``chain.csr`` as arrays; BridgeError if n passes the horizon."""
+    if n > chain.horizon:
+        raise BridgeError("beyond chain horizon")
+    return map(np.asarray, chain.csr)
 
 
-def _forward_backward_numerators(chain: CollapsedChain, n: int):
-    """(F, G): F yields F_j[s] = d^j P[root->s in j], j = 0..n, as the
-    walk produces them; G holds the exact `_backward_table`.  Off
-    cone(min(j, n - j)) F_j[s] G_{n-j}[s] = 0, as one true entry is 0."""
-    G = _backward_table(chain, n, exact=True)
-    return itertools.chain([G[0]], chain.walk(n)), G
+def _backward_table(chain: CollapsedChain, n: int) -> list:
+    """G_0..G_n as floats, G_m[s] = P[s -> root in m]: a walk from the
+    root over ``chain.csr`` as it stands.  On the light cone only, so
+    G_m[s] is full where depth(s) <= min(m, n - m), and 0 where depth(s) >
+    m, as the full value is."""
+    indptr, targets, counts = _csr(chain, n)
+    start = np.zeros(len(chain.depth))
+    start[chain.root] = 1.0
+    return [start, *chain.walk(n, 1.0, (indptr, targets,
+                                        counts * (1.0 / chain.denom)))]
+
+
+def _forward_backward_numerators(chain: CollapsedChain, n: int) -> tuple:
+    """(F, G, primes): F_j = d^j P[root -> . in j] yielded for j = 0..n,
+    and the list of G_m = d^m P[. -> root in m], walked from the root over
+    `pull_rows` and ``chain.csr`` as residues |x| < p on the cone(min(j,
+    n - j)) rows, off which F_j G_{n-j} = 0.  The primes lie below 2**31,
+    so G fits in int32 and a residue plus F_j G_{n-j} in int64, and their
+    product exceeds 2 (n + 1) d^n."""
+    indptr, targets, counts = _csr(chain, n)
+    fwd, bwd = (_integer_rows(rows, len(chain.depth)) for rows in
+                (chain.pull_rows(), (indptr, targets, counts)))
+    primes = _residue_primes(max(fwd[1], bwd[1]),
+                             (n + 1) * chain.denom ** n, 31)
+
+    def table(rows, dtype):  # reduced every step (r = 1), cut and copied
+        yield np.ones((1, len(primes)), dtype=dtype)  # the root's row
+        for j, w in enumerate(chain.walk(n, 1, rows, primes=(primes, 1)), 1):
+            yield w[:chain.cone(min(j, n - j))].astype(dtype)
+    return table(fwd[0], np.int64), list(table(bwd[0], np.int32)), primes
 
 
 def bridge_cut_identity(chain: CollapsedChain, n: int) -> bool:
-    """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j."""
-    F, G = _forward_backward_numerators(chain, n)
-    totals = {(f * G[n - j]).sum() for j, f in enumerate(F)}
-    return len(totals) == 1
+    """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j, mod each prime:
+    equality, as the totals lie below half the primes' product."""
+    F, G, primes = _forward_backward_numerators(chain, n)
+    return len({tuple(np.fmod(f * g, primes).sum(0) % primes)
+                for f, g in zip(F, reversed(G))}) == 1
 
 
 def _occupation_numerators(chain: CollapsedChain, n: int) -> list:
-    """occ[s] = sum_j F_j[s] G_{n-j}[s] for length-n bridges, built
-    once per (chain, n) and kept in ``chain.occupation``."""
-    occ = chain.occupation.get(n)
-    if occ is None:
-        F, G = _forward_backward_numerators(chain, n)
-        occ = sum(f * g for f, g in zip(F, reversed(G))).tolist()
-        chain.occupation[n] = occ
-    return occ
+    """occ[s] = sum_j F_j[s] G_{n-j}[s] for length-n bridges, by `_crt`
+    of its residues, built once per (chain, n) in ``chain.occupation``."""
+    if n not in chain.occupation:
+        F, G, primes = _forward_backward_numerators(chain, n)
+        occ = np.zeros((len(chain.depth), len(primes)), dtype=np.int64)
+        for f, g in zip(F, reversed(G)):
+            occ[:len(f)] = np.fmod(occ[:len(f)] + f * g, primes)
+        chain.occupation[n] = _crt(occ.tolist(), primes)
+    return chain.occupation[n]
 
 
 def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
@@ -89,12 +108,10 @@ def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
     The window is [k*t0, (k+1)*t0) in lattice units; the count includes
     both endpoints (so the k=0 window scores at least 2 for n >= 1).
     """
-    if n > chain.horizon:
-        raise BridgeError("beyond chain horizon")
+    occ = _occupation_numerators(chain, n)
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
     t0 = chain.t0
-    occ = _occupation_numerators(chain, n)
     total = sum(o for o, lv in zip(occ, chain.level) if lv // t0 == k)
     return Fraction(total, chain.denom ** n) / u[n]
 
@@ -178,10 +195,10 @@ def mc_bridge_statistics(model: WalkModel, n: int, samples: int, seed: int,
         chain = model.collapse(n)
     # a draw reads G[rem] at targets of depth <= n - rem: full values, or
     # past depth rem zeros that are true
-    G = _backward_table(chain, n, exact=False)
+    G = _backward_table(chain, n)
     if G[n][chain.root] <= 0:
         raise BridgeError(f"u_{n} = 0: no bridges")
-    indptr, targets, counts = map(np.asarray, chain.csr)
+    indptr, targets, counts = _csr(chain, n)
     slot, width, tgt = _padded_rows(indptr, targets)
     t0 = chain.t0
     k_grid = list(range(-3, 9) if k_grid is None else k_grid)

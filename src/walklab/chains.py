@@ -23,8 +23,7 @@ remainder theorem.  It is exact because each prime has W**r (p - 1) <
 2**63, W the largest row sum of |weights|, so no int64 sum overflows
 between reductions; the primes' product exceeds 2 |start| C**n, C the
 largest column sum, which bounds every |entry|; and the symmetric
-representative is taken.  Only the bridge F/G tables, which need whole
-integer vectors, step object arrays.
+representative is taken.  The bridge F/G tables are whole residue walks.
 The Doob transform keeps its weights as one array in ``csr`` entry
 order.  The per-row lists ``edges`` of (j, count) pairs are a view
 built on first use, read only by tests and the benchmark tracer.
@@ -98,7 +97,7 @@ class CollapsedChain:
         states i with an entry i -> j, ascending (the pattern of `matrix`),
         with ``weights`` given per entry in ``csr`` order and carried over
         by `transpose_csr` of the entry numbers.  By default they are the
-        counts (None if all are 1), kept on the chain."""
+        counts, kept on the chain."""
         if weights is None and self._pull is not None:
             return self._pull
         indptr, targets, counts = self.csr
@@ -108,26 +107,23 @@ class CollapsedChain:
         rows = (t.indptr.astype(np.int64), t.indices.astype(np.int32))
         if weights is not None:
             return *rows, weights[t.data]
-        counts = np.asarray(counts)
-        self._pull = (*rows, None if (counts == 1).all()
-                      else counts[t.data].astype(object))
+        self._pull = (*rows, np.asarray(counts)[t.data])
         return self._pull
 
-    def walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
+    def walk(self, n_max: int, start, rows: tuple,
              source: Optional[int] = None, target: Optional[int] = None,
              primes: Optional[tuple] = None):
         """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
         and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
-        row r of ``rows = (indptr, idx, data)``, by default `pull_rows`
-        (w_n = w_{n-1} P in counts; data None means unit weights).  The
-        caller may change a yielded vector before the next step.
+        row r of ``rows = (indptr, idx, data)``, such as `pull_rows` with
+        weights (w_n = w_{n-1} P).  The caller may change a yielded vector
+        before the next step.
 
         Float64 data steps with scipy's CSR matvec.  Int64 data with
         ``primes = (ps, r)`` steps as (states, k) residues mod the k primes
         ps by its CSR matvecs, in two buffers the walk owns and yields in
         turn, reduced by ``np.fmod`` every r steps (see `walk_entries`).
-        Other data (`QuadExt`, object counts) steps as object arrays: one
-        gather, one ``np.add.reduceat``.
+        Any other data raises TypeError.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
         ``target`` (default ``source``) is the state the walk must reach
@@ -139,24 +135,19 @@ class CollapsedChain:
         the order of a full product: every entry read at the target is the
         same to the bit.
         """
-        indptr, idx, data = self.pull_rows() if rows is None else rows
+        indptr, idx, data = rows
+        if np.asarray(data).dtype != (np.int64 if primes else np.float64):
+            raise TypeError("walk steps float64 data, or int64 data with "
+                            f"primes, not {np.asarray(data).dtype}")
         ns = len(self.depth)
         source = self.root if source is None else source
         target = source if target is None else target
         reach, left = self.depth[source], self.depth[target] + n_max
-        objects = primes is None and (data is None or data.dtype != np.float64)
-        if objects:
-            # reduceat gives an empty row a neighbor's entry, not 0
-            live = np.flatnonzero(np.diff(indptr))
-            starts = indptr[live]
-        else:
-            # csr_matvec converts mismatched index arrays on every call
-            itype = np.promote_types(indptr.dtype, idx.dtype)
-            indptr, idx = (a.astype(itype, copy=False) for a in (indptr, idx))
-        # zeros of start's type: a QuadExt times int 0 would go via Fraction
-        zero = start * 0
+        # csr_matvec converts mismatched index arrays on every call
+        itype = np.promote_types(indptr.dtype, idx.dtype)
+        indptr, idx = (a.astype(itype, copy=False) for a in (indptr, idx))
         if primes is None:
-            w = np.full(ns, zero, dtype=object if objects else np.float64)
+            w = np.zeros(ns)
             w[source] = start
         else:
             primes, lazy = primes
@@ -165,22 +156,15 @@ class CollapsedChain:
             w[source] = [start % p for p in primes]
         for n in range(1, n_max + 1):
             m = self.cone(min(reach + n, left - n))
-            if primes is not None:
+            if primes is None:
+                nw = np.zeros(ns)
+                _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
+            else:
                 nw[:m] = 0
                 _sparsetools.csr_matvecs(m, ns, len(primes), indptr, idx,
                                          data, w, nw)
                 if n % lazy == 0:  # fmod keeps the sign: |residue| < p
                     np.fmod(nw[:m], mod, out=nw[:m])
-            else:
-                nw = np.full_like(w, zero)
-                if not objects:
-                    _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
-                elif (k := np.searchsorted(live, m)):
-                    end = indptr[m]
-                    terms = w[idx[:end]]
-                    if data is not None:
-                        terms *= data[:end]
-                    nw[live[:k]] = np.add.reduceat(terms, starts[:k])
             w, nw = nw, w
             yield w
 
@@ -196,7 +180,7 @@ class CollapsedChain:
         returns Python ints, exact as the module docstring argues:
         ||w_n||_1 <= |start| C**n, and removing mass only lowers it.
         Raises ValueError when W leaves no room for primes of
-        ``_MIN_PRIME_BITS`` bits.
+        ``_MIN_PRIME_BITS`` bits.  Any other walk needs float64 data.
         """
         source = self.root if source is None else source
         target = source if target is None else target
@@ -212,6 +196,8 @@ class CollapsedChain:
                 rows, W, C = _integer_rows(rows, len(self.depth))
             primes = _residue_primes(W, abs(int(start)) * C ** n_max)
             primes = primes, _lazy_steps(W)
+        elif rows is None:
+            raise TypeError(f"counts need an integer start, not {start!r}")
         at = target.start if isinstance(target, slice) else target
         reads = []
         for w in self.walk(n_max, start, rows, source, at, primes):
@@ -302,23 +288,21 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _integer_data(data) -> bool:
-    """True for walk data None, of an integer dtype, or Python ints."""
-    return data is None or data.dtype.kind in "iu" or (
+    """True for walk data of an integer dtype, or of Python ints."""
+    return data.dtype.kind in "iu" or (
         data.dtype == object and set(map(type, data.tolist())) <= {int})
 
 
 def _integer_rows(rows, ns: int) -> tuple:
-    """(rows, W, C) for the residue walk: ``rows`` with int64 data (unit
-    data for None), and W and C, the largest row and column sums of
-    |data|, as Python ints.
+    """(rows, W, C) for the residue walk: ``rows`` with int64 data, and W
+    and C, the largest row and column sums of |data|, as Python ints.
 
     The sums are taken in float64, exact for integer sums below 2**53; a
     larger column sum of m terms is off by a factor of at most
     1 + m 2**-52 and is rounded up by that much.  A W of 2**47 or more
     raises ValueError before the data are cast to int64."""
     indptr, idx, data = rows
-    mag = (np.ones(len(idx)) if data is None
-           else np.abs(np.asarray(data, dtype=np.float64)))
+    mag = np.abs(np.asarray(data, dtype=np.float64))
     row_of = np.repeat(np.arange(ns), np.diff(indptr))
     W = int(np.bincount(row_of, mag, minlength=1).max())
     if W >= 2 ** (63 - _MIN_PRIME_BITS):
@@ -327,9 +311,7 @@ def _integer_rows(rows, ns: int) -> tuple:
     C = int(np.bincount(idx, mag, minlength=1).max())
     if C >= 2 ** 53:
         C += C * len(idx) // 2 ** 52 + 1
-    data = (np.ones(len(idx), dtype=np.int64) if data is None
-            else data.astype(np.int64))
-    return (indptr, idx, data), W, C
+    return (indptr, idx, data.astype(np.int64)), W, C
 
 
 def _is_prime(n: int) -> bool:
@@ -373,11 +355,11 @@ def _lazy_steps(W: int) -> int:
     return max(1, 8 // max(1, W.bit_length()))
 
 
-def _residue_primes(W: int, bound: int) -> tuple:
-    """The largest primes p with W**r (p - 1) < 2**63, r = `_lazy_steps`,
-    as many as it takes for their product to exceed 2 * bound when each
-    is counted as 2**(bits - 1), the least it can be."""
-    bits = 63 - _lazy_steps(W) * W.bit_length()
+def _residue_primes(W: int, bound: int, cap: int = 63) -> tuple:
+    """The largest primes p < 2**cap with W**r (p - 1) < 2**63, r =
+    `_lazy_steps`, as many as it takes for their product to exceed
+    2 * bound when each is counted as 2**(bits - 1), the least it can be."""
+    bits = min(cap, 63 - _lazy_steps(W) * W.bit_length())
     return _primes_below(bits, max(1, -(-(2 * bound).bit_length()
                                         // (bits - 1))))
 

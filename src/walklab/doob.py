@@ -75,15 +75,15 @@ class DoobChain:
     weights: np.ndarray
 
     def row_sum_check(self) -> list:
-        """Indices of interior states whose row does not sum to 1."""
+        """Indices of interior states whose row does not sum to 1: with
+        L p_h = A + B sqrt(D), whose A do not sum to L or B to 0."""
         chain = self.base_chain
-        indptr = np.asarray(chain.csr[0])
         m = chain.cone(chain.radius - 1)  # depth < radius: full rows
-        # reduceat gives an empty row a neighbor's entry: its sum stays 0
-        live = np.flatnonzero(np.diff(indptr[:m + 1]))
-        sums = np.zeros(m, dtype=object)
-        sums[live] = np.add.reduceat(self.weights[:indptr[m]], indptr[live])
-        return np.flatnonzero(sums != 1).tolist()
+        A, B, L, _ = integer_pairs(self.weights.tolist())
+        # row sums: differences of the prefix sums at the rows' ends
+        a, b = (np.diff(np.cumsum([0, *x], dtype=object)[
+            np.asarray(chain.csr[0][:m + 1])]) for x in (A, B))
+        return np.flatnonzero((a != L) | (b != 0)).tolist()
 
     def reversibility_check(self) -> dict:
         """Detailed balance with pi = (orbit size) * h**2, in integers.

@@ -21,9 +21,11 @@ invert the renewal equation on exact Fraction values and on floats.
 collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
 `object_root_walk` steps a chain's root walk on Python-int object
-arrays, with no residues, and `quadext_hwalk` the Doob h-walk on
-`QuadExt` object arrays.  `reversal_check` compares the laws of a level
-walk and of its time reversal over every increment sequence.
+arrays, with no residues, `object_bridge_tables` the bridge F/G tables
+as whole Python-int vectors, with no light cone either, and
+`quadext_hwalk` the Doob h-walk on `QuadExt` object arrays.
+`reversal_check` compares the laws of a level walk and of its time
+reversal over every increment sequence.
 `float_atoms`, `degree_of` and `to_csv` read an increment law's atoms as
 floats, a ball's vertex degree and a ball's edge list as CSV.
 """
@@ -451,8 +453,8 @@ def walk_count(adj, n, src, dst, avoid=None):
 def argsort_pull_rows(chain, weights=None):
     """A chain's transposed rows ``(indptr, sources, weights)`` from a
     stable argsort of its CSR targets: row j lists the sources i of the
-    entries i -> j in ascending order, ``weights`` (default the counts as
-    objects, None if all are 1) permuted along."""
+    entries i -> j in ascending order, ``weights`` (default the counts)
+    permuted along."""
     indptr, targets, counts = map(np.asarray, chain.csr)
     ns = len(chain.states)
     perm = np.argsort(targets, kind="stable")
@@ -460,9 +462,7 @@ def argsort_pull_rows(chain, weights=None):
                         np.diff(indptr))[perm]
     t_indptr = np.zeros(ns + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=ns), out=t_indptr[1:])
-    if weights is None:
-        weights = None if (counts == 1).all() else counts.astype(object)
-    return t_indptr, sources, None if weights is None else weights[perm]
+    return t_indptr, sources, (counts if weights is None else weights)[perm]
 
 
 def loop_excursion_record_law(u, f, n, a_cap=None, joint_cap=3):
@@ -656,6 +656,29 @@ def object_root_walk(chain, n_max, start=1, rows=None, taboo=False):
         if taboo:
             w[chain.root] = 0
     return out
+
+
+def object_bridge_tables(chain, n):
+    """(F, G), each n + 1 Python-int vectors over all the states: F_j[s]
+    = d^j P[root -> s in j], stepped forward over `pull_rows`, and G_m[s]
+    = d^m P[s -> root in m], stepped backward over ``chain.csr``, both
+    from the root by one gather and one ``np.add.reduceat`` per step."""
+    indptr, targets, counts = map(np.asarray, chain.csr)
+    tables = []
+    for indptr, idx, data in (chain.pull_rows(),
+                              (indptr, targets, counts.astype(object))):
+        # reduceat gives an empty row a neighbor's entry, not 0
+        live = np.flatnonzero(np.diff(indptr))
+        w = np.zeros(len(chain.depth), dtype=object)
+        w[chain.root] = 1
+        table = [w]
+        for _ in range(n):
+            terms = w[idx] if data is None else w[idx] * data
+            w = np.zeros(len(w), dtype=object)
+            w[live] = np.add.reduceat(terms, indptr[live])
+            table.append(w)
+        tables.append(table)
+    return tuple(tables)
 
 
 def reversal_check(law: LevelIncrementLaw, n: int) -> bool:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import trajectory_statistics
+from oracles import object_bridge_tables, trajectory_statistics
 from walklab import bridges
 from walklab.bridges import BridgeError, mc_bridge_statistics
 from walklab.cli import main
@@ -73,7 +73,7 @@ def test_kept_paths_follow_the_bridge_law(name, n, request, monkeypatch):
     _, rows = kept_rows(monkeypatch, model, n, samples, 3, chain,
                         distinct_subsample=samples)
     assert rows.shape == (samples, n + 1)
-    F, G = bridges._forward_backward_numerators(chain, n)
+    F, G = object_bridge_tables(chain, n)
     assert_moves_positive(chain, rows, G)
     bridges_total = G[n][chain.root]  # d^n u_n
     for j, f in enumerate(F):
@@ -108,8 +108,7 @@ def test_draw_at_a_row_total_lands_on_a_positive_weight(name, n, request,
     chain = model.collapse(n)
     monkeypatch.setattr(bridges.np.random, "default_rng", DrawsAtTheTop)
     _, rows = kept_rows(monkeypatch, model, n, 20, 1, chain)
-    assert_moves_positive(chain, rows,
-                          bridges._backward_table(chain, n, exact=True))
+    assert_moves_positive(chain, rows, object_bridge_tables(chain, n)[1])
 
 
 @pytest.mark.parametrize("name", ["tree2", "fixed_end2", "grandparent2",

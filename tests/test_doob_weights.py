@@ -3,6 +3,7 @@ checks on them: row sums and reversibility."""
 
 import dataclasses
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from oracles import doob_rows
 from walklab.doob import DoobError, doob_chain, increment_law
 from walklab.models import ModelSpec, build_model
+from walklab.qfield import QuadExt
 from walklab.series import spectral_radius
 
 SPECS = [ModelSpec("fixed_end_tree", b=2), ModelSpec("fixed_end_tree", b=3),
@@ -130,3 +132,21 @@ def test_row_sum_check_flags_an_empty_interior_row(gp20):
                         array(counts.typecode, np.asarray(counts)[keep]))
     dc = dataclasses.replace(dc, base_chain=holed, weights=dc.weights[keep])
     assert dc.row_sum_check() == [row]
+
+
+@pytest.mark.parametrize("irrational", [False, True])
+def test_row_sum_check_reads_both_parts_of_the_pairs(gp20, irrational):
+    """Interior rows shifted by a rational amount, or by a multiple of
+    sqrt(D) alone, are flagged: with L p_h = A + B sqrt(D), a row sums to
+    1 exactly when its A sum to L and its B to 0."""
+    chain, rho = gp20
+    dc = doob_chain(chain, rho)
+    D = dc.weights[0].d
+    assert D > 1
+    delta = QuadExt(D, *((0, Fraction(1, 64)) if irrational
+                         else (Fraction(1, 64), 0)))
+    indptr = chain.csr[0]
+    weights = dc.weights.copy()
+    weights[indptr[5]] += delta
+    weights[indptr[7]] -= delta
+    assert dataclasses.replace(dc, weights=weights).row_sum_check() == [5, 7]

@@ -127,8 +127,8 @@ def test_widest_weights_that_fit_are_exact():
 
 
 def test_integer_walks_step_residues(monkeypatch):
-    """Root walks and avoiding counts with integer data step residues;
-    float and `QuadExt` walks step as they stand."""
+    """Root walks and avoiding counts with integer data step residues,
+    float walks step as they stand, and `QuadExt` walks raise."""
     chain = _chain(5)
     ball = build_model(SPECS[0]).enumerate_ball(4)
     kernel, seen = chains.CollapsedChain.walk, []
@@ -146,6 +146,7 @@ def test_integer_walks_step_residues(monkeypatch):
     assert seen == [True] * 4
     chain.return_series_float(30)
     one = QuadExt(2, 1)
-    chain.root_walk(10, one, chain.pull_rows(
-        np.full(len(chain.csr[1]), one, dtype=object)))
+    with pytest.raises(TypeError, match="not object"):
+        chain.root_walk(10, one, chain.pull_rows(
+            np.full(len(chain.csr[1]), one, dtype=object)))
     assert seen == [True] * 4 + [False] * 2
