@@ -57,8 +57,8 @@ def _backward_table(chain: CollapsedChain, n: int) -> list:
     indptr, targets, counts = _csr(chain, n)
     start = np.zeros(len(chain.depth))
     start[chain.root] = 1.0
-    return [start, *chain.walk(n, 1.0, (indptr, targets,
-                                        counts * (1.0 / chain.denom)))]
+    return [start, *(w.copy() for w in chain.walk(
+        n, 1.0, (indptr, targets, counts * (1.0 / chain.denom))))]
 
 
 def _forward_backward_numerators(chain: CollapsedChain, n: int) -> tuple:

@@ -116,21 +116,21 @@ class CollapsedChain:
         """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
         and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
         row r of ``rows = (indptr, idx, data)``, such as `pull_rows` with
-        weights (w_n = w_{n-1} P).  The caller may change a yielded vector
-        before the next step.
+        weights (w_n = w_{n-1} P).  The walk owns two buffers and yields
+        them in turn: the caller may zero entries of a yielded vector
+        before the next step, and copies what it keeps.
 
         Float64 data steps with scipy's CSR matvec.  Int64 data with
         ``primes = (ps, r)`` steps as (states, k) residues mod the k primes
-        ps by its CSR matvecs, in two buffers the walk owns and yields in
-        turn, reduced by ``np.fmod`` every r steps (see `walk_entries`).
-        Any other data raises TypeError.
+        ps by its CSR matvecs, reduced by ``np.fmod`` every r steps (see
+        `walk_entries`).  Any other data raises TypeError.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
         ``target`` (default ``source``) is the state the walk must reach
         by step n_max: the other rows are unreachable from the source in
         n steps or cannot reach the target in the n_max - n steps left,
-        and are 0, or, in a reused buffer, stale from a wider step while
-        the cone shrinks.  An edge changes depth by at most 1, so a kept
+        and are 0: before a step, a buffer's rows from its last step are
+        zeroed too.  An edge changes depth by at most 1, so a kept
         row reads only the kept rows of the step before and true zeros, in
         the order of a full product: every entry read at the target is the
         same to the bit.
@@ -147,25 +147,25 @@ class CollapsedChain:
         itype = np.promote_types(indptr.dtype, idx.dtype)
         indptr, idx = (a.astype(itype, copy=False) for a in (indptr, idx))
         if primes is None:
-            w = np.zeros(ns)
+            w, nw = np.zeros((2, ns))
             w[source] = start
         else:
             primes, lazy = primes
             mod = np.array(primes, dtype=np.int64)
             w, nw = np.zeros((2, ns, len(primes)), dtype=np.int64)
             w[source] = [start % p for p in primes]
+        top, ntop = source + 1, 0  # w and nw are 0 from these rows on
         for n in range(1, n_max + 1):
             m = self.cone(min(reach + n, left - n))
+            nw[:max(m, ntop)] = 0
             if primes is None:
-                nw = np.zeros(ns)
                 _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
             else:
-                nw[:m] = 0
                 _sparsetools.csr_matvecs(m, ns, len(primes), indptr, idx,
                                          data, w, nw)
                 if n % lazy == 0:  # fmod keeps the sign: |residue| < p
                     np.fmod(nw[:m], mod, out=nw[:m])
-            w, nw = nw, w
+            w, nw, top, ntop = nw, w, m, top
             yield w
 
     def walk_entries(self, n_max: int, start=1, rows: Optional[tuple] = None,
@@ -201,7 +201,7 @@ class CollapsedChain:
         at = target.start if isinstance(target, slice) else target
         reads = []
         for w in self.walk(n_max, start, rows, source, at, primes):
-            reads.append(w[target] if primes is None else w[target].tolist())
+            reads.append(w[target].tolist())  # a copy: w is reused
             if kill is not None:
                 w[kill] = 0
         return reads if primes is None else _crt(reads, primes[0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -68,18 +69,20 @@ class DoobChain:
 
     ``weights`` holds p_h of every entry of ``base_chain.csr``, in its
     order, as one object array of field elements of sqrt(base), so row
-    sums, reversibility and the return series are exact.  The last two
-    read them as integer pairs, L p_h = A + B sqrt(D) (`integer_pairs`).
+    sums, reversibility and the return series are exact.  All three read
+    them as integer pairs, L p_h = A + B sqrt(D), ``pairs`` = (A, B, L, D)
+    of `integer_pairs`, computed once.
     """
     base_chain: CollapsedChain
     weights: np.ndarray
+    pairs = cached_property(lambda self: integer_pairs(self.weights.tolist()))
 
     def row_sum_check(self) -> list:
         """Indices of interior states whose row does not sum to 1: with
         L p_h = A + B sqrt(D), whose A do not sum to L or B to 0."""
         chain = self.base_chain
         m = chain.cone(chain.radius - 1)  # depth < radius: full rows
-        A, B, L, _ = integer_pairs(self.weights.tolist())
+        A, B, L, _ = self.pairs
         # row sums: differences of the prefix sums at the rows' ends
         a, b = (np.diff(np.cumsum([0, *x], dtype=object)[
             np.asarray(chain.csr[0][:m + 1])]) for x in (A, B))
@@ -106,7 +109,7 @@ class DoobChain:
                                nnz - 1)]
         rev = np.where(keys[hit] == back, hit, nnz)  # nnz: count, weight 0
         c, A, B = (np.array([*x, 0], dtype=object) for x in (
-            counts, *integer_pairs(self.weights.tolist())[:2]))
+            counts, *self.pairs[:2]))
         first = np.full(ns, nnz)
         np.minimum.at(first, targets, np.arange(nnz))
 
@@ -151,7 +154,7 @@ class DoobChain:
         chain = self.base_chain
         if n_max > chain.horizon:
             raise DoobError("beyond chain horizon")
-        A, B, L, D = integer_pairs(self.weights.tolist())
+        A, B, L, D = self.pairs
         indptr, targets, _ = chain.csr
         pull = [transpose_csr((indptr, targets, np.array(x, dtype=np.int64)))
                 for x in (A, [D * b for b in B], B)]  # raises past int64
@@ -182,6 +185,8 @@ def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
     if rho.exact is None:
         raise DoobError("doob transform needs the exact spectral radius")
     indptr, targets, counts = chain.csr
+    if not len(targets):
+        raise DoobError(f"chain of horizon {chain.horizon} has no entries")
     level = np.asarray(chain.level)
     table = _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0)
     step = (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))

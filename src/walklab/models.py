@@ -18,8 +18,9 @@ child pointing back toward o), which makes the encoding canonical.  The
 orbit of a vertex under the stabilizer of o is then exactly ``(s, len(w))``.
 
 A family defines ``root_vertex``, ``neighbors`` and ``vertex_orbit`` on
-vertices; a ball is their breadth-first truncation, `_truncate`.  A
-family with a collapse writes an orbit as a row of nonnegative integers
+vertices, and writes a vertex as a row of nonnegative integers,
+``vertex_row``, whose neighbors ``neighbor_rows`` gives as rows in
+`neighbors` order.  A family with a collapse writes an orbit as a row
 (``_coords``, ``_state``) and defines ``_vertex_moves(state)``, the
 (orbit, word maps) of a vertex's neighbors in `neighbors` order;
 ``_words``, the (t column, base) of each word w, and ``_vertex_words``;
@@ -27,19 +28,20 @@ family with a collapse writes an orbit as a row of nonnegative integers
 class, the row clipped at ``_clip``; and ``_level`` on coordinate
 columns.  `WalkModel` derives the orbit moves and API and the vertex
 rows (Woess 2000; for DL Bartholdi, Neuhauser and Woess, JEMS 2008) from
-them, and `collapse` builds the chain one BFS depth at a time from one
-offset pattern per boundary class.
+them.  `collapse` and `enumerate_ball` run one breadth-first kernel,
+`_frontier_bfs`, one depth at a time: on orbit rows, from one offset
+pattern per boundary class, and on vertex rows, from ``neighbor_rows``.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
-from math import log
+from math import log, prod
 from typing import Optional
 
 import numpy as np
@@ -178,11 +180,12 @@ class ExplicitGraph(CollapsedChain):
     """A finite ball around the root: the collapsed chain of the trivial
     partition, one state per vertex with unit counts.  A ball of radius r
     has horizon 2r + 1: a walk back at the root by then never went deeper
-    than r."""
-    index: dict = field(default_factory=dict, repr=False)  # vertex -> i
+    than r.  Its states are `BallVertices`, and ``index`` maps a vertex to
+    its number by its row."""
     vertices = property(lambda self: self.states)
     dist = property(lambda self: self.depth)  # graph distance from the root
     levels = property(lambda self: self.level)  # lattice levels, or None
+    index = cached_property(lambda self: VertexIndex(self.states))
 
     @property
     def adj(self) -> list:
@@ -208,6 +211,53 @@ class OrbitStates(Sequence):
 
     def __iter__(self):
         return map(self.decode, self.rows.tolist())
+
+
+class BallVertices(OrbitStates):
+    """A ball's vertices, decoded only when read: vertex i > 0 is neighbor
+    m of vertex p, where ``born[i] = p * degree + m`` numbers the move that
+    first reached it.  ``rows`` are their `WalkModel.vertex_row`s."""
+
+    def __init__(self, model, rows: np.ndarray, born: np.ndarray):
+        self.model, self.rows, self.born = model, rows, born
+
+    def __getitem__(self, i):
+        if not range(len(self))[i]:
+            return self.model.root_vertex()
+        p, m = divmod(int(self.born[i]), self.model.degree)
+        return self.model.neighbors(self[p])[m]
+
+    def __iter__(self):
+        out, deg = [self.model.root_vertex()], self.model.degree
+        for b in self.born[1:].tolist():
+            out.append(self.model.neighbors(out[b // deg])[b % deg])
+        return iter(out)
+
+
+class VertexIndex(Mapping):
+    """A ball's map vertex -> number: a binary search for the int64 key of
+    the vertex's row among the rows' sorted keys, which decodes no vertex."""
+
+    def __init__(self, vertices: BallVertices):
+        self.vertices, self.top = vertices, vertices.rows.max(0) + 1
+        self.scale = _key_scale(self.top + 1, "the ball")
+        keys = vertices.rows @ self.scale
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def __getitem__(self, v):  # a coordinate past the ball's reads as top
+        row = self.vertices.model.vertex_row(v)
+        key = np.minimum(row, self.top) @ self.scale
+        p = min(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        if self.keys[p] != key:
+            raise KeyError(v)
+        return int(self.order[p])
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __len__(self):
+        return len(self.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +297,80 @@ def _word_down(state, b):
             for c in range(b)]
 
 
-def _truncate(root, neighbors, radius: int, cap: int):
-    """Breadth-first truncation at ``radius`` of the graph ``neighbors``.
+def _key_scale(radix, what: str) -> np.ndarray:
+    """Place values of the mixed-radix int64 key of rows whose column k is
+    below ``radix[k]``; ModelError if the keys could pass 2**63."""
+    if prod(map(int, radix)) > 2 ** 63:
+        raise ModelError(f"{what} overflows the int64 keys")
+    return np.cumprod([1, *radix[:0:-1]], dtype=np.int64)[::-1]
 
-    ``neighbors(node)`` is called once per node, in BFS order.  Nodes at
-    depth < radius number their new neighbors; all nodes at depth radius
-    are numbered before the first is read.  Row i holds node i's edges to
-    numbered nodes, in ``neighbors`` order.  Returns (nodes, index, depth,
-    csr), csr the triple (indptr, targets, counts) of an array("q") and
-    two array("i")s, the counts all 1.
-    """
-    nodes = [root]
-    index = {root: 0}
-    depth = [0]
-    indptr, targets = array("q", [0]), array("i")
-    for i, node in enumerate(nodes):
-        d = depth[i] + 1
-        for tgt in neighbors(node):
-            j = index.get(tgt)
-            if j is None:
-                if d > radius:
-                    continue
-                j = index[tgt] = len(nodes)
-                nodes.append(tgt)
-                depth.append(d)
-                if len(nodes) > cap:
-                    raise BallCapExceeded(len(nodes), cap)
-            targets.append(j)
-        indptr.append(len(targets))
-    return nodes, index, depth, (indptr, targets,
-                                 array("i", [1]) * len(targets))
+
+_CHUNK = 1024  # rows of the last frontier expanded at once
+
+
+def _frontier_bfs(root, expand, radius: int, cap: int, scale=None) -> tuple:
+    """Breadth-first truncation at ``radius`` from the one-row array
+    ``root``, a frontier at a time (Beamer, Asanovic and Patterson, SC 2012).
+
+    ``expand(rows)`` gives the moves of rows in (row, move) order: arrays of
+    source rows, target rows and counts.  An edge changes depth by at most
+    1, so a known target is in frontier d - 1 or d; it is looked up there by
+    an int64 key of place values ``scale``, or else of radices from the
+    column maxima of those frontiers and, below depth radius, the targets.
+    New targets are numbered in order of first appearance, or dropped at
+    depth radius + 1, whose frontier is expanded `_CHUNK` rows at a time.
+    Returns the rows, their depths, the number of the move that first
+    reached each among all moves expanded, and the CSR triple (indptr,
+    targets, counts) of an array("q") and two array("i")s."""
+    rows, born, ns, moved = [root], [np.zeros(1, np.int64)], 1, 0
+    indptr, targets, counts = array("q", [0]), array("i"), array("i")
+    for d in range(radius + 1):
+        last, near = d == radius, np.concatenate(rows[-2:])
+        step = _CHUNK if last else len(rows[d])
+        for a in range(0, len(rows[d]), step):
+            chunk = rows[d][a:a + step]
+            src, tgt, c = expand(chunk)
+            if a == 0:  # the keys of frontiers d - 1 and d, and their order
+                sc = scale
+                if scale is None:  # a word code grows as base**t
+                    top = near.max(0) if last else np.maximum(near.max(0),
+                                                              tgt.max(0))
+                    sc = _key_scale(top + 1, f"a ball at depth {d + 1}")
+                keys = near @ sc
+                order = np.argsort(keys)
+            tkeys = tgt @ sc
+            if scale is None:  # past the maxima: dropped, and not in near
+                tkeys[(tgt > top).any(1)] = -1
+            j = order[np.minimum(np.searchsorted(keys, tkeys, sorter=order),
+                                 len(keys) - 1)]
+            new = keys[j] != tkeys
+            j += ns - len(keys)
+            if last:
+                src, j, c = src[~new], j[~new], c[~new]
+            else:  # new targets, numbered in (row, move) order
+                _, first, inv = np.unique(
+                    tkeys[new], return_index=True, return_inverse=True)
+                rank = np.argsort(first)
+                j[new] = ns + np.argsort(rank)[inv]
+                first = np.flatnonzero(new)[first[rank]]
+                rows.append(tgt[first])
+                born.append(first + moved)
+                moved, ns = moved + len(tkeys), ns + len(rank)
+                if ns > cap:
+                    raise BallCapExceeded(ns, cap)
+            lens = np.bincount(src, minlength=len(chunk))
+            indptr.frombytes((indptr[-1] + np.cumsum(lens)).tobytes())
+            targets.frombytes(j.astype(np.int32).tobytes())
+            counts.frombytes(c.astype(np.int32).tobytes())
+            del src, tgt, c, tkeys, j, new  # before the next expansion
+    depth = _ints(np.repeat(range(len(rows)), list(map(len, rows))))
+    return np.concatenate(rows), depth, np.concatenate(born), (
+        indptr, targets, counts)
+
+
+def _ints(a: np.ndarray) -> list:
+    """``a`` as a list of Python ints, one object per distinct value."""
+    return np.arange(a.min(), a.max() + 1).astype(object)[a - a.min()].tolist()
 
 
 class WalkModel:
@@ -412,18 +506,26 @@ class WalkModel:
     # ---- generic machinery ---------------------------------------
 
     def enumerate_ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> ExplicitGraph:
+        """The ball of ``radius``: `_frontier_bfs` on vertex rows, each row's
+        moves its `neighbor_rows` with unit counts."""
         if radius < 0:
             raise ModelError("radius must be >= 0")
-        vertices, index, dist, csr = _truncate(
-            self.root_vertex(), self.neighbors, radius, cap)
+
+        def expand(rows):
+            m, deg = len(rows), self.degree
+            return (np.arange(m).repeat(deg), self.neighbor_rows(rows)
+                    .reshape(m * deg, -1), np.ones(m * deg, dtype=np.int32))
+        rows, depth, born, csr = _frontier_bfs(np.array(
+            [self.vertex_row(self.root_vertex())], dtype=np.int64), expand,
+            radius, cap)
         levels = t0 = None
         if self.level_base is not None:
-            levels = [self.vertex_level(v) for v in vertices]
+            levels = _ints(self._level(rows.T))
             t0 = self.level_profile().t0_lattice
-        return ExplicitGraph(states=vertices, csr=csr, denom=self.degree,
-                             level=levels, level_base=self.level_base,
-                             horizon=2 * radius + 1, depth=dist,
-                             t0=t0 or 1, index=index)
+        return ExplicitGraph(states=BallVertices(self, rows, born), csr=csr,
+                             denom=self.degree, level=levels,
+                             level_base=self.level_base,
+                             horizon=2 * radius + 1, depth=depth, t0=t0 or 1)
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -440,46 +542,15 @@ class WalkModel:
         # the root is all zeros, so a coordinate at depth <= radius + 1 is
         # at most reach * (radius + 1), below the key radix
         radix = int(np.abs(self._table[0]).max()) * (radius + 1) + 1
-        if radix ** dim > 2 ** 63:
-            raise ModelError(f"{self.name()}: radius {radius} overflows "
-                             "the int64 state keys")
-        scale = radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        rows = [np.array([self._coords(self.orbit_root())], dtype=np.int64)]
-        indptr, targets, counts = array("q", [0]), array("i"), array("i")
-        ns = 1
-        for d in range(radius + 1):
-            src, tgt, c = self._expand(rows[-1])
-            tkeys = tgt @ scale
-            # an edge changes depth by at most 1: a known target is in
-            # frontier d - 1 or d, the states from ns - len(near) on
-            near = np.concatenate(rows[-2:]) @ scale
-            order = np.argsort(near)
-            j = order[np.minimum(np.searchsorted(near, tkeys, sorter=order),
-                                 len(near) - 1)]
-            new = near[j] != tkeys
-            j += ns - len(near)
-            if d == radius:  # targets at depth radius + 1 are dropped
-                src, j, c = src[~new], j[~new], c[~new]
-            else:  # new targets, numbered in (row, move) order
-                _, first, inv = np.unique(
-                    tkeys[new], return_index=True, return_inverse=True)
-                rank = np.argsort(first)
-                j[new] = ns + np.argsort(rank)[inv]
-                rows.append(tgt[new][first[rank]])
-                ns += len(rank)
-                if ns > cap:
-                    raise BallCapExceeded(ns, cap)
-            lens = np.bincount(src, minlength=len(rows[d]))
-            indptr.frombytes((indptr[-1] + np.cumsum(lens)).tobytes())
-            targets.frombytes(j.astype(np.int32).tobytes())
-            counts.frombytes(c.astype(np.int32).tobytes())
-        coords, sizes = np.concatenate(rows), list(map(len, rows))
+        scale = _key_scale([radix] * dim, f"{self.name()}: radius {radius}")
+        rows, depth, _, csr = _frontier_bfs(np.array(
+            [self._coords(self.orbit_root())], dtype=np.int64), self._expand,
+            radius, cap, scale)
         # lists of Python ints: exact arithmetic raises bases to levels
         return CollapsedChain(
-            states=OrbitStates(coords, self._state),
-            csr=(indptr, targets, counts), denom=self.degree,
-            level=self._level(coords.T).tolist(), level_base=self.level_base,
-            horizon=n_max, depth=np.repeat(range(len(rows)), sizes).tolist(),
+            states=OrbitStates(rows, self._state), csr=csr, denom=self.degree,
+            level=_ints(self._level(rows.T)), level_base=self.level_base,
+            horizon=n_max, depth=depth,
             t0=self.level_profile().t0_lattice or 1, root=0)
 
 
@@ -682,6 +753,7 @@ class CartesianProductModel(WalkModel):
             self.level_base = None  # incompatible lattices: no level labels
         else:
             self.level_base = b1 if b1 is not None else b2
+        self._k = len(self.f1.vertex_row(self.f1.root_vertex()))
 
     def name(self):
         return f"cartesian({self.f1.name()},{self.f2.name()})"
@@ -694,6 +766,22 @@ class CartesianProductModel(WalkModel):
         out = [(w1, v2) for w1 in self.f1.neighbors(v1)]
         out.extend((v1, w2) for w2 in self.f2.neighbors(v2))
         return out
+
+    # a vertex row is the two factor rows side by side
+    def vertex_row(self, v):
+        return (*self.f1.vertex_row(v[0]), *self.f2.vertex_row(v[1]))
+
+    def neighbor_rows(self, rows):
+        k, d1 = self._k, self.f1.degree
+        out = np.repeat(rows[:, None], self.degree, 1)
+        out[:, :d1, :k] = self.f1.neighbor_rows(rows[:, :k])
+        out[:, d1:, k:] = self.f2.neighbor_rows(rows[:, k:])
+        return out
+
+    def _level(self, c):
+        return sum(f._level(c[a:]) for f, a in ((self.f1, 0),
+                                                (self.f2, self._k))
+                   if f.level_base is not None)
 
     def vertex_level(self, v):
         if self.level_base is None:
@@ -764,6 +852,29 @@ class FreeProductModel(WalkModel):
 
     def level_profile(self):
         raise ModelError("free_product level profile requires an orbit schema")
+
+    # a vertex row is (length, factor of the last letter: 0 none, 1 a, 2 b,
+    # the word read letter by letter in radix alpha - 1 or beta - 1)
+    def vertex_row(self, v):
+        size = {"a": self.alpha - 1, "b": self.beta - 1}
+        return (len(v), "_ab".index(v[-1][0] if v else "_"),
+                reduce(lambda x, c: x * size[c[0]] + c[1] - 1, v, 0))
+
+    def neighbor_rows(self, rows):
+        """Per factor g, in `neighbors` order: if the last letter is of g,
+        the other letters of g in its place (skipping it, so not an affine
+        map of the code) and then the drop; else each letter of g appended."""
+        t, f, x = rows.T[:, :, None]
+        blocks = []
+        for g, n in ((1, self.alpha - 1), (2, self.beta - 1)):
+            k, own = np.arange(n), f == g
+            drop, c = own & (k == n - 1), x % n
+            code = np.where(own, x - c + k + (k >= c), x * n + k)
+            blocks.append(np.stack(np.broadcast_arrays(
+                np.where(own, t - drop, t + 1),
+                np.where(drop, (3 - g) * (t > 1), g),
+                np.where(drop, x // n, code)), 2))
+        return np.concatenate(blocks, 1)
 
 
 _FAMILY_CLASSES = {

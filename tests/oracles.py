@@ -18,7 +18,8 @@ are the term-by-term loop forms of the excursion record law and the
 convolution-domination scan.  `fraction_renewal` and `float_renewal`
 invert the renewal equation on exact Fraction values and on floats.
 `truncate_moves` is the state-by-state breadth-first truncation of a
-collapsed chain, one dict lookup per move.  `hitting_per_barrier` is the
+collapsed chain, one dict lookup per move, and `truncate_vertices` that
+of a graph, one `neighbors` call per vertex.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
 `object_root_walk` steps a chain's root walk on Python-int object
 arrays, with no residues, `object_bridge_tables` the bridge F/G tables
@@ -41,6 +42,7 @@ from scipy import sparse
 
 from walklab.bridges import BridgeError, ExcursionLaw
 from walklab.doob import LevelIncrementLaw
+from walklab.models import BallCapExceeded
 from walklab.qfield import sqrt_exact
 
 
@@ -409,6 +411,39 @@ def truncate_moves(root, moves, radius, cap):
             counts.append(c)
         indptr.append(len(targets))
     return states, depth, (indptr, targets, counts)
+
+
+def truncate_vertices(root, neighbors, radius, cap):
+    """Breadth-first truncation at ``radius`` of the graph ``neighbors``,
+    vertex by vertex: the ball a family's `enumerate_ball` must equal.
+
+    ``neighbors(node)`` is called once per node, in BFS order.  Nodes at
+    depth < radius number their new neighbors; all nodes at depth radius
+    are numbered before the first is read.  Row i holds node i's edges to
+    numbered nodes, in ``neighbors`` order.  Returns (nodes, index, depth,
+    csr), csr the triple (indptr, targets, counts) of an array("q") and
+    two array("i")s, the counts all 1.
+    """
+    nodes = [root]
+    index = {root: 0}
+    depth = [0]
+    indptr, targets = array("q", [0]), array("i")
+    for i, node in enumerate(nodes):
+        d = depth[i] + 1
+        for tgt in neighbors(node):
+            j = index.get(tgt)
+            if j is None:
+                if d > radius:
+                    continue
+                j = index[tgt] = len(nodes)
+                nodes.append(tgt)
+                depth.append(d)
+                if len(nodes) > cap:
+                    raise BallCapExceeded(len(nodes), cap)
+            targets.append(j)
+        indptr.append(len(targets))
+    return nodes, index, depth, (indptr, targets,
+                                 array("i", [1]) * len(targets))
 
 
 def bfs_rows(model, n_max):

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from walklab.models import (BallCapExceeded, ModelSpec, build_model,
@@ -42,18 +43,21 @@ def test_collapse_computes_each_move_once(spec):
     assert reads == [model.orbit_root()] * 2 * profiled
 
 
-def test_ball_reads_each_vertex_once():
+def test_ball_expands_each_frontier_once():
+    """A ball is built on vertex rows: `neighbors` is never called, and
+    `neighbor_rows` once per depth <= radius, on that depth's rows."""
     model = build_model(ModelSpec("diestel_leader", q=2, r=3))
-    calls = Counter()
-    neighbors = model.neighbors
+    calls, frontiers, neighbor_rows = [], [], model.neighbor_rows
 
-    def counting(v):
-        calls[v] += 1
-        return neighbors(v)
+    def recording(rows):
+        frontiers.append(rows.tolist())
+        return neighbor_rows(rows)
 
-    model.neighbors = counting
+    model.neighbors, model.neighbor_rows = calls.append, recording
     ball = model.enumerate_ball(5)
-    assert calls == Counter(ball.vertices)
+    assert calls == []
+    assert frontiers == [ball.states.rows[np.equal(ball.dist, d)].tolist()
+                         for d in range(6)]
 
 
 def spec_id(value):
@@ -131,7 +135,10 @@ def test_chain_level_step_is_the_largest_edge_step(spec):
     assert chain.t0 == max(steps - {0}, default=1)
 
 
-def test_ball_stores_rows_without_a_second_copy():
+def test_ball_memory_within_the_tuple_bfs():
+    """The 43,689-vertex ball keeps at most 5 MiB and peaks at most at
+    14.5 MiB, what the vertex-by-vertex BFS kept: its temporaries are the
+    int64 neighbor blocks of a frontier and the keys they are looked up by."""
     model = build_model(ModelSpec("grandparent", b=2))
     tracemalloc.start()
     try:
@@ -140,4 +147,4 @@ def test_ball_stores_rows_without_a_second_copy():
     finally:
         tracemalloc.stop()
     assert len(ball) == 43689
-    assert peak <= 1.1 * kept
+    assert kept <= 5 * 2 ** 20 and peak <= 14.5 * 2 ** 20

@@ -14,6 +14,14 @@ SPECS = [ModelSpec("tree", b=2), ModelSpec("tree", b=3),
          ModelSpec("grandparent", b=3), ModelSpec("diestel_leader", q=2, r=3),
          ModelSpec("diestel_leader", q=3, r=2),
          ModelSpec("diestel_leader", q=2, r=2)]
+# families without a collapse: vertex rows only
+BALL_SPECS = [
+    ModelSpec("cartesian", factors=(ModelSpec("tree", b=2),) * 2),
+    ModelSpec("cartesian", factors=(ModelSpec("tree", b=2),
+                                    ModelSpec("fixed_end_tree", b=2))),
+    ModelSpec("free_product", alpha=3, beta=3),
+    ModelSpec("free_product", alpha=3, beta=2),
+    ModelSpec("free_product", alpha=4, beta=2)]
 
 
 def spec_id(spec):
@@ -25,7 +33,7 @@ def rows_of_neighbors(model, vertices):
             for v in vertices]
 
 
-@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", SPECS + BALL_SPECS, ids=spec_id)
 def test_neighbor_rows_equal_neighbors(spec):
     model = build_model(spec)
     ball = model.enumerate_ball(4).vertices
