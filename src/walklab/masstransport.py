@@ -1,13 +1,12 @@
 """Exact verification of the modular-function identities.
 
 The level labels on a ball encode log of the stabilizer-orbit ratio in
-lattice units, so the neighbor identity, the cocycle telescoping and the
-mass-transport balance can all be checked with rational arithmetic.
+lattice units, so the neighbor identity and the mass-transport balance
+can be checked with rational arithmetic.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,25 +38,6 @@ def check_neighbor_mtp(profile: LevelProfile) -> CheckReport:
     if sum(counts.values()) != profile.degree:
         witnesses.append(("degree", f"sum t_q = {sum(counts.values())}"))
     return CheckReport("neighbor_mtp", not witnesses, details, witnesses)
-
-
-def check_cocycle(graph: ExplicitGraph, triples: int = 1000,
-                  seed: int = 0) -> CheckReport:
-    """Telescoping of level differences over sampled vertex triples."""
-    if graph.levels is None:
-        return CheckReport("cocycle", False,
-                           witnesses=["graph has no level labels"])
-    rng = random.Random(seed)
-    lv = graph.levels
-    n = len(graph)
-    witnesses = []
-    for _ in range(triples):
-        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if (lv[y] - lv[x]) + (lv[z] - lv[y]) != lv[z] - lv[x]:
-            witnesses.append((x, y, z))
-    return CheckReport("cocycle", not witnesses,
-                       details=[f"{triples} triples checked"],
-                       witnesses=witnesses)
 
 
 @dataclass

@@ -17,20 +17,24 @@ first letter of w is nonzero when s > 0 (letter 0 is reserved for the
 child pointing back toward o), which makes the encoding canonical.  The
 orbit of a vertex under the stabilizer of o is then exactly ``(s, len(w))``.
 
-A family defines ``root_vertex``, ``neighbors`` and ``vertex_orbit`` on
-vertices, and writes a vertex as a row of nonnegative integers,
-``vertex_row``, whose neighbors ``neighbor_rows`` gives as rows in
-`neighbors` order.  A family with a collapse writes an orbit as a row
+A family defines ``root_vertex`` and ``vertex_orbit`` on vertices and
+writes a vertex as a row of nonnegative integers, ``vertex_row``, whose
+neighbors ``neighbor_rows`` gives as rows: the graph's one adjacency.
+`WalkModel.neighbors` decodes those rows with ``vertex``, the inverse of
+``vertex_row``.  A family with a collapse writes an orbit as a row
 (``_coords``, ``_state``) and defines ``_vertex_moves(state)``, the
 (orbit, word maps) of a vertex's neighbors in `neighbors` order;
-``_words``, the (t column, base) of each word w, and ``_vertex_words``;
-``_clip``, such that the moves of a row depend only on its boundary
-class, the row clipped at ``_clip``; and ``_level`` on coordinate
-columns.  `WalkModel` derives the orbit moves and API and the vertex
-rows (Woess 2000; for DL Bartholdi, Neuhauser and Woess, JEMS 2008) from
-them.  `collapse` and `enumerate_ball` run one breadth-first kernel,
-`_frontier_bfs`, one depth at a time: on orbit rows, from one offset
-pattern per boundary class, and on vertex rows, from ``neighbor_rows``.
+``_words``, the (t column, base) of each word w, ``_vertex_words``, a
+vertex's words, and ``_vertex(state, words)``, the vertex they and its
+orbit give; ``_clip``, such that the moves of a row depend only on its
+boundary class, the row clipped at ``_clip``; and ``_level`` on
+coordinate columns.  `WalkModel` derives the rest from them (Woess 2000;
+for DL Bartholdi, Neuhauser and Woess, JEMS 2008): the vertex rows and
+their decoding, and the orbit moves, the vertex moves' offsets grouped
+per boundary class.  `collapse` and `enumerate_ball` run one
+breadth-first kernel, `_frontier_bfs`, one depth at a time: on orbit
+rows, from one offset pattern per boundary class, and on vertex rows,
+from ``neighbor_rows``.
 """
 
 from __future__ import annotations
@@ -180,12 +184,12 @@ class ExplicitGraph(CollapsedChain):
     """A finite ball around the root: the collapsed chain of the trivial
     partition, one state per vertex with unit counts.  A ball of radius r
     has horizon 2r + 1: a walk back at the root by then never went deeper
-    than r.  Its states are `BallVertices`, and ``index`` maps a vertex to
-    its number by its row."""
+    than r.  Its states are its vertex rows, decoded by `WalkModel.vertex`
+    only when read, and ``index``, a `VertexIndex`, maps a vertex to its
+    number by its row."""
     vertices = property(lambda self: self.states)
     dist = property(lambda self: self.depth)  # graph distance from the root
     levels = property(lambda self: self.level)  # lattice levels, or None
-    index = cached_property(lambda self: VertexIndex(self.states))
 
     @property
     def adj(self) -> list:
@@ -195,8 +199,9 @@ class ExplicitGraph(CollapsedChain):
 
 
 class OrbitStates(Sequence):
-    """A collapsed chain's states: a read-only view of its coordinate rows
-    that decodes a row to the family's state tuple only when read."""
+    """A chain's states: a read-only view of its coordinate rows that
+    decodes a row to the family's state tuple, or a ball's vertex row to
+    its vertex, only when read."""
 
     def __init__(self, rows: np.ndarray, decode):
         self.rows, self.decode = rows, decode
@@ -213,45 +218,30 @@ class OrbitStates(Sequence):
         return map(self.decode, self.rows.tolist())
 
 
-class BallVertices(OrbitStates):
-    """A ball's vertices, decoded only when read: vertex i > 0 is neighbor
-    m of vertex p, where ``born[i] = p * degree + m`` numbers the move that
-    first reached it.  ``rows`` are their `WalkModel.vertex_row`s."""
-
-    def __init__(self, model, rows: np.ndarray, born: np.ndarray):
-        self.model, self.rows, self.born = model, rows, born
-
-    def __getitem__(self, i):
-        if not range(len(self))[i]:
-            return self.model.root_vertex()
-        p, m = divmod(int(self.born[i]), self.model.degree)
-        return self.model.neighbors(self[p])[m]
-
-    def __iter__(self):
-        out, deg = [self.model.root_vertex()], self.model.degree
-        for b in self.born[1:].tolist():
-            out.append(self.model.neighbors(out[b // deg])[b % deg])
-        return iter(out)
-
-
 class VertexIndex(Mapping):
     """A ball's map vertex -> number: a binary search for the int64 key of
-    the vertex's row among the rows' sorted keys, which decodes no vertex."""
+    the vertex's row among the rows' sorted keys, sorted on the first
+    lookup, which decodes no vertex."""
 
-    def __init__(self, vertices: BallVertices):
-        self.vertices, self.top = vertices, vertices.rows.max(0) + 1
-        self.scale = _key_scale(self.top + 1, "the ball")
-        keys = vertices.rows @ self.scale
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
+    def __init__(self, vertices: OrbitStates, vertex_row):
+        self.vertices, self.vertex_row = vertices, vertex_row
+
+    @cached_property
+    def _sorted(self) -> tuple:
+        rows = self.vertices.rows
+        top = rows.max(0) + 1
+        scale = _key_scale(top + 1, "the ball")
+        keys = rows @ scale
+        order = np.argsort(keys)
+        return top, scale, order, keys[order]
 
     def __getitem__(self, v):  # a coordinate past the ball's reads as top
-        row = self.vertices.model.vertex_row(v)
-        key = np.minimum(row, self.top) @ self.scale
-        p = min(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        if self.keys[p] != key:
+        top, scale, order, keys = self._sorted
+        key = np.minimum(self.vertex_row(v), top) @ scale
+        p = min(np.searchsorted(keys, key), len(keys) - 1)
+        if keys[p] != key:
             raise KeyError(v)
-        return int(self.order[p])
+        return int(order[p])
 
     def __iter__(self):
         return iter(self.vertices)
@@ -264,33 +254,16 @@ class VertexIndex(Mapping):
 # Family implementations
 # ---------------------------------------------------------------------------
 
-def _tree_up(v):
-    """Parent (toward the end) in canonical (s, w) coordinates."""
-    s, w = v
-    if w:
-        return (s, w[:-1])
-    return (s + 1, ())
-
-
-def _tree_down(v, b):
-    """All b children of v in canonical (s, w) coordinates."""
-    s, w = v
-    if w:
-        return [(s, w + (c,)) for c in range(b)]
-    if s > 0:
-        return [(s - 1, ())] + [(s, (c,)) for c in range(1, b)]
-    return [(0, (c,)) for c in range(b)]
-
-
 def _word_up(state, b):
-    """(orbit, word map) of `_tree_up` from orbit ``state``: the map
-    (div, mul, add) takes a word code x to x // div * mul + add."""
+    """(orbit, word map) of the parent (toward the end) of a tree vertex
+    in orbit ``state``: the map (div, mul, add) takes a word code x to
+    x // div * mul + add."""
     s, t = state
     return ((s, t - 1) if t else (s + 1, 0)), (b, 1, 0)
 
 
 def _word_down(state, b):
-    """The same for `_tree_down`: at t = 0 the code is 0, so every child
+    """The same for its b children: at t = 0 the code is 0, so every child
     reads x * b + c, the child toward o too."""
     s, t = state
     return [((s - 1, 0) if s and not t and not c else (s, t + 1), (1, b, c))
@@ -319,10 +292,9 @@ def _frontier_bfs(root, expand, radius: int, cap: int, scale=None) -> tuple:
     column maxima of those frontiers and, below depth radius, the targets.
     New targets are numbered in order of first appearance, or dropped at
     depth radius + 1, whose frontier is expanded `_CHUNK` rows at a time.
-    Returns the rows, their depths, the number of the move that first
-    reached each among all moves expanded, and the CSR triple (indptr,
-    targets, counts) of an array("q") and two array("i")s."""
-    rows, born, ns, moved = [root], [np.zeros(1, np.int64)], 1, 0
+    Returns the rows, their depths and the CSR triple (indptr, targets,
+    counts) of an array("q") and two array("i")s."""
+    rows, ns = [root], 1
     indptr, targets, counts = array("q", [0]), array("i"), array("i")
     for d in range(radius + 1):
         last, near = d == radius, np.concatenate(rows[-2:])
@@ -352,10 +324,8 @@ def _frontier_bfs(root, expand, radius: int, cap: int, scale=None) -> tuple:
                     tkeys[new], return_index=True, return_inverse=True)
                 rank = np.argsort(first)
                 j[new] = ns + np.argsort(rank)[inv]
-                first = np.flatnonzero(new)[first[rank]]
-                rows.append(tgt[first])
-                born.append(first + moved)
-                moved, ns = moved + len(tkeys), ns + len(rank)
+                rows.append(tgt[np.flatnonzero(new)[first[rank]]])
+                ns += len(rank)
                 if ns > cap:
                     raise BallCapExceeded(ns, cap)
             lens = np.bincount(src, minlength=len(chunk))
@@ -364,8 +334,7 @@ def _frontier_bfs(root, expand, radius: int, cap: int, scale=None) -> tuple:
             counts.frombytes(c.astype(np.int32).tobytes())
             del src, tgt, c, tkeys, j, new  # before the next expansion
     depth = _ints(np.repeat(range(len(rows)), list(map(len, rows))))
-    return np.concatenate(rows), depth, np.concatenate(born), (
-        indptr, targets, counts)
+    return np.concatenate(rows), depth, (indptr, targets, counts)
 
 
 def _ints(a: np.ndarray) -> list:
@@ -391,7 +360,10 @@ class WalkModel:
         raise NotImplementedError
 
     def neighbors(self, v) -> list:
-        raise NotImplementedError
+        """v's neighbors: `neighbor_rows` on v's row, exact as Python ints,
+        decoded by `vertex`."""
+        row = np.array([self.vertex_row(v)], dtype=object)
+        return list(map(self.vertex, self.neighbor_rows(row)[0].tolist()))
 
     def vertex_orbit(self, v):
         """The stabilizer orbit of the root that contains vertex v."""
@@ -421,19 +393,27 @@ class WalkModel:
     def orbit_level(self, state) -> int:
         return self._level(self._coords(state))
 
-    def _moves(self, state) -> list:
-        """(state, count) pairs: the vertex moves counted by target."""
-        return list(Counter(t for t, _ in self._vertex_moves(state)).items())
-
     def vertex_row(self, v) -> tuple:
         """v's orbit coordinates, then its words read in their bases."""
         return (*self._coords(self.vertex_orbit(v)), *(
             reduce(lambda x, c: x * base + c, w, 0)
             for w, (_, base) in zip(self._vertex_words(v), self._words)))
 
+    def vertex(self, row):
+        """The vertex of a `vertex_row`: its orbit, and each word's t
+        letters read back from its code."""
+        dim, words = len(self._clip), []
+        for (col, base), x in zip(self._words, row[dim:]):
+            letters = []
+            for _ in range(row[col]):
+                x, c = divmod(x, base)
+                letters.append(c)
+            words.append(tuple(letters[::-1]))
+        return self._vertex(self._state(list(row[:dim])), words)
+
     def neighbor_rows(self, rows: np.ndarray) -> np.ndarray:
         """The (m, degree, columns) block of the neighbors of m vertex rows,
-        in `neighbors` order; exact on object rows."""
+        in the order of `_vertex_moves`; exact on object rows."""
         offs, maps = self._vertex_table
         dim = len(self._clip)
         cls = self._boundary(rows[:, :dim].T).astype(np.int64)
@@ -452,23 +432,23 @@ class WalkModel:
     @cached_property
     def _table(self) -> tuple:
         """Moves by boundary class c: offsets ``offs[c, k]`` and counts
-        ``cnts[c, k]`` of move k in `_moves` order, padded with count 0.
-        `_moves` runs once per class, on the clipped row itself."""
-        classes = [[(np.subtract(self._coords(t), row), n)
-                    for t, n in self._moves(self._state(list(row)))]
-                   for row in np.ndindex(*np.add(self._clip, 1))]
+        ``cnts[c, k]``, the distinct offsets of `_vertex_table` in order of
+        first appearance and their counts, padded with count 0."""
+        classes = [Counter(map(tuple, offs.tolist()))
+                   for offs in self._vertex_table[0]]
         offs = np.zeros((len(classes), max(map(len, classes)),
                          len(self._clip)), dtype=np.int64)
         cnts = np.zeros(offs.shape[:2], dtype=np.int64)
         for c, moves in enumerate(classes):
-            offs[c, :len(moves)] = [off for off, _ in moves]
-            cnts[c, :len(moves)] = [n for _, n in moves]
+            offs[c, :len(moves)] = list(moves)
+            cnts[c, :len(moves)] = list(moves.values())
         return offs, cnts
 
     @cached_property
     def _vertex_table(self) -> tuple:
         """Orbit offsets ``offs[c, j]`` and word maps ``maps[c, j, i]`` of
-        neighbor j in boundary class c, from `_vertex_moves` on the class."""
+        neighbor j in boundary class c, from `_vertex_moves`, which runs
+        once per class, on the clipped row itself."""
         rows = list(np.ndindex(*np.add(self._clip, 1)))
         moves = [self._vertex_moves(self._state(list(row))) for row in rows]
         offs = [[np.subtract(self._coords(t), row) for t, _ in ms]
@@ -515,17 +495,19 @@ class WalkModel:
             m, deg = len(rows), self.degree
             return (np.arange(m).repeat(deg), self.neighbor_rows(rows)
                     .reshape(m * deg, -1), np.ones(m * deg, dtype=np.int32))
-        rows, depth, born, csr = _frontier_bfs(np.array(
+        rows, depth, csr = _frontier_bfs(np.array(
             [self.vertex_row(self.root_vertex())], dtype=np.int64), expand,
             radius, cap)
         levels = t0 = None
         if self.level_base is not None:
             levels = _ints(self._level(rows.T))
             t0 = self.level_profile().t0_lattice
-        return ExplicitGraph(states=BallVertices(self, rows, born), csr=csr,
+        ball = ExplicitGraph(states=OrbitStates(rows, self.vertex), csr=csr,
                              denom=self.degree, level=levels,
                              level_base=self.level_base,
                              horizon=2 * radius + 1, depth=depth, t0=t0 or 1)
+        ball.index = VertexIndex(ball.states, self.vertex_row)
+        return ball
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -543,7 +525,7 @@ class WalkModel:
         # at most reach * (radius + 1), below the key radix
         radix = int(np.abs(self._table[0]).max()) * (radius + 1) + 1
         scale = _key_scale([radix] * dim, f"{self.name()}: radius {radius}")
-        rows, depth, _, csr = _frontier_bfs(np.array(
+        rows, depth, csr = _frontier_bfs(np.array(
             [self._coords(self.orbit_root())], dtype=np.int64), self._expand,
             radius, cap, scale)
         # lists of Python ints: exact arithmetic raises bases to levels
@@ -573,15 +555,6 @@ class RegularTreeModel(WalkModel):
     def root_vertex(self):
         return ()
 
-    def neighbors(self, v):
-        out = []
-        if v:
-            out.append(v[:-1])
-            out.extend(v + (c,) for c in range(self.b))
-        else:
-            out.extend((c,) for c in range(self.b + 1))
-        return out
-
     # orbits of the root stabilizer are spheres: state = distance
     def vertex_orbit(self, v):
         return len(v)
@@ -589,6 +562,7 @@ class RegularTreeModel(WalkModel):
     _clip = (1,)
 
     _vertex_words = staticmethod(lambda v: (v,))  # read in base b + 1
+    _vertex = staticmethod(lambda t, words: words[0])
 
     def _vertex_moves(self, t):
         b1 = self.b + 1
@@ -617,9 +591,6 @@ class FixedEndTreeModel(WalkModel):
     def root_vertex(self):
         return (0, ())
 
-    def neighbors(self, v):
-        return [_tree_up(v)] + _tree_down(v, self.b)
-
     def vertex_orbit(self, v):
         s, w = v
         return (s, len(w))
@@ -627,6 +598,7 @@ class FixedEndTreeModel(WalkModel):
     _clip = (1, 1)
 
     _vertex_words = staticmethod(lambda v: (v[1],))
+    _vertex = staticmethod(lambda state, words: (state[0], words[0]))
 
     def _vertex_moves(self, state):
         return [_word_up(state, self.b), *_word_down(state, self.b)]
@@ -648,16 +620,6 @@ class GrandparentModel(FixedEndTreeModel):
 
     def name(self):
         return f"grandparent(b={self.b})"
-
-    def neighbors(self, v):
-        b = self.b
-        up = _tree_up(v)
-        down = _tree_down(v, b)
-        out = [up, _tree_up(up)]
-        out.extend(down)
-        for c in down:
-            out.extend(_tree_down(c, b))
-        return out
 
     def _vertex_moves(self, state):
         b = self.b
@@ -699,17 +661,6 @@ class DiestelLeaderModel(WalkModel):
     def root_vertex(self):
         return ((0, ()), (0, ()))
 
-    def neighbors(self, v):
-        v1, v2 = v
-        out = []
-        u1 = _tree_up(v1)
-        for w2 in _tree_down(v2, self.r):
-            out.append((u1, w2))
-        u2 = _tree_up(v2)
-        for w1 in _tree_down(v1, self.q):
-            out.append((w1, u2))
-        return out
-
     def vertex_orbit(self, v):
         (s1, w1), (s2, w2) = v
         return ((s1, len(w1)), (s2, len(w2)))
@@ -724,6 +675,8 @@ class DiestelLeaderModel(WalkModel):
         return (tuple(row[:2]), tuple(row[2:]))
 
     _vertex_words = staticmethod(lambda v: (v[0][1], v[1][1]))
+    _vertex = staticmethod(lambda state, words: (
+        (state[0][0], words[0]), (state[1][0], words[1])))
 
     def _vertex_moves(self, state):
         (u1, f1), (u2, f2) = _word_up(state[0], self.q), _word_up(state[1],
@@ -761,15 +714,12 @@ class CartesianProductModel(WalkModel):
     def root_vertex(self):
         return (self.f1.root_vertex(), self.f2.root_vertex())
 
-    def neighbors(self, v):
-        v1, v2 = v
-        out = [(w1, v2) for w1 in self.f1.neighbors(v1)]
-        out.extend((v1, w2) for w2 in self.f2.neighbors(v2))
-        return out
-
     # a vertex row is the two factor rows side by side
     def vertex_row(self, v):
         return (*self.f1.vertex_row(v[0]), *self.f2.vertex_row(v[1]))
+
+    def vertex(self, row):
+        return (self.f1.vertex(row[:self._k]), self.f2.vertex(row[self._k:]))
 
     def neighbor_rows(self, rows):
         k, d1 = self._k, self.f1.degree
@@ -832,21 +782,6 @@ class FreeProductModel(WalkModel):
     def root_vertex(self):
         return ()
 
-    def neighbors(self, v):
-        out = []
-        last = v[-1] if v else None
-        for fac, size in (("a", self.alpha), ("b", self.beta)):
-            if last is not None and last[0] == fac:
-                base = v[:-1]
-                for i in range(1, size):
-                    if i != last[1]:
-                        out.append(base + ((fac, i),))
-                out.append(base)
-            else:
-                for i in range(1, size):
-                    out.append(v + ((fac, i),))
-        return out
-
     def vertex_level(self, v):
         return None
 
@@ -860,10 +795,20 @@ class FreeProductModel(WalkModel):
         return (len(v), "_ab".index(v[-1][0] if v else "_"),
                 reduce(lambda x, c: x * size[c[0]] + c[1] - 1, v, 0))
 
+    def vertex(self, row):
+        """The letters back from the last, of alternating factors."""
+        t, g, x = row
+        letters = []
+        for _ in range(t):
+            x, c = divmod(x, (self.alpha if g == 1 else self.beta) - 1)
+            letters.append(("_ab"[g], c + 1))
+            g = 3 - g
+        return tuple(letters[::-1])
+
     def neighbor_rows(self, rows):
-        """Per factor g, in `neighbors` order: if the last letter is of g,
-        the other letters of g in its place (skipping it, so not an affine
-        map of the code) and then the drop; else each letter of g appended."""
+        """Per factor g in turn: if the last letter is of g, the other
+        letters of g in its place (skipping it, so not an affine map of the
+        code) and then the drop; else each letter of g appended."""
         t, f, x = rows.T[:, :, None]
         blocks = []
         for g, n in ((1, self.alpha - 1), (2, self.beta - 1)):

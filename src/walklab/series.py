@@ -323,10 +323,6 @@ class GeneratingValue:
     lower: float
     upper: float
 
-    @property
-    def halfwidth(self):
-        return (self.upper - self.lower) / 2
-
 
 def evaluate_generating(series: ProbabilitySeries, z: float,
                         rho: SpectralRadius,
@@ -475,17 +471,3 @@ def check_smoothness(u: ProbabilitySeries, rho: SpectralRadius) -> SmoothnessRep
         odd_le_even_ok=odd_ok, even_c1=even_c1,
         even_c1_ge_1=even_c1_ge_1, odd_c1=odd_c1,
         ratio_trajectory=traj, violations=violations)
-
-
-def transience_diagnostic(a: NormalizedSeries) -> dict:
-    """Check that n * a_n decays on the computed range."""
-    ns = np.arange(0, a.n_max + 1, a.period)[1:]
-    vals = ns * a.floats[ns]
-    tail = vals[len(vals) // 2:]
-    head = vals[:len(vals) // 2]
-    return {
-        "max_head": float(head.max()),
-        "max_tail": float(tail.max()),
-        "decreasing": bool(tail.max() <= head.max()),
-        "last": float(vals[-1]),
-    }

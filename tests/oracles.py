@@ -19,7 +19,10 @@ convolution-domination scan.  `fraction_renewal` and `float_renewal`
 invert the renewal equation on exact Fraction values and on floats.
 `truncate_moves` is the state-by-state breadth-first truncation of a
 collapsed chain, one dict lookup per move, and `truncate_vertices` that
-of a graph, one `neighbors` call per vertex.  `hitting_per_barrier` is the
+of a graph, one `neighbors` call per vertex.  `tuple_neighbors` writes a
+family's graph out on its tuple vertices, and `counted_moves` counts a
+family's vertex moves by orbit: the references for the vertex rows and
+the orbit moves the library derives.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
 `object_root_walk` steps a chain's root walk on Python-int object
 arrays, with no residues, `object_bridge_tables` the bridge F/G tables
@@ -35,6 +38,7 @@ from array import array
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -320,7 +324,7 @@ def rebuild_distinct_means(model, chain, traj, k_grid, t0, m, rng):
         path = [v]
         for t in range(1, len(row)):
             target = chain.states[row[t]]
-            options = [w for w in model.neighbors(v)
+            options = [w for w in tuple_neighbors(model, v)
                        if model.vertex_orbit(w) == target]
             v = options[rng.integers(len(options))]
             path.append(v)
@@ -386,6 +390,87 @@ def doob_rows(chain, rho):
             row.append((j, Fraction(c, chain.denom) * ratio * inv_rho))
         rows.append(row)
     return rows
+
+
+def _tree_up(v):
+    """Parent (toward the end) in canonical (s, w) coordinates."""
+    s, w = v
+    if w:
+        return (s, w[:-1])
+    return (s + 1, ())
+
+
+def _tree_down(v, b):
+    """All b children of v in canonical (s, w) coordinates."""
+    s, w = v
+    if w:
+        return [(s, w + (c,)) for c in range(b)]
+    if s > 0:
+        return [(s - 1, ())] + [(s, (c,)) for c in range(1, b)]
+    return [(0, (c,)) for c in range(b)]
+
+
+def _free_product_neighbors(model, v):
+    out = []
+    last = v[-1] if v else None
+    for fac, size in (("a", model.alpha), ("b", model.beta)):
+        if last is not None and last[0] == fac:
+            base = v[:-1]
+            for i in range(1, size):
+                if i != last[1]:
+                    out.append(base + ((fac, i),))
+            out.append(base)
+        else:
+            for i in range(1, size):
+                out.append(v + ((fac, i),))
+    return out
+
+
+def tuple_neighbors(model, v):
+    """The neighbors of vertex v written on the family's tuple vertices,
+    one family at a time, in the order `WalkModel.neighbors` gives them."""
+    family = model.spec.family
+    if family == "tree":
+        out = []
+        if v:
+            out.append(v[:-1])
+            out.extend(v + (c,) for c in range(model.b))
+        else:
+            out.extend((c,) for c in range(model.b + 1))
+        return out
+    if family == "fixed_end_tree":
+        return [_tree_up(v)] + _tree_down(v, model.b)
+    if family == "grandparent":
+        b = model.b
+        up = _tree_up(v)
+        down = _tree_down(v, b)
+        out = [up, _tree_up(up)]
+        out.extend(down)
+        for c in down:
+            out.extend(_tree_down(c, b))
+        return out
+    if family == "diestel_leader":
+        v1, v2 = v
+        out = []
+        u1 = _tree_up(v1)
+        for w2 in _tree_down(v2, model.r):
+            out.append((u1, w2))
+        u2 = _tree_up(v2)
+        for w1 in _tree_down(v1, model.q):
+            out.append((w1, u2))
+        return out
+    if family == "cartesian":
+        v1, v2 = v
+        out = [(w1, v2) for w1 in tuple_neighbors(model.f1, v1)]
+        out.extend((v1, w2) for w2 in tuple_neighbors(model.f2, v2))
+        return out
+    return _free_product_neighbors(model, v)
+
+
+def counted_moves(model, state):
+    """(state, count) pairs: the vertex moves of orbit ``state`` counted
+    by target, in order of first appearance."""
+    return list(Counter(t for t, _ in model._vertex_moves(state)).items())
 
 
 def truncate_moves(root, moves, radius, cap):

@@ -4,7 +4,7 @@ orbit moves, one float-matrix builder and the light-cone float DP."""
 import numpy as np
 import pytest
 
-from oracles import bfs_rows, coo_float_matrix, doob_rows
+from oracles import bfs_rows, coo_float_matrix, counted_moves, doob_rows
 from walklab.doob import doob_chain
 from walklab.models import ModelSpec, build_model
 from walklab.series import spectral_radius
@@ -23,7 +23,7 @@ MEMO_SPECS = [ModelSpec("grandparent", b=b) for b in (2, 3, 4)] + [
 def test_memoized_orbit_moves_equal_composed_moves(spec):
     model = build_model(spec)
     for state in model.collapse(60).states:
-        assert model.orbit_moves(state) == model._moves(state)
+        assert model.orbit_moves(state) == counted_moves(model, state)
 
 
 CHAIN_SPECS = [ModelSpec("tree", b=2), ModelSpec("fixed_end_tree", b=3),

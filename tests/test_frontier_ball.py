@@ -1,12 +1,15 @@
 """Balls on the frontier kernel: `enumerate_ball` is the vertex-by-vertex
-truncation `truncate_vertices` (csr, depths, levels, vertex order and
-index) on every family, at every radius 0-7 the tests build, and raises
-at its cap and where its int64 keys would overflow."""
+truncation `truncate_vertices` of the tuple graph `tuple_neighbors` (csr,
+depths, levels, vertex order and index) on every family, at every radius
+0-7 the tests build, and raises at its cap and where its int64 keys would
+overflow."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import truncate_vertices
+from oracles import truncate_vertices, tuple_neighbors
 from test_vertex_rows import BALL_SPECS, SPECS
 from walklab.models import (DEFAULT_BALL_CAP, BallCapExceeded, ModelError,
                             ModelSpec, build_model)
@@ -27,7 +30,8 @@ def test_ball_equals_vertex_truncation(spec, radius):
     model = build_model(spec)
     ball = model.enumerate_ball(radius)
     nodes, index, depth, csr = truncate_vertices(
-        model.root_vertex(), model.neighbors, radius, DEFAULT_BALL_CAP)
+        model.root_vertex(), partial(tuple_neighbors, model), radius,
+        DEFAULT_BALL_CAP)
     assert [(a.typecode, a.tolist()) for a in ball.csr] == \
         [(a.typecode, a.tolist()) for a in csr]
     assert ball.dist == depth
@@ -49,7 +53,7 @@ def test_ball_equals_vertex_truncation(spec, radius):
 def test_index_misses_the_vertices_past_the_ball(spec):
     model = build_model(spec)
     ball = model.enumerate_ball(3)
-    outside = {w for v in ball.vertices for w in model.neighbors(v)} \
+    outside = {w for v in ball.vertices for w in tuple_neighbors(model, v)} \
         - set(ball.vertices)
     assert outside
     for v in outside:

@@ -1,13 +1,15 @@
 """`collapse` builds a chain one BFS depth at a time as arrays: the same
 chain, to the byte, as the state-by-state truncation `truncate_moves`
-over the family's own `_moves`, with levels and depths kept as Python
-ints and state tuples decoded only when read."""
+over the family's vertex moves counted by target, `counted_moves`, with
+levels and depths kept as Python ints and state tuples decoded only when
+read."""
 
+from functools import partial
 from math import isqrt
 
 import pytest
 
-from oracles import truncate_moves
+from oracles import counted_moves, truncate_moves
 from walklab.bridges import bridge_level_visits
 from walklab.models import (DEFAULT_BALL_CAP, BallCapExceeded, ModelError,
                             ModelSpec, build_model)
@@ -31,7 +33,8 @@ FAMILIES = (
 def test_collapse_equals_state_by_state_truncation(spec, n):
     model = build_model(spec)
     chain = model.collapse(n)
-    states, depth, csr = truncate_moves(model.orbit_root(), model._moves,
+    states, depth, csr = truncate_moves(model.orbit_root(),
+                                        partial(counted_moves, model),
                                         n // 2, DEFAULT_BALL_CAP)
     assert [a.typecode for a in chain.csr] == [a.typecode for a in csr]
     assert list(chain.csr) == list(csr)

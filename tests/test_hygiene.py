@@ -4,8 +4,9 @@ every function, method and class it defines is referenced, every span
 the benchmark tracer wraps names a definition, a chain's ``edges``
 and ``matrix()`` views are read only where listed, a series' Fraction
 view ``values`` is read only in `series`, no function nests loops
-three deep, and every third-party package a module imports is a
-declared dependency."""
+three deep, every third-party package a module imports is a
+declared dependency, and no graph family but `WalkModel` defines
+``neighbors``."""
 
 import ast
 import importlib
@@ -386,3 +387,42 @@ def test_scan_flags_an_undeclared_import(tmp_path):
                    "import walklab.models\n")
     declared = {"numpy", "scipy", "mpmath"}
     assert undeclared_imports(mod, declared) == ["mod:sympy", "mod:gmpy2"]
+
+
+def neighbor_overrides(path: Path) -> list:
+    """`module:Class` for each class other than ``WalkModel`` whose body
+    defines or assigns ``neighbors``: a family's one adjacency is its
+    ``neighbor_rows``, which `WalkModel.neighbors` decodes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.stem}:{node.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name != "WalkModel"
+            and "neighbors" in class_names(node)]
+
+
+def class_names(node: ast.ClassDef) -> set:
+    """The names a class body binds: its methods and assigned names."""
+    names = set()
+    for d in node.body:
+        if isinstance(d, FUNCTIONS):
+            names.add(d.name)
+        elif isinstance(d, ast.Assign):
+            names.update(t.id for t in d.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_walk_model_defines_neighbors():
+    hits = neighbor_overrides(SRC / "models.py")
+    assert hits == [], "families that define neighbors: " + ", ".join(hits)
+
+
+def test_scan_flags_a_neighbors_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class WalkModel:\n    def neighbors(self, v):\n        return []\n"
+        "class Tree(WalkModel):\n    def neighbors(self, v):\n"
+        "        return [v]\n"
+        "class Lambda(WalkModel):\n    neighbors = lambda self, v: []\n"
+        "class Rows(WalkModel):\n    def neighbor_rows(self, rows):\n"
+        "        def neighbors(v):\n            return v\n"
+        "        return rows\n")
+    assert neighbor_overrides(mod) == ["mod:Tree", "mod:Lambda"]

@@ -1,11 +1,10 @@
-"""Level-structure identities: neighbor profile, tilted pair counts, cocycle."""
+"""Level-structure identities: neighbor profile and tilted pair counts."""
 
 from fractions import Fraction
 
 import pytest
 
-from walklab.masstransport import (check_cocycle, check_mtp,
-                                   check_neighbor_mtp)
+from walklab.masstransport import check_mtp, check_neighbor_mtp
 
 
 def test_neighbor_profile_identity(fixed_end2, grandparent2, dl23):
@@ -35,10 +34,3 @@ def test_pair_count_needs_margin(fixed_end2):
     g = fixed_end2.enumerate_ball(3)
     with pytest.raises(Exception):
         check_mtp(g, 5)
-
-
-def test_cocycle_telescoping(fixed_end2, grandparent2):
-    for model in (fixed_end2, grandparent2):
-        g = model.enumerate_ball(5)
-        rep = check_cocycle(g, triples=300, seed=11)
-        assert rep.passed

@@ -18,12 +18,12 @@ from walklab.models import (BallCapExceeded, ModelSpec, build_model,
     ModelSpec("grandparent", b=2), ModelSpec("diestel_leader", q=2, r=3)],
     ids=lambda spec: build_model(spec).name())
 def test_collapse_computes_each_move_once(spec):
-    """No move is computed twice: over two collapses `_moves` runs once
-    per boundary class, and `orbit_moves` only for the level profile's
-    root."""
+    """No move is computed twice: over two collapses `_vertex_moves` runs
+    once per boundary class, and `orbit_moves` only for the level
+    profile's root."""
     model = build_model(spec)
     classes, reads = Counter(), []
-    moves, orbit_moves = model._moves, model.orbit_moves
+    moves, orbit_moves = model._vertex_moves, model.orbit_moves
 
     def counting_moves(state):
         classes[int(model._boundary(model._coords(state)))] += 1
@@ -33,7 +33,8 @@ def test_collapse_computes_each_move_once(spec):
         reads.append(state)
         return orbit_moves(state)
 
-    model._moves, model.orbit_moves = counting_moves, counting_orbit_moves
+    model._vertex_moves, model.orbit_moves = counting_moves, \
+        counting_orbit_moves
     chain = model.collapse(40)
     model.collapse(30)
     met = {int(model._boundary(model._coords(s))) for s in chain.states}

@@ -1,13 +1,17 @@
-"""Vertices as integer rows: `neighbor_rows` is `neighbors` read on rows,
-in its order, on int64 rows and on Python ints past int64, and the orbit
-moves a collapse reads are the vertex moves counted by target."""
+"""Vertices as integer rows: `neighbor_rows` is the tuple graph
+`tuple_neighbors` read on rows, in its order, on int64 rows and on Python
+ints past int64; `vertex` reads a row back, so `neighbors` is that graph;
+and the orbit moves a collapse reads are the vertex moves counted by
+target."""
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from walklab.models import ModelSpec, build_model
+from oracles import truncate_vertices, tuple_neighbors
+from walklab.models import DEFAULT_BALL_CAP, ModelSpec, build_model
 
 SPECS = [ModelSpec("tree", b=2), ModelSpec("tree", b=3),
          ModelSpec("fixed_end_tree", b=3), ModelSpec("grandparent", b=2),
@@ -29,8 +33,16 @@ def spec_id(spec):
 
 
 def rows_of_neighbors(model, vertices):
-    return [[list(model.vertex_row(w)) for w in model.neighbors(v)]
+    return [[list(model.vertex_row(w)) for w in tuple_neighbors(model, v)]
             for v in vertices]
+
+
+def last_neighbor_path(model, steps=70):
+    """The root and then, ``steps`` times, the last tuple neighbor."""
+    path = [model.root_vertex()]
+    for _ in range(steps):
+        path.append(tuple_neighbors(model, path[-1])[-1])
+    return path
 
 
 @pytest.mark.parametrize("spec", SPECS + BALL_SPECS, ids=spec_id)
@@ -48,9 +60,7 @@ def test_neighbor_rows_exact_past_int64(spec):
     """Down a path of 70 last neighbors a word code passes 2^63; the
     rows of the vertices along it, as Python ints, still step exactly."""
     model = build_model(spec)
-    path = [model.root_vertex()]
-    for _ in range(70):
-        path.append(model.neighbors(path[-1])[-1])
+    path = last_neighbor_path(model)
     rows = np.array([model.vertex_row(v) for v in path], dtype=object)
     assert max(rows.ravel()) >= 2 ** 63
     assert model.neighbor_rows(rows).tolist() == \
@@ -63,6 +73,23 @@ def test_orbit_moves_count_neighbors_in_order(spec):
     orbits of a vertex's neighbors, counted in `neighbors` order."""
     model = build_model(spec)
     for v in model.enumerate_ball(4).vertices:
-        seen = Counter(map(model.vertex_orbit, model.neighbors(v)))
+        seen = Counter(map(model.vertex_orbit, tuple_neighbors(model, v)))
         assert model.orbit_moves(model.vertex_orbit(v)) == \
             list(seen.items()), v
+
+
+@pytest.mark.parametrize("spec", SPECS + BALL_SPECS, ids=spec_id)
+def test_vertex_reads_a_row_back(spec):
+    """`vertex` inverts `vertex_row`, and `neighbors` is the tuple graph,
+    at every vertex of the radius-5 ball of `tuple_neighbors` (radius 4
+    for grandparent b=3, as in `test_frontier_ball`: its radius-5 ball
+    has 103,335 vertices) and along the path of 70 last neighbors, whose
+    rows pass 2^63."""
+    model = build_model(spec)
+    radius = 4 if spec == ModelSpec("grandparent", b=3) else 5
+    nodes = truncate_vertices(model.root_vertex(),
+                              partial(tuple_neighbors, model), radius,
+                              DEFAULT_BALL_CAP)[0]
+    for v in nodes + last_neighbor_path(model):
+        assert model.vertex(model.vertex_row(v)) == v
+        assert model.neighbors(v) == tuple_neighbors(model, v), v
