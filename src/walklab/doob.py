@@ -379,12 +379,17 @@ def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
             for n in n_grid}
 
 
-def _law_table(law, walk: _Walk, mode: str, readout, n: int, m_hi: int):
-    """readout(walk, [n], m_hi)[n] for ``walk`` in ``mode``, memoized on
-    ``law.tables``: ``law`` is a `LevelIncrementLaw` or a `quasi` chain
-    and ``walk`` its walk.  A stored table of the same readout, mode and
-    n with at least m_hi levels serves, cut to m_hi.  Its levels below
-    m_hi are the same to the bit, since `_ballots` keeps every level and
+def _windowed(readout, walk: _Walk, n: int, r: int):
+    """Window r of a readout at step n."""
+    return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
+
+
+def _law_table(law: LevelIncrementLaw, walk: _Walk, mode: str, readout,
+               n: int, m_hi: int):
+    """readout(walk, [n], m_hi)[n] for the law's ``walk`` in ``mode``,
+    memoized on the law: a stored table of the same readout, mode and n
+    with at least m_hi levels serves, cut to m_hi.  Its levels below m_hi
+    are the same to the bit, since `_ballots` keeps every level and
     `_max_laws` drops only levels that cannot come back below m_hi."""
     key = (readout, mode, n)
     table = law.tables.get(key)
@@ -393,8 +398,9 @@ def _law_table(law, walk: _Walk, mode: str, readout, n: int, m_hi: int):
     return table[:m_hi]
 
 
-def _law_window(law, walk: _Walk, mode: str, readout, n: int, r: int):
-    """Window r of a readout at step n, from the memoized table."""
+def _law_window(law: LevelIncrementLaw, mode: str, readout, n: int, r: int):
+    """Window r of a readout at step n, from the law's memoized table."""
+    walk = _law_walk(law, mode)
     return _window(walk, _law_table(law, walk, mode, readout, n,
                                     (r + 1) * walk.t0), r)
 
@@ -408,8 +414,7 @@ def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r]."""
     if n < 1 or r < 0:
         raise DoobError("need n >= 1, r >= 0")
-    return _value(_law_window(law, _law_walk(law, mode), mode, _ballots, n,
-                              r), mode)
+    return _value(_law_window(law, mode, _ballots, n, r), mode)
 
 
 def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
@@ -426,8 +431,7 @@ def max_and_return(law: LevelIncrementLaw, n: int, r: int,
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0]."""
     if r < 0 or n < 1:
         raise DoobError("need n >= 1, r >= 0")
-    return _value(_law_window(law, _law_walk(law, mode), mode, _max_laws, n,
-                              r), mode)
+    return _value(_law_window(law, mode, _max_laws, n, r), mode)
 
 
 def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):

@@ -187,6 +187,7 @@ class ExplicitGraph(CollapsedChain):
     than r.  Its states are its vertex rows, decoded by `WalkModel.vertex`
     only when read, and ``index``, a `VertexIndex`, maps a vertex to its
     number by its row."""
+    index: Optional[Mapping] = field(default=None, repr=False, compare=False)
     vertices = property(lambda self: self.states)
     dist = property(lambda self: self.depth)  # graph distance from the root
     levels = property(lambda self: self.level)  # lattice levels, or None
@@ -220,28 +221,22 @@ class OrbitStates(Sequence):
 
 class VertexIndex(Mapping):
     """A ball's map vertex -> number: a binary search for the int64 key of
-    the vertex's row among the rows' sorted keys, sorted on the first
-    lookup, which decodes no vertex."""
+    the vertex's row among the rows' sorted keys, which decodes no vertex."""
 
     def __init__(self, vertices: OrbitStates, vertex_row):
         self.vertices, self.vertex_row = vertices, vertex_row
-
-    @cached_property
-    def _sorted(self) -> tuple:
-        rows = self.vertices.rows
-        top = rows.max(0) + 1
-        scale = _key_scale(top + 1, "the ball")
-        keys = rows @ scale
-        order = np.argsort(keys)
-        return top, scale, order, keys[order]
+        self.top = vertices.rows.max(0) + 1
+        self.scale = _key_scale(self.top + 1, "the ball")
+        keys = vertices.rows @ self.scale
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
 
     def __getitem__(self, v):  # a coordinate past the ball's reads as top
-        top, scale, order, keys = self._sorted
-        key = np.minimum(self.vertex_row(v), top) @ scale
-        p = min(np.searchsorted(keys, key), len(keys) - 1)
-        if keys[p] != key:
+        key = np.minimum(self.vertex_row(v), self.top) @ self.scale
+        p = min(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        if self.keys[p] != key:
             raise KeyError(v)
-        return int(order[p])
+        return int(self.order[p])
 
     def __iter__(self):
         return iter(self.vertices)
@@ -361,7 +356,9 @@ class WalkModel:
 
     def neighbors(self, v) -> list:
         """v's neighbors: `neighbor_rows` on v's row, exact as Python ints,
-        decoded by `vertex`."""
+        decoded by `vertex`.  A slow path for one vertex at a time (tens of
+        microseconds a call); blocks of vertices go through `neighbor_rows`
+        on their rows."""
         row = np.array([self.vertex_row(v)], dtype=object)
         return list(map(self.vertex, self.neighbor_rows(row)[0].tolist()))
 
@@ -502,12 +499,11 @@ class WalkModel:
         if self.level_base is not None:
             levels = _ints(self._level(rows.T))
             t0 = self.level_profile().t0_lattice
-        ball = ExplicitGraph(states=OrbitStates(rows, self.vertex), csr=csr,
-                             denom=self.degree, level=levels,
-                             level_base=self.level_base,
-                             horizon=2 * radius + 1, depth=depth, t0=t0 or 1)
-        ball.index = VertexIndex(ball.states, self.vertex_row)
-        return ball
+        states = OrbitStates(rows, self.vertex)
+        return ExplicitGraph(states=states, csr=csr, denom=self.degree,
+                             level=levels, level_base=self.level_base,
+                             horizon=2 * radius + 1, depth=depth, t0=t0 or 1,
+                             index=VertexIndex(states, self.vertex_row))
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.

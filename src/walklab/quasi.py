@@ -12,13 +12,13 @@ triples) is built from these counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .doob import _Walk, _ballots, _hitting, _law_window, _max_laws
+from .doob import _Walk, _ballots, _hitting, _max_laws, _windowed
 from .models import LevelProfile, ModelError, _ratio_to_lattice
 from .qfield import sqrt_exact
 
@@ -265,8 +265,6 @@ class MarkovAdditiveChain:
     steps: list               # lattice increment attached to entering a state
     t0_lattice: int
     exact: bool
-    # (readout, mode, n) -> the widest table at step n built so far
-    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validate(self, tol: float = 1e-12) -> None:
         tot = sum(float(p) for p in self.initial)
@@ -354,21 +352,14 @@ def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
     return _Walk(pi, moves, zero, chain.t0_lattice)
 
 
-def _chain_window(chain: MarkovAdditiveChain, readout, n: int, r: int):
-    """Window r of a readout at step n, memoized on the chain's tables in
-    the chain's arithmetic."""
-    return _law_window(chain, _orbit_walk(chain),
-                       "exact" if chain.exact else "float", readout, n, r)
-
-
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r] for the additive level."""
-    return _chain_window(chain, _ballots, n, r)
+    return _windowed(_ballots, _orbit_walk(chain), n, r)
 
 
 def mb_max_and_return(chain: MarkovAdditiveChain, n: int, r: int):
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0] for the additive level."""
-    return _chain_window(chain, _max_laws, n, r)
+    return _windowed(_max_laws, _orbit_walk(chain), n, r)
 
 
 def mb_hitting_time_law(chain: MarkovAdditiveChain, r: int, n_max: int):

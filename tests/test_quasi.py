@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walklab import doob
 from walklab.doob import (ballot_probability, hitting_time_law,
                           increment_law, max_and_return)
 from walklab.quasi import (SchemaError, a_matrix, induced_chain,
@@ -101,23 +100,3 @@ def test_induced_chain_float_mode(grandparent2):
     for n, r in [(6, 0), (8, 1)]:
         assert abs(mb_ballot_probability(chain, n, r)
                    - ballot_probability(law, n, r, mode="float")) < 1e-12
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_mb_windows_read_the_chain_memo(fixed_end2, monkeypatch, exact):
-    """A second `mb_*` call at the same (chain, n) with a smaller r reads
-    the table the first stored on the chain: no killed walk runs, and the
-    value is a fresh chain's."""
-    schema = parity_schema(fixed_end2.level_profile())
-    pd = perron(a_matrix(schema))
-    warm = induced_chain(schema, pd, exact=exact)
-    runs, killed_walk = [], doob._killed_walk
-    monkeypatch.setattr(doob, "_killed_walk",
-                        lambda *args: runs.append(args) or killed_walk(*args))
-    for f in (mb_ballot_probability, mb_max_and_return):
-        f(warm, 9, 3)
-        runs.clear()
-        value = f(warm, 9, 1)
-        assert runs == []
-        assert value == f(induced_chain(schema, pd, exact=exact), 9, 1)
-        assert runs
