@@ -379,11 +379,6 @@ def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
             for n in n_grid}
 
 
-def _windowed(readout, walk: _Walk, n: int, r: int):
-    """Window r of a readout at step n."""
-    return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
-
-
 def _law_table(law: LevelIncrementLaw, walk: _Walk, mode: str, readout,
                n: int, m_hi: int):
     """readout(walk, [n], m_hi)[n] for the law's ``walk`` in ``mode``,

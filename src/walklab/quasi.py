@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .doob import _Walk, _ballots, _hitting, _max_laws, _windowed
+from .doob import _Walk, _ballots, _hitting, _max_laws, _window
 from .models import LevelProfile, ModelError, _ratio_to_lattice
 from .qfield import sqrt_exact
 
@@ -354,12 +354,14 @@ def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
 
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r] for the additive level."""
-    return _windowed(_ballots, _orbit_walk(chain), n, r)
+    walk = _orbit_walk(chain)
+    return _window(walk, _ballots(walk, [n], (r + 1) * walk.t0)[n], r)
 
 
 def mb_max_and_return(chain: MarkovAdditiveChain, n: int, r: int):
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0] for the additive level."""
-    return _windowed(_max_laws, _orbit_walk(chain), n, r)
+    walk = _orbit_walk(chain)
+    return _window(walk, _max_laws(walk, [n], (r + 1) * walk.t0)[n], r)
 
 
 def mb_hitting_time_law(chain: MarkovAdditiveChain, r: int, n_max: int):
