@@ -288,7 +288,7 @@ def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     distinct vertices per level window.  A vertex path consistent with
     the state path is chosen uniformly, the correct conditional law as
     the walk is uniform over neighbors realizing each move: a move goes to
-    the choice-th neighbor in the next state, in `neighbors` order, the
+    the choice-th neighbor in the next state, in `neighbor_rows` order, the
     choices drawn up front by one ``rng.integers`` over the collapse counts.
 
     The paths step together on vertex rows (`WalkModel.vertex_row`): a
@@ -302,7 +302,6 @@ def _distinct_counts(model, chain, traj, k_grid, t0, m, rng) -> dict:
     """
     if not model.has_collapse:
         return {}
-    _check_neighbors(model)
     traj, src, n = traj[:m], traj[:m, :-1], traj.shape[1] - 1
     offs, maps = model._vertex_table
     nc, deg, dim = offs.shape
@@ -377,25 +376,6 @@ def _vertex_numbering(model, chain) -> tuple:
     dtype = np.int64 if limbs == 1 else object
     stride = space[:, None] // np.cumprod(size, axis=1)[:, :-1]
     return (np.cumsum(space) - space).astype(dtype), stride.astype(dtype), limbs
-
-
-def _check_neighbors(model) -> None:
-    """`BridgeError` unless `neighbors` gives the rows of
-    `WalkModel.neighbor_rows`, the vertex moves the collapse counts come
-    from, at one vertex per boundary class: a breadth-first search from
-    the root (class 0) that expands each class once."""
-    todo, met = [model.root_vertex()], {0}
-    for v in todo:
-        nbrs = model.neighbors(v)
-        rows = [list(model.vertex_row(w)) for w in nbrs]
-        if model.neighbor_rows(np.array([model.vertex_row(v)]))[0].tolist() \
-                != rows:
-            raise BridgeError(f"vertex {v!r}: neighbors {nbrs} differ from "
-                              "the vertex moves behind the collapse counts")
-        classes = model._boundary(np.array(rows)[:, :len(model._clip)].T)
-        reps = dict(zip(classes.tolist(), nbrs))
-        todo += [w for c, w in reps.items() if c not in met]
-        met.update(reps)
 
 
 # ---------------------------------------------------------------------------

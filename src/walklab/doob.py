@@ -414,7 +414,8 @@ def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
 
 def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
                      mode: str = "float"):
-    """P[tau_r = k] for k = 1..n_max, tau_r = first time Y >= r*t0."""
+    """[P[tau_r = k] for k = 0..n_max], tau_r = first time Y >= r*t0;
+    entry 0 is 0 as r >= 1."""
     if r < 1:
         raise DoobError("need r >= 1")
     out = _hitting(_law_walk(law, mode), [r * law.t0_lattice], n_max)[0]

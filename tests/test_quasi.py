@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walklab.doob import (ballot_probability, hitting_time_law,
                           increment_law, max_and_return)
@@ -51,6 +52,53 @@ def test_perron_uniform(fixed_end2):
     assert abs(pd.rho - 2 * math.sqrt(2) / 3) < 1e-13
     assert pd.residual < 1e-12
     assert np.allclose(pd.pi, [1.0])
+
+
+@st.composite
+def perron_matrices(draw):
+    """Symmetric nonnegative irreducible L x L matrices: a random tree
+    plus random extra entries, weights in [0.5, 2]; bipartite ones have
+    only edges between the depth parities of the tree and are ordered
+    into the block form [[0, B], [B^T, 0]]."""
+    L = draw(st.integers(1, 12))
+    bipartite = L > 1 and draw(st.booleans())
+    weight = st.floats(0.5, 2)
+    A, depth = np.zeros((L, L)), [0]
+    for k in range(1, L):
+        parent = draw(st.integers(0, k - 1))
+        depth.append(depth[parent] + 1)
+        A[k, parent] = A[parent, k] = draw(weight)
+    side = np.array(depth) % 2 if bipartite else np.arange(L)
+    extra = draw(st.lists(st.tuples(st.integers(0, L - 1),
+                                    st.integers(0, L - 1), weight),
+                          min_size=L == 1, max_size=2 * L))
+    for i, j, w in extra:
+        if not bipartite or side[i] != side[j]:
+            A[i, j] = A[j, i] = w
+    order = np.argsort(side, kind="stable")
+    return A[np.ix_(order, order)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=perron_matrices())
+def test_perron_pair_matches_eigvalsh(A):
+    pd = perron(A)
+    top = np.linalg.eigvalsh(A).max()
+    assert abs(pd.rho - top) <= 1e-13 * top
+    assert pd.residual <= 1e-13 * pd.rho
+    assert np.all(pd.v > 0)
+    assert abs(np.linalg.norm(pd.v) - 1) <= 1e-13
+    assert abs(pd.pi.sum() - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("A, message", [
+    (np.diag([1.0, 2.0]), "reducible"),
+    (np.array([[1.0, -0.5], [-0.5, 1.0]]), "negative"),
+    (np.zeros((1, 1)), "zero matrix"),
+])
+def test_perron_rejects(A, message):
+    with pytest.raises(SchemaError, match=message):
+        perron(A)
 
 
 def test_parity_schema_perron(fixed_end2):
