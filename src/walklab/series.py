@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence
 
@@ -418,56 +419,47 @@ class SmoothnessReport:
 
 
 def check_smoothness(u: ProbabilitySeries, rho: SpectralRadius) -> SmoothnessReport:
+    """The inequalities on the numerators U_n = u_n d**n: ratio-lower
+    U_{2k+2} >= U_2 U_{2k}, odd-le-even U_{2m+1} <= d U_{2m}.  With rho^2
+    exact, on a_m = u_{2m} / rho^{2m}: ratio-upper a_{k+1} <= a_k, and as
+    u_{n-2k} rho^{2k} / u_n = a_{n/2-k} / a_{n/2}, even_c1 is the least
+    (min_{j<m} a_j) / a_m over m >= 1 with a_m != 0.  Only a violation's
+    value is a Fraction; odd_c1 and ratio_trajectory are floats."""
     if not u.exact:
         raise SeriesError("smoothness suite needs the exact series")
-    uv = u.values
-    if len(uv) < 21:
+    U, dd = u.numerators, u.denom ** 2
+    if len(U) < 21:
         raise SeriesError("series too short (need n_max >= 20)")
-    rho2 = rho.rho_squared
+    a = normalized_series(u, rho).exact_even
     violations = []
+    for k in range(1, (len(U) - 1) // 2):
+        if U[2 * k + 2] < U[2] * U[2 * k]:
+            violations.append(("ratio-lower", 2 * k,
+                               Fraction(U[2 * k + 2], U[2 * k] * dd)))
+        if a is not None and a[k + 1] > a[k]:
+            violations.append(("ratio-upper", 2 * k,
+                               Fraction(U[2 * k + 2], U[2 * k] * dd)))
+    violations += [("odd-le-even", 2 * m + 1, u[2 * m + 1])
+                   for m in range((len(U) - 2) // 2)
+                   if U[2 * m + 1] > u.denom * U[2 * m]]
 
-    u2 = uv[2]
-    lower_ok = upper_ok = True
-    for k in range(1, (len(uv) - 1) // 2):
-        ratio = Fraction(uv[2 * k + 2], uv[2 * k])
-        if ratio < u2:
-            lower_ok = False
-            violations.append(("ratio-lower", 2 * k, ratio))
-        if rho2 is not None and ratio > rho2:
-            upper_ok = False
-            violations.append(("ratio-upper", 2 * k, ratio))
+    even_c1 = None if a is None else min(
+        (low / x for low, x, X in zip(accumulate(a, min), a[1:], U[2::2])
+         if X), default=None)
 
-    odd_ok = True
-    for mth in range(0, (len(uv) - 2) // 2):
-        if uv[2 * mth + 1] > uv[2 * mth]:
-            odd_ok = False
-            violations.append(("odd-le-even", 2 * mth + 1, uv[2 * mth + 1]))
-
-    # largest constant c1 with u_{n-2k} >= c1 u_n rho^{-2k}
-    even_c1 = None
+    rho2, uf, odd_c1 = rho.rho_squared, u.floats.tolist(), None
     if rho2 is not None:
-        for n in range(2, len(uv), 2):
-            if uv[n] == 0:
-                continue
-            power = rho2
-            for k in range(1, n // 2 + 1):
-                cand = power * Fraction(uv[n - 2 * k], uv[n])
-                power = power * rho2
-                if even_c1 is None or cand < even_c1:
-                    even_c1 = cand
-    even_c1_ge_1 = even_c1 is None or not (even_c1 < 1)
-
-    uf, odd_c1 = u.floats.tolist(), None
-    if rho2 is not None:
-        r2, odds = float(rho2), [n for n in range(1, len(uv), 2) if uv[n] > 0]
+        r2, odds = float(rho2), [n for n in range(1, len(U), 2) if U[n] > 0]
         odd_c1 = min((uf[n - 2 * k] * r2 ** k / uf[n] for n in odds
                       for k in range(1, (n - odds[0]) // 2 + 1)), default=None)
 
     d = u.period
-    traj = [uf[n + d] / uf[n] for n in range(d, len(uv) - d, d) if uv[n] > 0]
+    traj = [uf[n + d] / uf[n] for n in range(d, len(U) - d, d) if U[n] > 0]
 
+    kinds = {kind for kind, _, _ in violations}
     return SmoothnessReport(
-        ratio_lower_ok=lower_ok, ratio_upper_ok=upper_ok,
-        odd_le_even_ok=odd_ok, even_c1=even_c1,
-        even_c1_ge_1=even_c1_ge_1, odd_c1=odd_c1,
+        ratio_lower_ok="ratio-lower" not in kinds,
+        ratio_upper_ok="ratio-upper" not in kinds,
+        odd_le_even_ok="odd-le-even" not in kinds, even_c1=even_c1,
+        even_c1_ge_1=even_c1 is None or not (even_c1 < 1), odd_c1=odd_c1,
         ratio_trajectory=traj, violations=violations)

@@ -16,7 +16,9 @@ every step.
 the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
 are the term-by-term loop forms of the excursion record law and the
 convolution-domination scan.  `fraction_renewal` and `float_renewal`
-invert the renewal equation on exact Fraction values and on floats.
+invert the renewal equation on exact Fraction values and on floats,
+and `smoothness_by_pairs` builds the smoothness report pair by pair on
+the Fraction values.
 `truncate_moves` is the state-by-state breadth-first truncation of a
 collapsed chain, one dict lookup per move, and `truncate_vertices` that
 of a graph, one `neighbors` call per vertex.  `tuple_neighbors` writes a
@@ -48,6 +50,7 @@ from walklab.bridges import BridgeError, ExcursionLaw
 from walklab.doob import LevelIncrementLaw
 from walklab.models import BallCapExceeded
 from walklab.qfield import sqrt_exact
+from walklab.series import SmoothnessReport
 
 
 def enumerate_statistics(law, n, r_ballot=(), r_max=(), r_tau=()):
@@ -714,6 +717,62 @@ def float_renewal(u):
     for n in range(1, len(uv)):
         f[n] = uv[n] - np.dot(f[1:n], uv[1:n][::-1])
     return f
+
+
+def smoothness_by_pairs(u, rho):
+    """The smoothness report from the Fraction values of the exact series
+    ``u``: each ratio u_{2k+2}/u_{2k} as a Fraction, and even_c1 as the
+    least rho^{2k} u_{n-2k} / u_n over every even n and k, one
+    `QuadExt` or Fraction product per pair."""
+    uv = u.values
+    rho2 = rho.rho_squared
+    violations = []
+
+    u2 = uv[2]
+    lower_ok = upper_ok = True
+    for k in range(1, (len(uv) - 1) // 2):
+        ratio = Fraction(uv[2 * k + 2], uv[2 * k])
+        if ratio < u2:
+            lower_ok = False
+            violations.append(("ratio-lower", 2 * k, ratio))
+        if rho2 is not None and ratio > rho2:
+            upper_ok = False
+            violations.append(("ratio-upper", 2 * k, ratio))
+
+    odd_ok = True
+    for mth in range(0, (len(uv) - 2) // 2):
+        if uv[2 * mth + 1] > uv[2 * mth]:
+            odd_ok = False
+            violations.append(("odd-le-even", 2 * mth + 1, uv[2 * mth + 1]))
+
+    # largest constant c1 with u_{n-2k} >= c1 u_n rho^{-2k}
+    even_c1 = None
+    if rho2 is not None:
+        for n in range(2, len(uv), 2):
+            if uv[n] == 0:
+                continue
+            power = rho2
+            for k in range(1, n // 2 + 1):
+                cand = power * Fraction(uv[n - 2 * k], uv[n])
+                power = power * rho2
+                if even_c1 is None or cand < even_c1:
+                    even_c1 = cand
+    even_c1_ge_1 = even_c1 is None or not (even_c1 < 1)
+
+    uf, odd_c1 = u.floats.tolist(), None
+    if rho2 is not None:
+        r2, odds = float(rho2), [n for n in range(1, len(uv), 2) if uv[n] > 0]
+        odd_c1 = min((uf[n - 2 * k] * r2 ** k / uf[n] for n in odds
+                      for k in range(1, (n - odds[0]) // 2 + 1)), default=None)
+
+    d = u.period
+    traj = [uf[n + d] / uf[n] for n in range(d, len(uv) - d, d) if uv[n] > 0]
+
+    return SmoothnessReport(
+        ratio_lower_ok=lower_ok, ratio_upper_ok=upper_ok,
+        odd_le_even_ok=odd_ok, even_c1=even_c1,
+        even_c1_ge_1=even_c1_ge_1, odd_c1=odd_c1,
+        ratio_trajectory=traj, violations=violations)
 
 
 def hitting_per_barrier(walk, barrier, n_max):

@@ -3,7 +3,7 @@ no module reaches into another package's private modules unless listed,
 every function, method and class it defines is referenced, every span
 the benchmark tracer wraps names a definition, a chain's ``edges``
 and ``matrix()`` views are read only where listed, a series' Fraction
-view ``values`` is read only in `series`, no function nests loops
+view ``values`` is read in no module, no function nests loops
 three deep, every third-party package a module imports is a
 declared dependency, and no graph family but `WalkModel` defines
 ``neighbors``."""
@@ -266,11 +266,12 @@ def values_reads(path: Path) -> list:
 
 
 def test_series_values_read_only_in_series():
-    """Outside `series` a series is read as its numerators or floats, so
-    exact and float series take one code path."""
-    hits = [hit for path in sorted(SRC.glob("*.py")) if path.stem != "series"
+    """No module, `series` included, reads the Fraction view: a series is
+    read as its numerators or floats, so exact and float series take one
+    code path, and the view is left to tests."""
+    hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in values_reads(path)]
-    assert hits == [], "series values read outside series: " + \
+    assert hits == [], "series values read in the library: " + \
         ", ".join(hits)
 
 
