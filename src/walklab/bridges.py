@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import CollapsedChain, _crt, _integer_rows, _residue_primes
-from .models import WalkModel, ExplicitGraph
+from .models import WalkModel
 from .series import ProbabilitySeries, SpectralRadius, evaluate_generating
 
 
@@ -116,14 +116,17 @@ def bridge_level_visits(chain: CollapsedChain, u: ProbabilitySeries,
     return Fraction(total, chain.denom ** n) / u[n]
 
 
-def bridge_inclusion_probability(graph: ExplicitGraph, n: int,
+def bridge_inclusion_probability(graph: CollapsedChain, n: int,
                                  x: int, degree: int) -> Fraction:
-    """P_{n,root}[x in w] on an explicit ball, exact.
+    """P_{n,root}[x in w] on a ball (`WalkModel.enumerate_ball`), exact.
 
     Counts length-n root-to-root walks avoiding x versus all of them.
-    Needs ball radius >= n//2, the farthest a closed n-walk gets from its
-    start, so both counts are complete.
+    Needs the ball's degree, x < len(graph) and radius >= n//2, the
+    farthest a closed n-walk gets from its start, so both counts are complete.
     """
+    if degree != graph.denom or x not in range(len(graph)):
+        raise BridgeError(f"need degree {graph.denom} and x in range("
+                          f"{len(graph)}), got {degree} and {x}")
     if graph.radius < n // 2:
         raise BridgeError("ball too small")
     total = _walk_count(graph, n, graph.root, graph.root, avoid=None)
@@ -133,19 +136,19 @@ def bridge_inclusion_probability(graph: ExplicitGraph, n: int,
     return 1 - Fraction(avoid, total)
 
 
-def bridge_inclusion_symmetry(graph: ExplicitGraph, n: int, x: int,
+def bridge_inclusion_symmetry(graph: CollapsedChain, n: int, x: int,
                               degree: int) -> tuple:
     """(P_{n,root}[x in w], P_{n,x}[root in w]) for an interior x."""
-    if graph.dist[x] + n // 2 > graph.radius:
+    p1 = bridge_inclusion_probability(graph, n, x, degree)  # checks x
+    if graph.depth[x] + n // 2 > graph.radius:
         raise BridgeError("x too close to the ball boundary")
-    p1 = bridge_inclusion_probability(graph, n, x, degree)
     total = _walk_count(graph, n, x, x, avoid=None)
     avoid = _walk_count(graph, n, x, x, avoid=graph.root)
     p2 = 1 - Fraction(avoid, total)
     return p1, p2
 
 
-def _walk_count(graph: ExplicitGraph, n: int, src: int, dst: int,
+def _walk_count(graph: CollapsedChain, n: int, src: int, dst: int,
                 avoid: Optional[int]) -> int:
     """Number of length-n walks src -> dst never visiting `avoid`."""
     if avoid is not None and avoid in (src, dst):

@@ -8,8 +8,8 @@ n-step distribution can be carried as integer numerators over denom**n.
 The truncation stores the counts once, as CSR arrays ``csr = (indptr,
 targets, counts)``: row i lists its targets and counts in
 ``targets[indptr[i]:indptr[i+1]]`` and the same slice of ``counts``.  A
-ball (`walklab.models.ExplicitGraph`) is the chain of the trivial
-partition, with unit counts.
+ball (`walklab.models.WalkModel.enumerate_ball`) is the chain of the
+trivial partition, with unit counts.
 
 One kernel, `CollapsedChain.walk`, counts every walk from these arrays,
 over the light cone only: u_n, the taboo f_n, the Doob h-walk, the

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .models import ExplicitGraph, LevelProfile
+from .chains import CollapsedChain
+from .models import LevelProfile
 
 
 @dataclass
@@ -46,7 +47,7 @@ class ResidualReport:
     rows: list  # (distance, level_diff, lhs, rhs, residual)
 
 
-def check_mtp(graph: ExplicitGraph, support_radius: int) -> ResidualReport:
+def check_mtp(graph: CollapsedChain, support_radius: int) -> ResidualReport:
     """Mass-transport balance for indicator test functions.
 
     For f(x,v) = 1[dist(x,v)=s, level(v)-level(x)=j] and x the root,
@@ -54,7 +55,7 @@ def check_mtp(graph: ExplicitGraph, support_radius: int) -> ResidualReport:
     is base**(level(v)).  Both sides are complete inside the ball when
     s <= support_radius.
     """
-    if graph.levels is None:
+    if graph.level is None:
         raise ValueError("graph has no level labels")
     if support_radius + 1 > graph.radius:
         raise ValueError(
@@ -63,10 +64,10 @@ def check_mtp(graph: ExplicitGraph, support_radius: int) -> ResidualReport:
     base = graph.level_base
     counts: dict = {}
     for i in range(len(graph)):
-        s = graph.dist[i]
+        s = graph.depth[i]
         if s == 0 or s > support_radius:
             continue
-        j = graph.levels[i] - graph.levels[graph.root]
+        j = graph.level[i] - graph.level[graph.root]
         counts[(s, j)] = counts.get((s, j), 0) + 1
     rows = []
     passed = True

@@ -1,4 +1,4 @@
-"""Built-in graph families: explicit balls and orbit-collapsed chains.
+"""Built-in graph families: balls and orbit-collapsed chains.
 
 Each family carries a level structure: an integer label per vertex such
 that the stabilizer-orbit ratio between neighbors is base**(level
@@ -34,14 +34,15 @@ their decoding, and the orbit moves, the vertex moves' offsets grouped
 per boundary class.  `collapse` and `enumerate_ball` run one
 breadth-first kernel, `_frontier_bfs`, one depth at a time: on orbit
 rows, from one offset pattern per boundary class, and on vertex rows,
-from ``neighbor_rows``.
+from ``neighbor_rows``.  Both give a `CollapsedChain`: a ball is the
+chain of the trivial partition, its states vertices.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -179,26 +180,6 @@ def _ratio_to_lattice(q: Fraction, base: Fraction) -> int:
     return j
 
 
-@dataclass
-class ExplicitGraph(CollapsedChain):
-    """A finite ball around the root: the collapsed chain of the trivial
-    partition, one state per vertex with unit counts.  A ball of radius r
-    has horizon 2r + 1: a walk back at the root by then never went deeper
-    than r.  Its states are its vertex rows, decoded by `WalkModel.vertex`
-    only when read, and ``index``, a `VertexIndex`, maps a vertex to its
-    number by its row."""
-    index: Optional[Mapping] = field(default=None, repr=False, compare=False)
-    vertices = property(lambda self: self.states)
-    dist = property(lambda self: self.depth)  # graph distance from the root
-    levels = property(lambda self: self.level)  # lattice levels, or None
-
-    @property
-    def adj(self) -> list:
-        """adj[i] = sorted list of neighbor indices."""
-        indptr, targets, _ = self.csr
-        return [sorted(targets[a:b]) for a, b in zip(indptr, indptr[1:])]
-
-
 class OrbitStates(Sequence):
     """A chain's states: a read-only view of its coordinate rows that
     decodes a row to the family's state tuple, or a ball's vertex row to
@@ -217,32 +198,6 @@ class OrbitStates(Sequence):
 
     def __iter__(self):
         return map(self.decode, self.rows.tolist())
-
-
-class VertexIndex(Mapping):
-    """A ball's map vertex -> number: a binary search for the int64 key of
-    the vertex's row among the rows' sorted keys, which decodes no vertex."""
-
-    def __init__(self, vertices: OrbitStates, vertex_row):
-        self.vertices, self.vertex_row = vertices, vertex_row
-        self.top = vertices.rows.max(0) + 1
-        self.scale = _key_scale(self.top + 1, "the ball")
-        keys = vertices.rows @ self.scale
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
-
-    def __getitem__(self, v):  # a coordinate past the ball's reads as top
-        key = np.minimum(self.vertex_row(v), self.top) @ self.scale
-        p = min(np.searchsorted(self.keys, key), len(self.keys) - 1)
-        if self.keys[p] != key:
-            raise KeyError(v)
-        return int(self.order[p])
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +437,11 @@ class WalkModel:
 
     # ---- generic machinery ---------------------------------------
 
-    def enumerate_ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> ExplicitGraph:
-        """The ball of ``radius``: `_frontier_bfs` on vertex rows, each row's
-        moves its `neighbor_rows` with unit counts."""
+    def enumerate_ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
+        """The ball of ``radius``, the chain of the trivial partition with
+        unit counts, by `_frontier_bfs` on vertex rows and `neighbor_rows`.
+        Its horizon is 2 * radius + 1, as a closed walk that long never goes
+        deeper, and its states are vertex rows that `vertex` decodes."""
         if radius < 0:
             raise ModelError("radius must be >= 0")
 
@@ -499,11 +456,10 @@ class WalkModel:
         if self.level_base is not None:
             levels = _ints(self._level(rows.T))
             t0 = self.level_profile().t0_lattice
-        states = OrbitStates(rows, self.vertex)
-        return ExplicitGraph(states=states, csr=csr, denom=self.degree,
-                             level=levels, level_base=self.level_base,
-                             horizon=2 * radius + 1, depth=depth, t0=t0 or 1,
-                             index=VertexIndex(states, self.vertex_row))
+        return CollapsedChain(states=OrbitStates(rows, self.vertex), csr=csr,
+                              denom=self.degree, level=levels,
+                              level_base=self.level_base,
+                              horizon=2 * radius + 1, depth=depth, t0=t0 or 1)
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -837,7 +793,7 @@ def build_model(spec: ModelSpec) -> WalkModel:
 # Oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def ball_return_series(graph: ExplicitGraph, n_max: int, degree: int) -> list:
+def ball_return_series(graph: CollapsedChain, n_max: int, degree: int) -> list:
     """Exact u_n for n <= n_max from a ball with radius >= n_max//2.
 
     A walk that returns to the root by time n never goes deeper than

@@ -175,18 +175,23 @@ def _irreducible(A: np.ndarray) -> bool:
 
 
 def perron(A: np.ndarray) -> PerronData:
-    """Dominant eigenpair of a nonnegative symmetric irreducible matrix,
-    from the symmetric eigensolver `numpy.linalg.eigh`: rho is the largest
-    eigenvalue and v its unit eigenvector, signed to a positive sum."""
+    """Dominant eigenpair of a nonnegative symmetric irreducible matrix:
+    rho is the largest eigenvalue of `numpy.linalg.eigh`, and v the unit
+    solution of (s I - A) v = |its eigenvector|, s = (1 + 1e-9) rho, whose
+    inverse is a positive matrix: one inverse-iteration step, accurate in
+    components far below eigh's normwise error of about 1e-15."""
     A = np.asarray(A, dtype=float)
     if np.any(A < 0):
         raise SchemaError("matrix has negative entries")
     if not _irreducible(A):
         raise SchemaError("matrix is reducible")
     w, V = np.linalg.eigh(A)
-    rho, v = float(w[-1]), V[:, -1] * np.sign(V[:, -1].sum())
+    rho = float(w[-1])
     if rho <= 0:
         raise SchemaError("zero matrix")
+    v = np.linalg.solve((1 + 1e-9) * rho * np.eye(len(A)) - A,
+                        np.abs(V[:, -1]))
+    v /= np.linalg.norm(v)
     if np.any(v <= 0):
         raise SchemaError("eigenvector not strictly positive")
     residual = float(np.linalg.norm(A @ v - rho * v))

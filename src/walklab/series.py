@@ -440,7 +440,7 @@ def check_smoothness(u: ProbabilitySeries, rho: SpectralRadius) -> SmoothnessRep
             violations.append(("ratio-upper", 2 * k,
                                Fraction(U[2 * k + 2], U[2 * k] * dd)))
     violations += [("odd-le-even", 2 * m + 1, u[2 * m + 1])
-                   for m in range((len(U) - 2) // 2)
+                   for m in range(len(U) // 2)
                    if U[2 * m + 1] > u.denom * U[2 * m]]
 
     even_c1 = None if a is None else min(

@@ -32,8 +32,9 @@ as whole Python-int vectors, with no light cone either, and
 `quadext_hwalk` the Doob h-walk on `QuadExt` object arrays.
 `reversal_check` compares the laws of a level walk and of its time
 reversal over every increment sequence.
-`float_atoms`, `degree_of` and `to_csv` read an increment law's atoms as
-floats, a ball's vertex degree and a ball's edge list as CSV.
+`float_atoms`, `degree_of`, `adjacency` and `to_csv` read an increment
+law's atoms as floats, a ball's vertex degree, its sorted neighbor lists
+and its edge list as CSV.
 """
 
 from array import array
@@ -740,7 +741,7 @@ def smoothness_by_pairs(u, rho):
             violations.append(("ratio-upper", 2 * k, ratio))
 
     odd_ok = True
-    for mth in range(0, (len(uv) - 2) // 2):
+    for mth in range(len(uv) // 2):
         if uv[2 * mth + 1] > uv[2 * mth]:
             odd_ok = False
             violations.append(("odd-le-even", 2 * mth + 1, uv[2 * mth + 1]))
@@ -901,11 +902,18 @@ def degree_of(graph, i: int) -> int:
     return indptr[i + 1] - indptr[i]
 
 
+def adjacency(graph) -> list:
+    """adj[i] = the sorted neighbor numbers of vertex i, from a ball's CSR
+    rows."""
+    indptr, targets, _ = graph.csr
+    return [sorted(targets[a:b]) for a, b in zip(indptr, indptr[1:])]
+
+
 def to_csv(graph) -> str:
     """A ball's edges as CSV rows ``vertex_id,neighbor_id,level``."""
     lines = ["vertex_id,neighbor_id,level"]
-    for i, nbrs in enumerate(graph.adj):
-        lev = graph.levels[i] if graph.levels is not None else 0
+    for i, nbrs in enumerate(adjacency(graph)):
+        lev = graph.level[i] if graph.level is not None else 0
         for j in nbrs:
             lines.append(f"{i},{j},{lev}")
     return "\n".join(lines) + "\n"

@@ -106,7 +106,7 @@ def test_sampler_reads_csr_and_maxima(spec, n, seed):
 def test_inclusion_is_exact_at_half_the_length(spec, n):
     model = build_model(spec)
     near = model.enumerate_ball(3)
-    first = [(near.states[x], near.dist[x]) for x in range(11)]
+    first = [(near.states[x], near.depth[x]) for x in range(11)]
     big = model.enumerate_ball(max(d for _, d in first) + n // 2 + 3)
     balls = {}
     for v, d in first:
@@ -114,14 +114,30 @@ def test_inclusion_is_exact_at_half_the_length(spec, n):
             if radius not in balls:
                 balls[radius] = model.enumerate_ball(radius)
         g, below = balls[d + n // 2], balls[d + n // 2 - 1]
-        assert bridge_inclusion_symmetry(g, n, g.index[v], model.degree) == \
-            bridge_inclusion_symmetry(big, n, big.index[v], model.degree)
+        assert bridge_inclusion_symmetry(g, n, g.states.index(v),
+                                         model.degree) == \
+            bridge_inclusion_symmetry(big, n, big.states.index(v),
+                                      model.degree)
         with pytest.raises(BridgeError):
-            bridge_inclusion_symmetry(below, n, below.index[v], model.degree)
+            bridge_inclusion_symmetry(below, n, below.states.index(v),
+                                      model.degree)
     small = model.enumerate_ball(n // 2)
     assert bridge_inclusion_probability(small, n, 1, model.degree) == \
-        bridge_inclusion_probability(big, n, big.index[small.states[1]],
-                                     model.degree)
+        bridge_inclusion_probability(
+            big, n, big.states.index(small.states[1]), model.degree)
     with pytest.raises(BridgeError):
         bridge_inclusion_probability(model.enumerate_ball(n // 2 - 1), n, 1,
                                      model.degree)
+
+
+@pytest.mark.parametrize("x,degree", [(-1, 3), (22, 3), (1, 99)],
+                         ids=["x=-1", "x=len", "degree=99"])
+def test_inclusion_rejects_a_vertex_or_degree_off_the_ball(x, degree):
+    """On the tree b=2 ball of radius 3 (22 vertices, degree 3) a vertex
+    number outside range(22) or a degree other than the ball's raises
+    BridgeError, for the symmetry pair too."""
+    ball = build_model(TREE2).enumerate_ball(3)
+    assert len(ball) == 22 and ball.denom == 3
+    for check in (bridge_inclusion_probability, bridge_inclusion_symmetry):
+        with pytest.raises(BridgeError):
+            check(ball, 2, x, degree)

@@ -1,6 +1,6 @@
 """Balls on the frontier kernel: `enumerate_ball` is the vertex-by-vertex
 truncation `truncate_vertices` of the tuple graph `tuple_neighbors` (csr,
-depths, levels, vertex order and index) on every family, at every radius
+depths, levels and vertex order) on every family, at every radius
 0-7 the tests build, and raises at its cap and where its int64 keys would
 overflow."""
 
@@ -29,37 +29,36 @@ def case_id(value):
 def test_ball_equals_vertex_truncation(spec, radius):
     model = build_model(spec)
     ball = model.enumerate_ball(radius)
-    nodes, index, depth, csr = truncate_vertices(
+    nodes, _, depth, csr = truncate_vertices(
         model.root_vertex(), partial(tuple_neighbors, model), radius,
         DEFAULT_BALL_CAP)
     assert [(a.typecode, a.tolist()) for a in ball.csr] == \
         [(a.typecode, a.tolist()) for a in csr]
-    assert ball.dist == depth
-    assert ball.levels == (None if model.level_base is None else
-                           [model.vertex_level(v) for v in nodes])
-    assert list(ball.vertices) == nodes
+    assert ball.depth == depth
+    assert ball.level == (None if model.level_base is None else
+                          [model.vertex_level(v) for v in nodes])
+    assert list(ball.states) == nodes
     assert ball.states.rows.tolist() == [list(model.vertex_row(v))
                                          for v in nodes]
-    # decoding one vertex, and the index, on at most ~500 of them
+    # decoding one vertex, on at most ~500 of them
     picks = range(0, len(nodes), -(-len(nodes) // 500))
-    assert [ball.vertices[i] for i in picks] == [nodes[i] for i in picks]
-    assert ball.vertices[-1] == nodes[-1]
-    assert [ball.index[nodes[i]] for i in picks] == list(picks)
-    assert len(ball.index) == len(index) and \
-        ball.index[nodes[-1]] == index[nodes[-1]]
+    assert [ball.states[i] for i in picks] == [nodes[i] for i in picks]
+    assert ball.states[-1] == nodes[-1]
 
 
 @pytest.mark.parametrize("spec", SPECS + BALL_SPECS, ids=case_id)
 def test_index_misses_the_vertices_past_the_ball(spec):
     model = build_model(spec)
     ball = model.enumerate_ball(3)
-    outside = {w for v in ball.vertices for w in tuple_neighbors(model, v)} \
-        - set(ball.vertices)
-    assert outside
-    for v in outside:
-        assert v not in ball.index
-        with pytest.raises(KeyError):
-            ball.index[v]
+    nodes = truncate_vertices(model.root_vertex(),
+                              partial(tuple_neighbors, model), 3,
+                              DEFAULT_BALL_CAP)[0]
+    outside = {w for v in nodes for w in tuple_neighbors(model, v)} \
+        - set(nodes)
+    assert outside and outside.isdisjoint(ball.states)
+    for v in sorted(outside)[:3]:
+        with pytest.raises(ValueError):
+            ball.states.index(v)
 
 
 @pytest.mark.parametrize("spec", [SPECS[3], SPECS[5], *BALL_SPECS[::2]],

@@ -5,8 +5,8 @@ the benchmark tracer wraps names a definition, a chain's ``edges``
 and ``matrix()`` views are read only where listed, a series' Fraction
 view ``values`` is read in no module, no function nests loops
 three deep, every third-party package a module imports is a
-declared dependency, and no graph family but `WalkModel` defines
-``neighbors``."""
+declared dependency, no graph family but `WalkModel` defines
+``neighbors``, and no property only renames another attribute."""
 
 import ast
 import importlib
@@ -427,3 +427,78 @@ def test_scan_flags_a_neighbors_definition(tmp_path):
         "        def neighbors(v):\n            return v\n"
         "        return rows\n")
     assert neighbor_overrides(mod) == ["mod:Tree", "mod:Lambda"]
+
+
+PROPERTIES = {"property", "cached_property"}
+
+
+def is_property(node) -> bool:
+    """``property`` or ``cached_property``, by name or as an attribute
+    such as ``functools.cached_property``."""
+    return (isinstance(node, ast.Name) and node.id in PROPERTIES) or (
+        isinstance(node, ast.Attribute) and node.attr in PROPERTIES)
+
+
+def is_self_attribute(expr, args: ast.arguments) -> bool:
+    """``expr`` is ``self.name``, ``self`` the first positional argument."""
+    return (bool(args.args) and isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == args.args[0].arg)
+
+
+def alias_properties(path: Path) -> list:
+    """`module:Class.name` for each property or cached_property of a class
+    whose body only returns another attribute of ``self``: assigned as
+    ``property(lambda self: self.other)``, or a decorated def whose body,
+    docstring aside, is ``return self.other``.  A reader of such a name
+    must still know the object it renames."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for d in cls.body:
+            if (isinstance(d, ast.Assign) and isinstance(d.value, ast.Call)
+                    and is_property(d.value.func) and d.value.args
+                    and isinstance(d.value.args[0], ast.Lambda)):
+                fn = d.value.args[0]
+                if is_self_attribute(fn.body, fn.args):
+                    hits += [f"{path.stem}:{cls.name}.{t.id}"
+                             for t in d.targets if isinstance(t, ast.Name)]
+            elif (isinstance(d, FUNCTIONS)
+                  and any(map(is_property, d.decorator_list))):
+                body = d.body[1:] if ast.get_docstring(d) else d.body
+                if (len(body) == 1 and isinstance(body[0], ast.Return)
+                        and is_self_attribute(body[0].value, d.args)):
+                    hits.append(f"{path.stem}:{cls.name}.{d.name}")
+    return hits
+
+
+def test_no_alias_properties():
+    hits = [hit for path in sorted(SRC.glob("*.py"))
+            for hit in alias_properties(path)]
+    assert hits == [], "properties that rename an attribute: " + \
+        ", ".join(hits)
+
+
+def test_scan_flags_an_alias_property(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import functools\nfrom functools import cached_property\n"
+        "class Ball:\n"
+        "    vertices = property(lambda self: self.states)\n"
+        "    dist = cached_property(lambda s: s.depth)\n"
+        "    half = property(lambda self: self.horizon // 2)\n"
+        "    deep = property(lambda self: self.csr.indptr)\n"
+        "    def plain(self):\n        return self.states\n"
+        "    @property\n    def levels(self):\n"
+        "        \"The levels.\"\n        return self.level\n"
+        "    @functools.cached_property\n    def adj(self):\n"
+        "        return self.rows\n"
+        "    @property\n    def radius(self):\n"
+        "        return self.horizon // 2\n"
+        "    @property\n    def size(self):\n"
+        "        n = self.count\n        return n\n")
+    assert alias_properties(mod) == [
+        "mod:Ball.vertices", "mod:Ball.dist", "mod:Ball.levels",
+        "mod:Ball.adj"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import degree_of, to_csv
+from oracles import adjacency, degree_of, to_csv
 from walklab.models import (BallCapExceeded, ModelError, ModelSpec,
                             ball_return_series, build_model,
                             parse_model_config, validate_collapse)
@@ -36,7 +36,7 @@ def test_ball_sizes_tree(tree2):
     g = tree2.enumerate_ball(3)
     # 1 + 3 + 6 + 12 vertices within distance 3 of the root
     assert len(g) == 22
-    assert all(degree_of(g, i) == 3 for i in range(len(g)) if g.dist[i] <= 2)
+    assert all(degree_of(g, i) == 3 for i in range(len(g)) if g.depth[i] <= 2)
 
 
 def test_ball_cap():
@@ -50,7 +50,7 @@ def test_explicit_graph_csv(fixed_end2):
     text = to_csv(g)
     lines = text.strip().splitlines()
     assert lines[0] == "vertex_id,neighbor_id,level"
-    assert len(lines) == 1 + sum(len(a) for a in g.adj)
+    assert len(lines) == 1 + sum(len(a) for a in adjacency(g))
 
 
 def test_degrees():
@@ -131,7 +131,7 @@ def test_free_product_ball():
     g = fp.enumerate_ball(3)
     assert fp.has_collapse is False
     assert all(degree_of(g, i) == fp.degree
-               for i in range(len(g)) if g.dist[i] <= 2)
+               for i in range(len(g)) if g.depth[i] <= 2)
 
 
 def test_cartesian_profile_without_levels():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,24 @@ def test_perron_pair_matches_eigvalsh(A):
     assert np.all(pd.v > 0)
     assert abs(np.linalg.norm(pd.v) - 1) <= 1e-13
     assert abs(pd.pi.sum() - 1) <= 1e-13
+
+
+def test_perron_keeps_components_below_the_eigensolver_error():
+    """The 12 x 12 path with A[0,0] = 10 and 0.1 off the diagonal: v_12 is
+    about 1e-22, below eigh's normwise error, and eigh reads it as 0.  One
+    inverse-iteration solve gives every component to a relative 1e-8 of
+    the 50-digit eigenvector: it leaves a relative error of about (s - rho)
+    / (s - lambda_2), 1e-9, where eigh's tail was wrong."""
+    A = np.diag([0.1] * 11, 1)
+    A = A + A.T
+    A[0, 0] = 10
+    pd = perron(A)
+    with mpmath.workdps(50):
+        w, Q = mpmath.eigsy(mpmath.matrix(A.tolist()))
+        top = max(range(12), key=lambda k: w[k])
+        ref = [abs(Q[i, top]) for i in range(12)]
+        assert all(abs((x - r) / r) <= 1e-8 for x, r in zip(pd.v, ref))
+    assert pd.v.min() > 0 and pd.residual <= 1e-13 * pd.rho
 
 
 @pytest.mark.parametrize("A, message", [

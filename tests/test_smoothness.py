@@ -48,7 +48,7 @@ def test_rho_squared_kinds():
     assert RHOS["none"].rho_squared is None
 
 
-@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("n", [20, 21, 60, 61])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_series_match_the_pairwise_report(name, n):
     model = MODELS[name]
@@ -73,6 +73,21 @@ def test_ball_series_match_the_pairwise_report():
     rhof = ratio_limit_rho(ProbabilitySeries.from_float(uf.floats, "u"),
                            window=6)
     assert_same_report(uf, rhof)
+
+
+@pytest.mark.parametrize("n_max", [20, 21])
+def test_odd_le_even_reaches_the_last_odd_index(n_max):
+    """U_n planted at 10 d U_{n-1} is an odd-le-even violation at the
+    largest odd n <= n_max, as it is two indices lower."""
+    model = MODELS["grandparent2"]
+    u = return_probabilities(model.collapse(n_max), n_max)
+    last = n_max - 1 + n_max % 2
+    for n in (last, last - 2):
+        U = u.numerators.copy()
+        U[n] = 10 * u.denom * U[n - 1]
+        rep = assert_same_report(ProbabilitySeries(U, u.denom, "u"),
+                                 spectral_radius(model))
+        assert ("odd-le-even", n) in {(k, m) for k, m, _ in rep.violations}
 
 
 @st.composite

@@ -57,7 +57,7 @@ def test_ball_expands_each_frontier_once():
     model.neighbors, model.neighbor_rows = calls.append, recording
     ball = model.enumerate_ball(5)
     assert calls == []
-    assert frontiers == [ball.states.rows[np.equal(ball.dist, d)].tolist()
+    assert frontiers == [ball.states.rows[np.equal(ball.depth, d)].tolist()
                          for d in range(6)]
 
 

@@ -48,7 +48,7 @@ def last_neighbor_path(model, steps=70):
 @pytest.mark.parametrize("spec", SPECS + BALL_SPECS, ids=spec_id)
 def test_neighbor_rows_equal_neighbors(spec):
     model = build_model(spec)
-    ball = model.enumerate_ball(4).vertices
+    ball = model.enumerate_ball(4).states
     rows = np.array([model.vertex_row(v) for v in ball])
     assert rows.dtype == np.int64
     assert model.neighbor_rows(rows).tolist() == \
@@ -72,7 +72,7 @@ def test_orbit_moves_count_neighbors_in_order(spec):
     """The collapse counts, in the order the chain's rows list them: the
     orbits of a vertex's neighbors, counted in `neighbors` order."""
     model = build_model(spec)
-    for v in model.enumerate_ball(4).vertices:
+    for v in model.enumerate_ball(4).states:
         seen = Counter(map(model.vertex_orbit, tuple_neighbors(model, v)))
         assert model.orbit_moves(model.vertex_orbit(v)) == \
             list(seen.items()), v

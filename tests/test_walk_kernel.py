@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import walk_count
+from oracles import adjacency, walk_count
 from walklab import bridges
 from walklab.models import (ModelError, ModelSpec, ball_return_series,
                             build_model, validate_collapse)
@@ -36,7 +36,7 @@ def test_ball_series_equal_walk_counter(spec, radius):
     g = model.enumerate_ball(radius)
     n_max = 2 * radius + 1
     assert ball_return_series(g, n_max, model.degree) == \
-        counted_series(g.adj, n_max, model.degree)
+        counted_series(adjacency(g), n_max, model.degree)
 
 
 @pytest.mark.parametrize("spec", [
@@ -48,16 +48,16 @@ def test_ball_at_half_the_horizon_is_exact(spec):
     small = model.enumerate_ball(n_max // 2)
     big = model.enumerate_ball(n_max // 2 + 1)
     assert ball_return_series(small, n_max, model.degree) == \
-        counted_series(big.adj, n_max, model.degree)
+        counted_series(adjacency(big), n_max, model.degree)
     with pytest.raises(ModelError):
         ball_return_series(small, n_max + 2, model.degree)
 
 
 def test_avoiding_counts_from_other_vertices(tree2):
     g = tree2.enumerate_ball(6)
-    adj = g.adj
+    adj = adjacency(g)
     edge = len(adj) - 1  # a vertex at the ball's radius
-    assert g.dist[edge] == 6
+    assert g.depth[edge] == 6
     for n in range(7):
         for src, dst, avoid in ((1, 1, 0), (4, 4, 0), (10, 10, 1),
                                 (4, 10, 1), (0, 0, 4), (4, 4, None),
