@@ -32,10 +32,11 @@ coordinate columns.  `WalkModel` derives the rest from them (Woess 2000;
 for DL Bartholdi, Neuhauser and Woess, JEMS 2008): the vertex rows and
 their decoding, and the orbit moves, the vertex moves' offsets grouped
 per boundary class.  `collapse` and `enumerate_ball` run one
-breadth-first kernel, `_frontier_bfs`, one depth at a time: on orbit
-rows, from one offset pattern per boundary class, and on vertex rows,
-from ``neighbor_rows``.  Both give a `CollapsedChain`: a ball is the
-chain of the trivial partition, its states vertices.
+breadth-first kernel, `_frontier_bfs`, one depth at a time: on the int64
+mixed-radix keys of orbit rows, each moved by the key offsets of its
+boundary class, and on vertex rows, from ``neighbor_rows``.  Both give a
+`CollapsedChain`: a ball is the chain of the trivial partition, its
+states vertices.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
 from fractions import Fraction
+from functools import cached_property, reduce
 from math import log, prod
 from typing import Optional
 
@@ -151,19 +152,14 @@ class LevelProfile:
 
     @property
     def t0(self) -> float:
-        if self.base is None:
-            return 0.0
-        return self.t0_lattice * log(float(self.base))
+        return 0.0 if self.base is None else \
+            self.t0_lattice * log(float(self.base))
 
     def lattice_entries(self) -> list:
         """Entries as (lattice step j, count) with ratio == base**j."""
         if self.base is None:
             return [(0, self.degree)]
-        out = []
-        for q, t in self.entries:
-            j = _ratio_to_lattice(q, self.base)
-            out.append((j, t))
-        return out
+        return [(_ratio_to_lattice(q, self.base), t) for q, t in self.entries]
 
 
 def _ratio_to_lattice(q: Fraction, base: Fraction) -> int:
@@ -220,76 +216,94 @@ def _word_down(state, b):
             for c in range(b)]
 
 
+_TOP = np.iinfo(np.int64).max  # above every key: ends each sorted run
+
+
 def _key_scale(radix, what: str) -> np.ndarray:
     """Place values of the mixed-radix int64 key of rows whose column k is
-    below ``radix[k]``; ModelError if the keys could pass 2**63."""
-    if prod(map(int, radix)) > 2 ** 63:
+    below ``radix[k]``; ModelError if a key could reach `_TOP`."""
+    if prod(map(int, radix)) >= 2 ** 63:
         raise ModelError(f"{what} overflows the int64 keys")
     return np.cumprod([1, *radix[:0:-1]], dtype=np.int64)[::-1]
 
 
-_CHUNK = 1024  # rows of the last frontier expanded at once
+_CHUNK = 1024  # states of the last frontier expanded at once
 
 
-def _frontier_bfs(root, expand, radius: int, cap: int, scale=None) -> tuple:
-    """Breadth-first truncation at ``radius`` from the one-row array
-    ``root``, a frontier at a time (Beamer, Asanovic and Patterson, SC 2012).
-
-    ``expand(rows)`` gives the moves of rows in (row, move) order: arrays of
-    source rows, target rows and counts.  An edge changes depth by at most
-    1, so a known target is in frontier d - 1 or d; it is looked up there by
-    an int64 key of place values ``scale``, or else of radices from the
-    column maxima of those frontiers and, below depth radius, the targets.
-    New targets are numbered in order of first appearance, or dropped at
-    depth radius + 1, whose frontier is expanded `_CHUNK` rows at a time.
-    Returns the rows, their depths and the CSR triple (indptr, targets,
-    counts) of an array("q") and two array("i")s."""
-    rows, ns = [root], 1
+def _frontier_bfs(root, expand, radius: int, cap: int) -> tuple:
+    """Breadth-first truncation at ``radius`` from the one-state array
+    ``root`` of int64 keys (a collapse) or of rows (a ball), a frontier at
+    a time (Beamer, Asanovic and Patterson, SC 2012).  ``expand(states)``
+    gives their moves in (state, move) order: source states, target states
+    and int32 counts.  A ball keys its rows by radices from the column
+    maxima of frontiers d - 1 and d and, below depth radius, the targets;
+    key order is the rows' lexicographic order under any such radices.  An
+    edge changes depth by at most 1, so a known target is in frontier d - 1
+    or d: their numbers, kept in key order, are merged once per depth and
+    searched by `searchsorted`.  New targets are numbered in order of first
+    appearance by one stable sort of their keys, or dropped at depth
+    radius + 1, expanded `_CHUNK` states at a time.  Returns the states,
+    their depths and the CSR triple (indptr, targets, counts) of an
+    array("q") and two array("i")s."""
+    states, ns, ball = [root], 1, root.ndim == 2
+    runs = [(root, np.zeros(1, np.int32))]  # keys and numbers, in key order
     indptr, targets, counts = array("q", [0]), array("i"), array("i")
     for d in range(radius + 1):
-        last, near = d == radius, np.concatenate(rows[-2:])
-        step = _CHUNK if last else len(rows[d])
-        for a in range(0, len(rows[d]), step):
-            chunk = rows[d][a:a + step]
-            src, tgt, c = expand(chunk)
-            if a == 0:  # the keys of frontiers d - 1 and d, and their order
-                sc = scale
-                if scale is None:  # a word code grows as base**t
+        last = d == radius
+        step = _CHUNK if last else len(states[d])
+        for a in range(0, len(states[d]), step):
+            chunk = states[d][a:a + step]
+            src, tkeys, c = expand(chunk)
+            if a == 0:  # frontiers d - 1 and d as one sorted run
+                sk, sn = zip(*runs[-2:])
+                sn = np.concatenate((*sn, [0]), dtype=np.int32)  # 0: _TOP's
+                if ball:  # keys read off the rows: a code grows as base**t
+                    near = np.concatenate(states[-2:])
                     top = near.max(0) if last else np.maximum(near.max(0),
-                                                              tgt.max(0))
+                                                              tkeys.max(0))
                     sc = _key_scale(top + 1, f"a ball at depth {d + 1}")
-                keys = near @ sc
-                order = np.argsort(keys)
-            tkeys = tgt @ sc
-            if scale is None:  # past the maxima: dropped, and not in near
-                tkeys[(tgt > top).any(1)] = -1
-            j = order[np.minimum(np.searchsorted(keys, tkeys, sorter=order),
-                                 len(keys) - 1)]
-            new = keys[j] != tkeys
-            j += ns - len(keys)
+                    sk = ((near @ sc)[sn[:-1] - (ns - len(near))],)
+                sk = np.concatenate((*sk, [_TOP]))
+                m = sk.argsort(kind="stable")
+                sk, sn = sk[m], sn[m]
+            if ball:
+                tgt, tkeys = tkeys, tkeys @ sc
+                tkeys[(tgt > top).any(1)] = -1  # past the maxima: dropped
+            at = sk.searchsorted(tkeys)
+            j, new = sn[at], sk[at] != tkeys
             if last:
                 src, j, c = src[~new], j[~new], c[~new]
-            else:  # new targets, numbered in (row, move) order
-                _, first, inv = np.unique(
-                    tkeys[new], return_index=True, return_inverse=True)
-                rank = np.argsort(first)
-                j[new] = ns + np.argsort(rank)[inv]
-                rows.append(tgt[np.flatnonzero(new)[first[rank]]])
+            else:  # new targets, numbered in (state, move) order
+                at = new.nonzero()[0]
+                at = at[tkeys[at].argsort(kind="stable")]  # in key order
+                s = tkeys[at]
+                head = s != np.concatenate((s[:1] - 1, s[:-1]))
+                rank = at[head].argsort()  # first targets of new keys
+                n = np.empty(len(rank), np.int32)
+                n[rank] = np.arange(ns, ns + len(rank))
+                j[at] = n[head.cumsum() - 1]
+                runs.append((s[head], n))
+                states.append(tgt[at[head][rank]] if ball else s[head][rank])
                 ns += len(rank)
                 if ns > cap:
                     raise BallCapExceeded(ns, cap)
             lens = np.bincount(src, minlength=len(chunk))
-            indptr.frombytes((indptr[-1] + np.cumsum(lens)).tobytes())
-            targets.frombytes(j.astype(np.int32).tobytes())
-            counts.frombytes(c.astype(np.int32).tobytes())
-            del src, tgt, c, tkeys, j, new  # before the next expansion
-    depth = _ints(np.repeat(range(len(rows)), list(map(len, rows))))
-    return np.concatenate(rows), depth, (indptr, targets, counts)
+            indptr.frombytes((indptr[-1] + lens.cumsum()).tobytes())
+            targets.frombytes(j.tobytes())
+            counts.frombytes(c.tobytes())
+            del src, tkeys, c, j, new  # before the next expansion
+        del runs[:-2]
+    depth = np.repeat(np.arange(len(states), dtype=object),
+                      list(map(len, states))).tolist()
+    return np.concatenate(states), depth, (indptr, targets, counts)
 
 
 def _ints(a: np.ndarray) -> list:
-    """``a`` as a list of Python ints, one object per distinct value."""
-    return np.arange(a.min(), a.max() + 1).astype(object)[a - a.min()].tolist()
+    """``a``, a fresh array this overwrites, as a list of Python ints, one
+    object per distinct value."""
+    lo = a.min()
+    a -= lo
+    return np.arange(lo, lo + a.max() + 1).astype(object)[a].tolist()
 
 
 class WalkModel:
@@ -302,8 +316,11 @@ class WalkModel:
     bipartite: bool
     level_base: Optional[Fraction]  # ratio base; None if no level structure
 
+    _params = ("b",)  # the spec fields a family's name shows
+
     def name(self) -> str:
-        raise NotImplementedError
+        args = (f"{k}={getattr(self.spec, k)}" for k in self._params)
+        return f"{self.spec.family}({','.join(args)})"
 
     # vertex-space API (for explicit balls)
     def root_vertex(self):
@@ -339,8 +356,11 @@ class WalkModel:
 
     def orbit_moves(self, state) -> list:
         """List of (state, neighbor count) pairs; counts sum to the degree."""
-        _, tgt, cnt = self._expand(np.array([self._coords(state)]))
-        return [(self._state(t), n) for t, n in zip(tgt.tolist(), cnt.tolist())]
+        row = np.array(self._coords(state))
+        ptr, offs, cnts = self._table
+        moves = slice(*ptr[self._boundary(row) + np.arange(2)])
+        return [(self._state((row + off).tolist()), n)
+                for off, n in zip(offs[moves], cnts[moves].tolist())]
 
     def orbit_level(self, state) -> int:
         return self._level(self._coords(state))
@@ -383,18 +403,14 @@ class WalkModel:
 
     @cached_property
     def _table(self) -> tuple:
-        """Moves by boundary class c: offsets ``offs[c, k]`` and counts
-        ``cnts[c, k]``, the distinct offsets of `_vertex_table` in order of
-        first appearance and their counts, padded with count 0."""
+        """Moves by boundary class as a CSR (ptr, offs, cnts): class c moves
+        by the offsets ``offs[ptr[c]:ptr[c + 1]]``, the distinct offsets of
+        `_vertex_table` in order of first appearance, ``cnts`` times each."""
         classes = [Counter(map(tuple, offs.tolist()))
                    for offs in self._vertex_table[0]]
-        offs = np.zeros((len(classes), max(map(len, classes)),
-                         len(self._clip)), dtype=np.int64)
-        cnts = np.zeros(offs.shape[:2], dtype=np.int64)
-        for c, moves in enumerate(classes):
-            offs[c, :len(moves)] = list(moves)
-            cnts[c, :len(moves)] = list(moves.values())
-        return offs, cnts
+        return (np.cumsum([0, *map(len, classes)]),
+                np.array([o for c in classes for o in c], dtype=np.int64),
+                np.array([n for c in classes for n in c.values()], np.int32))
 
     @cached_property
     def _vertex_table(self) -> tuple:
@@ -408,15 +424,6 @@ class WalkModel:
         maps = np.array([[f for _, f in ms] for ms in moves])
         return np.array(offs), maps.reshape(*maps.shape[:2], -1, 3)
 
-    def _expand(self, rows: np.ndarray) -> tuple:
-        """The moves of coordinate rows in (row, move) order, as arrays of
-        source rows, target rows and counts."""
-        offs, cnts = self._table
-        cls = self._boundary(rows.T)
-        c = cnts[cls]
-        keep = c > 0
-        return np.nonzero(keep)[0], (rows[:, None, :] + offs[cls])[keep], c[keep]
-
     def level_profile(self) -> LevelProfile:
         """The root's neighbor counts grouped by level step j, as entries
         (base**j, count) in descending ratio order."""
@@ -425,10 +432,9 @@ class WalkModel:
                                 entries=[(Fraction(1), self.degree)],
                                 base=None, t0_lattice=0)
         root = self.orbit_root()
-        steps = {}
+        steps = Counter()
         for tgt, c in self.orbit_moves(root):
-            j = self.orbit_level(tgt) - self.orbit_level(root)
-            steps[j] = steps.get(j, 0) + c
+            steps[self.orbit_level(tgt) - self.orbit_level(root)] += c
         return LevelProfile(
             degree=self.degree,
             entries=[(self.level_base ** j, steps[j])
@@ -472,14 +478,27 @@ class WalkModel:
             raise ModelError(f"{self.name()} has no collapsed chain")
         if n_max < 0:
             raise ModelError("n_max must be >= 0")
-        radius, dim = n_max // 2, len(self._clip)
+        radius, (ptr, offs, cnts) = n_max // 2, self._table
         # the root is all zeros, so a coordinate at depth <= radius + 1 is
-        # at most reach * (radius + 1), below the key radix
-        radix = int(np.abs(self._table[0]).max()) * (radius + 1) + 1
-        scale = _key_scale([radix] * dim, f"{self.name()}: radius {radius}")
-        rows, depth, csr = _frontier_bfs(np.array(
-            [self._coords(self.orbit_root())], dtype=np.int64), self._expand,
-            radius, cap, scale)
+        # at most reach * (radius + 1), a digit of the key radix
+        dims = (int(np.abs(offs).max()) * (radius + 1) + 1,) * len(self._clip)
+        scale = _key_scale(dims, f"{self.name()}: radius {radius}")
+        okeys, size = offs @ scale, np.diff(ptr)  # a move adds its key
+
+        def expand(keys):
+            cls = self._boundary(np.unravel_index(keys, dims))
+            k = size[cls]
+            src = np.arange(len(keys)).repeat(k)
+            # entry e of state i is move e - (i's first entry) of i's class
+            at = np.arange(len(src)) - (k.cumsum() - k - ptr[cls])[src]
+            return src, keys[src] + okeys[at], cnts[at]
+        keys, depth, csr = _frontier_bfs(
+            np.array([self._coords(self.orbit_root())]) @ scale, expand,
+            radius, cap)
+        rows = np.empty((len(keys), len(dims)), np.int64)
+        rows[:, 0], keys = keys, None  # decoded in place, last digit first
+        for k in range(len(dims) - 1, 0, -1):
+            np.divmod(rows[:, 0], dims[k], out=(rows[:, 0], rows[:, k]))
         # lists of Python ints: exact arithmetic raises bases to levels
         return CollapsedChain(
             states=OrbitStates(rows, self._state), csr=csr, denom=self.degree,
@@ -499,9 +518,6 @@ class RegularTreeModel(WalkModel):
         self.bipartite = True
         self.level_base = None
         self._words = ((0, spec.b + 1),)
-
-    def name(self):
-        return f"tree(b={self.b})"
 
     # vertices: tuples of letters; root (); first letter 0..b, rest 0..b-1
     def root_vertex(self):
@@ -537,9 +553,6 @@ class FixedEndTreeModel(WalkModel):
         self.level_base = Fraction(spec.b)
         self._words = ((1, spec.b),)
 
-    def name(self):
-        return f"fixed_end_tree(b={self.b})"
-
     def root_vertex(self):
         return (0, ())
 
@@ -570,9 +583,6 @@ class GrandparentModel(FixedEndTreeModel):
         self.degree = spec.b * spec.b + spec.b + 2
         self.bipartite = False
 
-    def name(self):
-        return f"grandparent(b={self.b})"
-
     def _vertex_moves(self, state):
         b = self.b
         up, f = _word_up(state, b)
@@ -597,18 +607,14 @@ class DiestelLeaderModel(WalkModel):
         self.degree = spec.q + spec.r
         self.nonunimodular = spec.q != spec.r
         self.bipartite = True
-        if self.nonunimodular:
-            hi, lo = max(spec.q, spec.r), min(spec.q, spec.r)
-            self.level_base = Fraction(hi, lo)
-        else:
-            self.level_base = None
+        self.level_base = Fraction(max(spec.q, spec.r), min(
+            spec.q, spec.r)) if self.nonunimodular else None
         # level = +h1 when q > r, -h1 when q < r, 0 when q = r (h1 =
         # first-tree horocycle)
         self._sign = (spec.q > spec.r) - (spec.q < spec.r)
         self._words = ((1, spec.q), (3, spec.r))
 
-    def name(self):
-        return f"diestel_leader(q={self.q},r={self.r})"
+    _params = ("q", "r")
 
     def root_vertex(self):
         return ((0, ()), (0, ()))
@@ -686,21 +692,16 @@ class CartesianProductModel(WalkModel):
                    if f.level_base is not None)
 
     def vertex_level(self, v):
-        if self.level_base is None:
-            return None
-        v1, v2 = v
-        l1 = self.f1.vertex_level(v1) if self.f1.level_base is not None else 0
-        l2 = self.f2.vertex_level(v2) if self.f2.level_base is not None else 0
-        return l1 + l2
+        return None if self.level_base is None else \
+            self._level(self.vertex_row(v))
 
     def level_profile(self):
         b1, b2 = self.f1.level_base, self.f2.level_base
         if b1 is not None and b2 is not None and b1 != b2:
             raise ModelError("factors have incompatible level lattices")
-        merged = {}
+        merged = Counter()
         for fac in (self.f1, self.f2):
-            for ratio, t in fac.level_profile().entries:
-                merged[ratio] = merged.get(ratio, 0) + t
+            merged.update(dict(fac.level_profile().entries))
         t0 = max((abs(_ratio_to_lattice(qr, self.level_base))
                   for qr in merged if qr != 1), default=0)
         return LevelProfile(degree=self.degree,
@@ -727,8 +728,7 @@ class FreeProductModel(WalkModel):
         self.bipartite = False if max(spec.alpha, spec.beta) > 2 else True
         self.level_base = None  # level structure not derived in v1
 
-    def name(self):
-        return f"free_product(alpha={self.alpha},beta={self.beta})"
+    _params = ("alpha", "beta")
 
     # word letters: ('a', i) with 1 <= i < alpha, or ('b', j) with 1 <= j < beta
     def root_vertex(self):
