@@ -24,9 +24,12 @@ remainder theorem.  It is exact because each prime has W**r (p - 1) <
 between reductions; the primes' product exceeds 2 |start| C**n, C the
 largest column sum, which bounds every |entry|; and the symmetric
 representative is taken.  The bridge F/G tables are whole residue walks.
-The Doob transform keeps its weights as one array in ``csr`` entry
-order.  The per-row lists ``edges`` of (j, count) pairs are a view
-built on first use, read only by tests and the benchmark tracer.
+
+Float u_n walks half as far: orbit sizes satisfy |S| c(S->T) = |T|
+c(T->S), so P is similar to the symmetric A[S, T] = sqrt(c_ST c_TS) /
+denom, and u_2k = |v_k|**2, u_2k-1 = <v_k-1, v_k> for v_k = A**k e_root
+(`return_series_float`; |float u_n - u_n| <= n 2**-52 u_n + 2**-1074).
+Exact u_n, taboo f_n, the Doob float walk and bridge tables walk n steps.
 """
 
 from __future__ import annotations
@@ -116,24 +119,23 @@ class CollapsedChain:
         """Yield w_1..w_{n_max}: w_0 = start * e_source (default the root)
         and w_n[r] = sum of data[k] * w_{n-1}[idx[k]] over the entries k of
         row r of ``rows = (indptr, idx, data)``, such as `pull_rows` with
-        weights (w_n = w_{n-1} P).  The walk owns two buffers and yields
-        them in turn: the caller may zero entries of a yielded vector
-        before the next step, and copies what it keeps.
-
-        Float64 data steps with scipy's CSR matvec.  Int64 data with
-        ``primes = (ps, r)`` steps as (states, k) residues mod the k primes
-        ps by its CSR matvecs, reduced by ``np.fmod`` every r steps (see
-        `walk_entries`).  Any other data raises TypeError.
+        weights (w_n = w_{n-1} P) or the symmetric A of the half walk.  It
+        owns two buffers and yields them in turn: the caller may scale or
+        zero a yielded vector before the next step, and copies what it
+        keeps.  Float64 data steps with scipy's CSR matvec, int64 data with
+        ``primes = (ps, r)`` as (states, k) residues mod the k primes ps by
+        its CSR matvecs, reduced by ``np.fmod`` every r steps (see
+        `walk_entries`); other data raise TypeError.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
-        ``target`` (default ``source``) is the state the walk must reach
-        by step n_max: the other rows are unreachable from the source in
-        n steps or cannot reach the target in the n_max - n steps left,
-        and are 0: before a step, a buffer's rows from its last step are
-        zeroed too.  An edge changes depth by at most 1, so a kept
-        row reads only the kept rows of the step before and true zeros, in
-        the order of a full product: every entry read at the target is the
-        same to the bit.
+        ``target`` (default ``source``; the deepest state keeps whole
+        cones) is the state the walk must reach by step n_max: the other
+        rows are unreachable from the source in n steps or cannot reach
+        the target in the n_max - n steps left, and are 0 (a buffer's rows
+        from its last step are zeroed too).  An edge changes depth by at
+        most 1, so a kept row reads only the kept rows of the step before
+        and true zeros, in the order of a full product: every entry read
+        at the target is the same to the bit.
         """
         indptr, idx, data = rows
         if np.asarray(data).dtype != (np.int64 if primes else np.float64):
@@ -232,7 +234,7 @@ class CollapsedChain:
     # ---- float dynamics ------------------------------------------
 
     def matrix(self) -> sparse.csr_matrix:
-        """Column-stochastic float transition matrix P[j, i] = p(i -> j)."""
+        """Column-stochastic float P[j, i] = p(i -> j), for the taboo f_n."""
         if self._matrix is None:
             indptr, targets, counts = self.csr
             self._matrix = transpose_csr((
@@ -241,11 +243,10 @@ class CollapsedChain:
         return self._matrix
 
     def float_root_walk(self, P, n_max: int, taboo: bool = False):
-        """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root,
-        for a CSR float matrix P[j, i] = p(i -> j) with this chain's
-        edges, by `walk` over P's rows; ``taboo`` as in `root_walk`, with
-        w_0 counted as no return.
-        """
+        """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root, by
+        `walk` over the rows of a CSR float P[j, i] = p(i -> j) on this
+        chain's edges (the taboo f_n and the Doob float walk, n steps);
+        ``taboo`` as in `root_walk`, with w_0 counted as no return."""
         ns = len(self.depth)
         # the kernel trusts its row count: a matrix of another size or
         # format would be read out of bounds or transposed
@@ -256,7 +257,35 @@ class CollapsedChain:
             n_max, 1.0, (P.indptr, P.indices, P.data), taboo))
 
     def return_series_float(self, n_max: int) -> np.ndarray:
-        return self.float_root_walk(self.matrix(), n_max)
+        """u_0..u_{n_max} by the half walk of the module docstring."""
+        self._check_horizon(n_max)
+        P = transpose_csr(self.csr)  # row j: (i, c_ij), ascending i
+        # c_ji of each entry: row j of csr sorted (P's rows, if symmetric)
+        idx = np.array(self.csr[1], P.indices.dtype)
+        wide = self.denom ** 2 >= 2 ** 31  # counts <= denom: c_ij c_ji fits
+        mirror = np.array(self.csr[2], np.int64 if wide else np.int32)
+        _sparsetools.csr_sort_indices(len(self), P.indptr, idx, mirror)
+        if not (np.array_equal(P.indptr, self.csr[0])
+                and np.array_equal(P.indices, idx)):
+            raise ValueError("an entry i -> j has no entry j -> i")
+        # products in place, then floats: the peak stays at P and 2 copies
+        rows = P.indptr, P.indices, np.multiply(P.data, mirror, out=mirror)
+        del P, idx, mirror
+        data = np.sqrt(rows[2], dtype=np.float64)
+        rows = *rows[:2], np.multiply(data, 1.0 / self.denom, out=data)
+        # the walk holds v_k 2**e; u_n is read back by one exact ldexp
+        u, e, prev = [1.0], 0, np.ones(1)  # v_0 = e_root on cone(0)
+        for k, v in enumerate(self.walk(-(-n_max // 2), 1.0, rows,
+                                        target=len(self) - 1), 1):
+            c, ck = self.cone(k - 1), self.cone(k)
+            sq = np.dot(v[:ck], v[:ck])
+            u += [math.ldexp(np.dot(prev[:c], v[:c]), -2 * e),
+                  math.ldexp(sq, -2 * e)]
+            if sq < 2.0 ** -400:  # rescale before v_k's entries underflow
+                e += (s := -math.frexp(sq)[1] // 2)
+                v[:ck] *= 2.0 ** s
+            prev = v
+        return np.array(u[:n_max + 1])
 
     def taboo_series_float(self, n_max: int) -> np.ndarray:
         return self.float_root_walk(self.matrix(), n_max, taboo=True)

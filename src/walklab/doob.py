@@ -155,20 +155,21 @@ class DoobChain:
         if n_max > chain.horizon:
             raise DoobError("beyond chain horizon")
         A, B, L, D = self.pairs
-        indptr, targets, _ = chain.csr
-        pull = [transpose_csr((indptr, targets, np.array(x, dtype=np.int64)))
-                for x in (A, [D * b for b in B], B)]  # raises past int64
-        P = (sparse.kron(pull[0], np.eye(2, dtype=np.int64))
-             + sparse.kron(pull[1], [[0, 1], [0, 0]])
-             + sparse.kron(pull[2], [[0, 0], [1, 0]])).tocsr()
-        P.eliminate_zeros()  # rational weights leave their B entries 0
-        pair = dataclasses.replace(chain, root=2 * chain.root,
-                                   depth=np.repeat(chain.depth, 2).tolist())
+        pull = [transpose_csr((*chain.csr[:2], np.array(x, np.int64)))
+                for x in ((A, [D * b for b in B], B) if any(B) else (A,))]
+        P, pair = pull[0], chain  # (np.array above raises past int64)
+        if any(B):  # else every Y_n = 0 and A alone gives X_n
+            P = (sparse.kron(P, np.eye(2, dtype=np.int64))
+                 + sparse.kron(pull[1], [[0, 1], [0, 0]])
+                 + sparse.kron(pull[2], [[0, 0], [1, 0]])).tocsr()
+            P.eliminate_zeros()  # entries with B = 0 leave zeros
+            pair = dataclasses.replace(
+                chain, root=2 * chain.root,
+                depth=np.repeat(chain.depth, 2).tolist())
         xy = pair.walk_entries(n_max, 1, (P.indptr, P.indices, P.data),
-                               target=slice(pair.root, pair.root + 2))
-        return [QuadExt(D, 1)] + [
-            QuadExt(D, Fraction(x, L ** n), Fraction(y, L ** n))
-            for n, (x, y) in enumerate(xy, 1)]
+                               target=slice(pair.root, pair.root + 1 + any(B)))
+        return [QuadExt(D, 1)] + [QuadExt(D, *(Fraction(v, L ** n) for v in x))
+                                  for n, x in enumerate(xy, 1)]
 
     def matrix(self):
         """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import float_atoms, reversal_check
+from oracles import float_atoms, quadext_hwalk, reversal_check
+from walklab import doob
 from walklab.doob import (DoobError, LevelIncrementLaw, ballot_probability,
                           completeness_residual, doob_chain, harmonic_check,
                           hitting_time_law, increment_law, max_and_return,
@@ -56,6 +57,20 @@ def test_doob_chain_exact_return(fixed_end2):
     ret = dc.return_series_exact(30)
     for m in range(16):
         assert ret[2 * m] == a.exact_even[m]
+
+
+@pytest.mark.parametrize("name", ["fixed_end2", "dl23", "grandparent2"])
+def test_rational_h_walk_skips_the_pair_matrix(name, request, monkeypatch):
+    """Every B of the fixed-end tree and Diestel-Leader pairs is 0, so
+    their exact h-walk steps the A counts alone, with no Kronecker pair
+    matrix; the grandparent's is irrational and still builds one."""
+    model = request.getfixturevalue(name)
+    dc = doob_chain(model.collapse(40), spectral_radius(model))
+    kron, built = doob.sparse.kron, []
+    monkeypatch.setattr(doob.sparse, "kron",
+                        lambda *a: built.append(1) or kron(*a))
+    assert dc.return_series_exact(40) == quadext_hwalk(dc, 40)
+    assert bool(built) == any(dc.pairs[1]) == (name == "grandparent2")
 
 
 def test_ballot_small_values(pm1_law, gp_law):
