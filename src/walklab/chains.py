@@ -28,8 +28,9 @@ representative is taken.  The bridge F/G tables are whole residue walks.
 Float u_n walks half as far: orbit sizes satisfy |S| c(S->T) = |T|
 c(T->S), so P is similar to the symmetric A[S, T] = sqrt(c_ST c_TS) /
 denom, and u_2k = |v_k|**2, u_2k-1 = <v_k-1, v_k> for v_k = A**k e_root
-(`return_series_float`; |float u_n - u_n| <= n 2**-52 u_n + 2**-1074).
-Exact u_n, taboo f_n, the Doob float walk and bridge tables walk n steps.
+(`return_series_float`; |float u_n - u_n| <= (n + m/2) 2**-52 u_n +
+2**-1074, m the states its einsum sums).  The float taboo f_n walks A
+n steps; exact u_n, the Doob float walk and bridge tables walk n steps.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class CollapsedChain:
     depth: list          # BFS depth of each state from the root
     t0: int              # largest level step across an edge (1 if none)
     root: int = 0
+    bipartite: bool = False  # no entry joins two states of one depth
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
     _edges: Optional[list] = field(default=None, repr=False)
     _pull: Optional[tuple] = field(default=None, repr=False)
@@ -234,19 +236,41 @@ class CollapsedChain:
     # ---- float dynamics ------------------------------------------
 
     def matrix(self) -> sparse.csr_matrix:
-        """Column-stochastic float P[j, i] = p(i -> j), for the taboo f_n."""
+        """Column-stochastic float P[j, i] = p(i -> j), built on each call:
+        the float series walk the symmetric A of `_symmetric` instead."""
+        indptr, targets, counts = self.csr
+        return transpose_csr((indptr, targets,
+                              np.asarray(counts) * (1.0 / self.denom)))
+
+    def _symmetric(self) -> sparse.csr_matrix:
+        """A[j, i] = sqrt(c_ij c_ji) / denom of the module docstring, on the
+        pattern of `matrix`; built once and kept in ``_matrix``, where the
+        benchmark tracer reads the entry count of the walked matrix."""
         if self._matrix is None:
-            indptr, targets, counts = self.csr
-            self._matrix = transpose_csr((
-                indptr, targets,
-                np.asarray(counts) * (1.0 / self.denom)))
+            T = transpose_csr(self.csr)  # row j: (i, c_ij), ascending i
+            # c_ji of each entry: csr's row j sorted (T's, if symmetric);
+            # counts <= denom: c_ij c_ji fits int32 while denom**2 < 2**31
+            idx = np.array(self.csr[1], T.indices.dtype)
+            wide = self.denom ** 2 >= 2 ** 31
+            mirror = np.array(self.csr[2], np.int64 if wide else np.int32)
+            _sparsetools.csr_sort_indices(len(self), T.indptr, idx, mirror)
+            if not (np.array_equal(T.indptr, self.csr[0])
+                    and np.array_equal(T.indices, idx)):
+                raise ValueError("an entry i -> j has no entry j -> i")
+            # products in place, then floats: the peak stays at T and 2 copies
+            T.data = np.multiply(T.data, mirror, out=mirror)
+            del idx
+            T.data = np.sqrt(T.data, dtype=np.float64)
+            T.data *= 1.0 / self.denom
+            self._matrix = T
         return self._matrix
 
     def float_root_walk(self, P, n_max: int, taboo: bool = False):
         """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root, by
         `walk` over the rows of a CSR float P[j, i] = p(i -> j) on this
-        chain's edges (the taboo f_n and the Doob float walk, n steps);
-        ``taboo`` as in `root_walk`, with w_0 counted as no return."""
+        chain's edges, or of A (the taboo f_n: A and P give every closed
+        walk the same weight); ``taboo`` as in `root_walk`, with w_0
+        counted as no return."""
         ns = len(self.depth)
         # the kernel trusts its row count: a matrix of another size or
         # format would be read out of bounds or transposed
@@ -259,36 +283,26 @@ class CollapsedChain:
     def return_series_float(self, n_max: int) -> np.ndarray:
         """u_0..u_{n_max} by the half walk of the module docstring."""
         self._check_horizon(n_max)
-        P = transpose_csr(self.csr)  # row j: (i, c_ij), ascending i
-        # c_ji of each entry: row j of csr sorted (P's rows, if symmetric)
-        idx = np.array(self.csr[1], P.indices.dtype)
-        wide = self.denom ** 2 >= 2 ** 31  # counts <= denom: c_ij c_ji fits
-        mirror = np.array(self.csr[2], np.int64 if wide else np.int32)
-        _sparsetools.csr_sort_indices(len(self), P.indptr, idx, mirror)
-        if not (np.array_equal(P.indptr, self.csr[0])
-                and np.array_equal(P.indices, idx)):
-            raise ValueError("an entry i -> j has no entry j -> i")
-        # products in place, then floats: the peak stays at P and 2 copies
-        rows = P.indptr, P.indices, np.multiply(P.data, mirror, out=mirror)
-        del P, idx, mirror
-        data = np.sqrt(rows[2], dtype=np.float64)
-        rows = *rows[:2], np.multiply(data, 1.0 / self.denom, out=data)
-        # the walk holds v_k 2**e; u_n is read back by one exact ldexp
-        u, e, prev = [1.0], 0, np.ones(1)  # v_0 = e_root on cone(0)
-        for k, v in enumerate(self.walk(-(-n_max // 2), 1.0, rows,
-                                        target=len(self) - 1), 1):
-            c, ck = self.cone(k - 1), self.cone(k)
-            sq = np.dot(v[:ck], v[:ck])
-            u += [math.ldexp(np.dot(prev[:c], v[:c]), -2 * e),
-                  math.ldexp(sq, -2 * e)]
+        A = self._symmetric()
+        # the walk holds v_k 2**e; u_n is read back by one exact ldexp.
+        # einsum sums never thread, so u_n does not hang on a BLAS pool
+        u, e, prev, c = [1.0], 0, np.ones(1), 1  # v_0 = e_root on cone(0)
+        for k, v in enumerate(self.walk(-(-n_max // 2), 1.0, (
+                A.indptr, A.indices, A.data), target=len(self) - 1), 1):
+            ck = self.cone(k)
+            sq = np.einsum("i,i->", v[:ck], v[:ck])
+            # a bipartite chain's odd u_n are 0: v_k-1 and v_k are disjoint
+            u += [0.0 if self.bipartite else math.ldexp(
+                np.einsum("i,i->", prev[:c], v[:c]), -2 * e),
+                math.ldexp(sq, -2 * e)]
             if sq < 2.0 ** -400:  # rescale before v_k's entries underflow
                 e += (s := -math.frexp(sq)[1] // 2)
                 v[:ck] *= 2.0 ** s
-            prev = v
+            prev, c = v, ck
         return np.array(u[:n_max + 1])
 
     def taboo_series_float(self, n_max: int) -> np.ndarray:
-        return self.float_root_walk(self.matrix(), n_max, taboo=True)
+        return self.float_root_walk(self._symmetric(), n_max, taboo=True)
 
     def _check_horizon(self, n_max: int) -> None:
         if n_max > self.horizon:

@@ -465,7 +465,8 @@ class WalkModel:
         return CollapsedChain(states=OrbitStates(rows, self.vertex), csr=csr,
                               denom=self.degree, level=levels,
                               level_base=self.level_base,
-                              horizon=2 * radius + 1, depth=depth, t0=t0 or 1)
+                              horizon=2 * radius + 1, depth=depth, t0=t0 or 1,
+                              bipartite=self.bipartite)
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -503,7 +504,7 @@ class WalkModel:
         return CollapsedChain(
             states=OrbitStates(rows, self._state), csr=csr, denom=self.degree,
             level=_ints(self._level(rows.T)), level_base=self.level_base,
-            horizon=n_max, depth=depth,
+            horizon=n_max, depth=depth, bipartite=self.bipartite,
             t0=self.level_profile().t0_lattice or 1, root=0)
 
 

@@ -4,22 +4,32 @@
 for ceil(n/2) steps and reads u_2k = |v_k|**2, u_2k-1 = <v_k-1, v_k>.
 Its error budget against the exact series: at every n,
 
-    |float u_n - u_n| <= n 2**-52 u_n + 2**-1074,
+    |float u_n - u_n| <= (n + m/2) 2**-52 u_n + 2**-1074,
 
-that is a relative error of at most n 2**-52 on cells in the normal
-range, and one unit of the last place on subnormal ones; a u_n that is
-exactly 0 (odd n on a bipartite chain) is 0.  The largest errors seen
-are about two thirds of the budget (tree b=10 at n=1260, 1.9e-13).
+with m = cone(n // 2) the states the closing sum runs over.  n 2**-52
+is the walk's share, as for the full walk of P; the sum is an einsum,
+which adds one term after another, and a sum of m nonnegative terms in
+any order is off by at most (m - 1) 2**-53 relative (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2002, section 4.2).  Subnormal
+cells are off by at most one unit of the last place; a u_n that is
+exactly 0 (odd n on a bipartite chain) is 0.  The largest error seen
+is 1.9e-13 (tree b=10 at n=1258, 0.57 of the budget); the sum alone
+reaches 14 units on the cartesian tree x tree ball at n=10, 628 states.
 """
 
+import dataclasses
 import functools
+import importlib.util
 import tracemalloc
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import walklab
+import walklab.cli  # noqa: F401  (the tracer wraps every layer)
 from walklab.chains import CollapsedChain
 from walklab.models import ModelSpec, build_model
 
@@ -34,6 +44,8 @@ FAMILIES = (
        for q, r in ((2, 3), (3, 2), (2, 4))]
     + [(ModelSpec("fixed_end_tree", b=b), 120) for b in (2, 3)]
     + [(ModelSpec("cartesian", factors=(TREE2, TREE2)), 11)])
+BALLS = [ModelSpec("free_product", alpha=a, beta=b)
+         for a, b in ((3, 2), (4, 2), (3, 3))]
 
 
 def _chain(model, n):
@@ -50,14 +62,14 @@ def _exact(i):
     return model, _chain(model, n).return_series_exact(n)
 
 
-def assert_within_budget(got, exact):
+def assert_within_budget(got, exact, chain):
     assert len(got) == len(exact)
     for n, (x, ref) in enumerate(zip(got.tolist(), exact)):
         if ref == 0:
             assert x == 0, n
         else:
-            r = float(ref)
-            assert abs(x - r) <= n * EPS * r + TINY, (n, x, r)
+            r, m = float(ref), chain.cone(n // 2)
+            assert abs(x - r) <= (n + m / 2) * EPS * r + TINY, (n, x, r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,7 +82,7 @@ def test_half_walk_equals_exact_within_budget(i, frac):
     model, exact = _exact(i)
     n = round(frac * FAMILIES[i][1])
     chain = _chain(model, n)
-    assert_within_budget(chain.return_series_float(n), exact[:n + 1])
+    assert_within_budget(chain.return_series_float(n), exact[:n + 1], chain)
 
 
 @pytest.mark.parametrize("spec,n", [
@@ -80,13 +92,30 @@ def test_half_walk_equals_exact_within_budget(i, frac):
 def test_long_horizons_within_budget(spec, n):
     chain = build_model(spec).collapse(n)
     got, exact = chain.return_series_float(n), chain.return_series_exact(n)
-    assert_within_budget(got, exact)
+    assert_within_budget(got, exact, chain)
     # the rescaled walk keeps the subnormal tail of float(exact u_n): for
     # tree b=10 both end at n=1328, where an unscaled one stops at 1322
     last = max(k for k, x in enumerate(exact) if float(x))
     assert np.flatnonzero(got)[-1] == last
     if spec.b == 10:
         assert last == 1328
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in FAMILIES] + BALLS,
+                         ids=lambda s: f"{s.family}{s.b or ''}{s.q or ''}"
+                         f"{s.r or ''}{s.alpha or ''}{s.beta or ''}")
+def test_bipartite_flag_is_the_chains_own(spec):
+    """A chain is flagged bipartite exactly when no entry joins two states
+    of one depth, so its odd u_n are 0; skipping their sums changes no
+    bit of the series."""
+    chain = _chain(build_model(spec), 8)
+    indptr, targets, _ = chain.csr
+    depth = np.array(chain.depth)
+    rows = np.repeat(np.arange(len(chain)), np.diff(indptr))
+    assert chain.bipartite == (not np.any(depth[rows] == depth[targets]))
+    summed = dataclasses.replace(chain, bipartite=False, _matrix=None)
+    assert np.array_equal(chain.return_series_float(8),
+                          summed.return_series_float(8))
 
 
 def _hand_chain(targets, counts, indptr, denom=2):
@@ -104,8 +133,9 @@ def _hand_chain(targets, counts, indptr, denom=2):
     ids=["missing-row", "one-way-cycle"])
 def test_entry_without_reverse_raises(csr):
     chain = _hand_chain(*csr)
-    with pytest.raises(ValueError, match="no entry j -> i"):
-        chain.return_series_float(4)
+    for series in (chain.return_series_float, chain.taboo_series_float):
+        with pytest.raises(ValueError, match="no entry j -> i"):
+            series(4)
 
 
 def test_count_products_past_int32():
@@ -114,17 +144,29 @@ def test_count_products_past_int32():
     assert chain.return_series_float(4).tolist() == [1, 0, 0.25, 0, 0.0625]
 
 
-def test_half_walk_leaves_the_float_matrix_unbuilt(grandparent2):
+def test_float_series_share_one_symmetric_matrix(grandparent2):
+    """u_n and the taboo f_n walk one cached A, the symmetrization of P
+    (A[j, i] = sqrt(P[j, i] P[i, j])); `matrix()` still builds P."""
     chain = grandparent2.collapse(60)
     chain.return_series_float(60)
-    assert chain._matrix is None
+    A, P = chain._matrix, chain.matrix()
+    assert (A != A.T).nnz == 0
+    assert np.array_equal(A.indptr, P.indptr)
+    assert np.array_equal(A.indices, P.indices)
+    assert np.allclose(A.data, np.sqrt(P.multiply(P.T).tocsr().data),
+                       rtol=4 * EPS, atol=0)
+    f = chain.taboo_series_float(60)
+    assert chain._matrix is A
+    assert np.allclose(f, chain.float_root_walk(P, 60, taboo=True),
+                       rtol=1e-13, atol=0)
 
 
 def test_half_walk_memory(grandparent2):
     """tracemalloc peak of a float u_n on grandparent b=2 `collapse(500)`
-    (125,501 states, 501,998 entries), above the chain: 8.63 MiB
-    measured, against 10.55 MiB for the full walk, which then kept its
-    6.24 MiB float matrix on the chain.  The half walk keeps nothing."""
+    (125,501 states, 501,998 entries), above the chain: 8.62 MiB
+    measured, bounded at 9.5 MiB, below the 10.55 MiB of the full walk
+    of P.  It keeps only A on the chain: 6.23 MiB, as large as the P
+    that the full walk kept."""
     chain = grandparent2.collapse(500)
     tracemalloc.start()
     try:
@@ -135,5 +177,28 @@ def test_half_walk_memory(grandparent2):
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 11.5 * 2 ** 20
-    assert kept <= 2 ** 16
+    A = chain._matrix
+    held = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 9.5 * 2 ** 20
+    assert held <= kept <= held + 2 ** 16
+
+
+def test_traced_float_series_run(grandparent2):
+    """The benchmark's tracer (perfbench/tracing.py) wraps both float
+    series and reads the entry count of the matrix they walked from
+    ``chain._matrix``; traced, they run and are counted."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(walklab)
+    try:
+        chain = grandparent2.collapse(40)
+        u = chain.return_series_float(40)
+        f = chain.taboo_series_float(40)
+    finally:
+        tracer.uninstall()
+    assert len(u) == len(f) == 41
+    assert not any(span[7] for span in tracer.spans)
+    assert tracer.counts["chains.float_nnz_steps"] > 0
