@@ -150,24 +150,22 @@ class DoobChain:
         Multiplication by A + B sqrt(D) is the integer matrix [[A, D B],
         [B, A]] on pairs (X, Y) for X + Y sqrt(D): state i becomes rows 2i
         and 2i + 1, at its depth, and one residue walk of L P_h reads both
-        root rows, a_n = (X_n + Y_n sqrt(D)) / L**n."""
+        root rows, a_n = (X_n + Y_n sqrt(D)) / L**n.  Entries with B = 0
+        leave their Y rows empty."""
         chain = self.base_chain
         if n_max > chain.horizon:
             raise DoobError("beyond chain horizon")
         A, B, L, D = self.pairs
         pull = [transpose_csr((*chain.csr[:2], np.array(x, np.int64)))
-                for x in ((A, [D * b for b in B], B) if any(B) else (A,))]
-        P, pair = pull[0], chain  # (np.array above raises past int64)
-        if any(B):  # else every Y_n = 0 and A alone gives X_n
-            P = (sparse.kron(P, np.eye(2, dtype=np.int64))
-                 + sparse.kron(pull[1], [[0, 1], [0, 0]])
-                 + sparse.kron(pull[2], [[0, 0], [1, 0]])).tocsr()
-            P.eliminate_zeros()  # entries with B = 0 leave zeros
-            pair = dataclasses.replace(
-                chain, root=2 * chain.root,
-                depth=np.repeat(chain.depth, 2).tolist())
+                for x in (A, [D * b for b in B], B)]  # raises past int64
+        P = (sparse.kron(pull[0], np.eye(2, dtype=np.int64))
+             + sparse.kron(pull[1], [[0, 1], [0, 0]])
+             + sparse.kron(pull[2], [[0, 0], [1, 0]])).tocsr()
+        P.eliminate_zeros()  # entries with B = 0 leave zeros
+        pair = dataclasses.replace(chain, root=2 * chain.root,
+                                   depth=np.repeat(chain.depth, 2).tolist())
         xy = pair.walk_entries(n_max, 1, (P.indptr, P.indices, P.data),
-                               target=slice(pair.root, pair.root + 1 + any(B)))
+                               target=slice(pair.root, pair.root + 2))
         return [QuadExt(D, 1)] + [QuadExt(D, *(Fraction(v, L ** n) for v in x))
                                   for n, x in enumerate(xy, 1)]
 
@@ -211,9 +209,6 @@ class LevelIncrementLaw:
     atoms: list  # (lattice step j, QuadExt probability), sorted by j
     base: Fraction
     t0_lattice: int
-    # (readout, mode, n) -> the widest table at step n built so far
-    tables: dict = dataclasses.field(default_factory=dict, repr=False,
-                                     compare=False)
 
     def validate(self) -> None:
         probs = dict(self.atoms)
@@ -253,7 +248,9 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 # the level by j lattice units.  The increment law is the one-state case;
 # `quasi` walks on the orbits of a schema.  Arrays v[..., s, i] hold the
 # mass in state s at level a + i, as float64 or as exact field elements.
-# Windows are half-open [r*t0, (r+1)*t0) in lattice units.
+# Windows are half-open [r*t0, (r+1)*t0) in lattice units.  Each public
+# call builds its own table and `_window_at` reads one window of it; no
+# workload asks one (law, n) twice, so no table is kept.
 
 
 @dataclass
@@ -311,8 +308,20 @@ def _levels(walk: _Walk, v, a: int, lo: int, hi: int, out=None):
     return out
 
 
+def _check(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise DoobError(f"need {name} >= {least}, got {name} = {value}")
+
+
 def _window(walk: _Walk, levels, r: int):
     return walk.zero + levels[r * walk.t0:(r + 1) * walk.t0].sum()
+
+
+def _window_at(walk: _Walk, readout, n: int, r: int):
+    """Window r of the table `readout` builds for step n."""
+    _check("n", n, 1)
+    _check("r", r, 0)
+    return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
 
 
 def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
@@ -331,6 +340,7 @@ def _hitting(walk: _Walk, barriers, n_max: int) -> np.ndarray:
     """Row i: P[Y_k >= barriers[i] for the first time], k = 0..n_max, from
     one killed run whose row i loses its mass at levels >= barriers[i] after
     each step; levels that cannot reach min(barriers) by n_max are dropped."""
+    _check("n_max", n_max, 0)
     out = walk.zeros((len(barriers), n_max + 1))
     if not barriers:
         return out
@@ -380,27 +390,6 @@ def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
             for n in n_grid}
 
 
-def _law_table(law: LevelIncrementLaw, walk: _Walk, mode: str, readout,
-               n: int, m_hi: int):
-    """readout(walk, [n], m_hi)[n] for the law's ``walk`` in ``mode``,
-    memoized on the law: a stored table of the same readout, mode and n
-    with at least m_hi levels serves, cut to m_hi.  Its levels below m_hi
-    are the same to the bit, since `_ballots` keeps every level and
-    `_max_laws` drops only levels that cannot come back below m_hi."""
-    key = (readout, mode, n)
-    table = law.tables.get(key)
-    if table is None or len(table) < m_hi:
-        table = law.tables[key] = readout(walk, [n], m_hi)[n]
-    return table[:m_hi]
-
-
-def _law_window(law: LevelIncrementLaw, mode: str, readout, n: int, r: int):
-    """Window r of a readout at step n, from the law's memoized table."""
-    walk = _law_walk(law, mode)
-    return _window(walk, _law_table(law, walk, mode, readout, n,
-                                    (r + 1) * walk.t0), r)
-
-
 def _value(x, mode):
     return float(x) if mode == "float" else x
 
@@ -408,17 +397,14 @@ def _value(x, mode):
 def ballot_probability(law: LevelIncrementLaw, n: int, r: int,
                        mode: str = "exact"):
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r]."""
-    if n < 1 or r < 0:
-        raise DoobError("need n >= 1, r >= 0")
-    return _value(_law_window(law, mode, _ballots, n, r), mode)
+    return _value(_window_at(_law_walk(law, mode), _ballots, n, r), mode)
 
 
 def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
                      mode: str = "float"):
     """[P[tau_r = k] for k = 0..n_max], tau_r = first time Y >= r*t0;
     entry 0 is 0 as r >= 1."""
-    if r < 1:
-        raise DoobError("need r >= 1")
+    _check("r", r, 1)
     out = _hitting(_law_walk(law, mode), [r * law.t0_lattice], n_max)[0]
     return out if mode == "float" else out.tolist()
 
@@ -426,13 +412,12 @@ def hitting_time_law(law: LevelIncrementLaw, r: int, n_max: int,
 def max_and_return(law: LevelIncrementLaw, n: int, r: int,
                    mode: str = "exact"):
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0]."""
-    if r < 0 or n < 1:
-        raise DoobError("need n >= 1, r >= 0")
-    return _value(_law_window(law, mode, _max_laws, n, r), mode)
+    return _value(_window_at(_law_walk(law, mode), _max_laws, n, r), mode)
 
 
 def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
     """P[Y_n = 0] for the unconstrained increment walk."""
+    _check("n", n, 0)
     walk = _law_walk(law, mode)
     v, a = walk.pi[:, None], 0
     for _, v, a in _killed_walk(walk, v, a, n, lambda k: (None, None)):
@@ -444,11 +429,10 @@ def completeness_residual(law: LevelIncrementLaw, n: int,
                           mode: str = "exact"):
     """sum_m P[M_n = m, Y_n = 0] - P[Y_n = 0]: the ladder sum over every
     maximum against the unkilled run; zero when the ladder is complete."""
-    walk = _law_walk(law, mode)
+    zero = return_to_zero(law, n, mode=mode)  # checks n >= 0
     top = max(j for j, _ in law.atoms)  # a maximum m needs 2m/top steps
-    total = _law_table(law, walk, mode, _max_laws, n,
-                       n * top // 2 + 1).sum()
-    return _value(total - return_to_zero(law, n, mode=mode), mode)
+    total = _max_laws(_law_walk(law, mode), [n], n * top // 2 + 1)[n].sum()
+    return _value(total - zero, mode)
 
 
 def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:

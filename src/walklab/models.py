@@ -132,9 +132,12 @@ def parse_model_config(text: str) -> ModelSpec:
                              "is not an integer") from exc
 
     if fam == "cartesian":
-        f1 = parse_model_config(pairs["factor1"].replace(",", "\n"))
-        f2 = parse_model_config(pairs["factor2"].replace(",", "\n"))
-        spec = ModelSpec(family=fam, factors=(f1, f2))
+        missing = [k for k in ("factor1", "factor2") if k not in pairs]
+        if missing:
+            raise ModelError(f"cartesian config missing {missing}")
+        spec = ModelSpec(family=fam, factors=tuple(
+            parse_model_config(pairs[k].replace(",", "\n"))
+            for k in ("factor1", "factor2")))
     else:
         spec = ModelSpec(family=fam, b=geti("b"), q=geti("q"), r=geti("r"),
                          alpha=geti("alpha"), beta=geti("beta"))

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .doob import _Walk, _ballots, _hitting, _max_laws, _window
+from .doob import _Walk, _ballots, _hitting, _max_laws, _window_at
 from .models import LevelProfile, ModelError, _ratio_to_lattice
 from .qfield import sqrt_exact
 
@@ -343,14 +343,12 @@ def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
 
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):
     """P[Y_j > 0 for j = 1..n-1, Y_n in window r] for the additive level."""
-    walk = _orbit_walk(chain)
-    return _window(walk, _ballots(walk, [n], (r + 1) * walk.t0)[n], r)
+    return _window_at(_orbit_walk(chain), _ballots, n, r)
 
 
 def mb_max_and_return(chain: MarkovAdditiveChain, n: int, r: int):
     """P[max_{0<=j<=n} Y_j in window r, Y_n = 0] for the additive level."""
-    walk = _orbit_walk(chain)
-    return _window(walk, _max_laws(walk, [n], (r + 1) * walk.t0)[n], r)
+    return _window_at(_orbit_walk(chain), _max_laws, n, r)
 
 
 def mb_hitting_time_law(chain: MarkovAdditiveChain, r: int, n_max: int):

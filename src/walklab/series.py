@@ -5,6 +5,7 @@ exact series is the walk kernel's integer numerators over d**n."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -124,14 +125,13 @@ class SpectralRadius:
     value: float
     provenance: str  # "closed-form" or "ratio-limit"
     exact: Optional[QuadExt] = None          # closed form when available
-    rho_squared: Optional[object] = None     # Fraction or QuadExt
     uncertainty: Optional[float] = None
+    rho_squared = cached_property(
+        lambda self: None if self.exact is None else self.exact * self.exact)
 
     def rho_squared_rational(self) -> Optional[Fraction]:
         rs = self.rho_squared
-        if isinstance(rs, Fraction):
-            return rs
-        if isinstance(rs, QuadExt) and rs.is_rational():
+        if rs is not None and rs.is_rational():
             return rs.as_fraction()
         return None
 
@@ -162,7 +162,7 @@ def closed_form_rho(model: WalkModel) -> Optional[SpectralRadius]:
     else:
         return None
     return SpectralRadius(value=float(rho), provenance="closed-form",
-                          exact=rho, rho_squared=rho * rho)
+                          exact=rho)
 
 
 def profile_rho(model: WalkModel) -> QuadExt:

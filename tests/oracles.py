@@ -58,82 +58,63 @@ def enumerate_statistics(law, n, r_ballot=(), r_max=(), r_tau=()):
     """Exact laws of ballot / max-and-return / hitting events by listing
     every atom sequence of length n.
 
-    Returns a dict keyed by ("ballot", r), ("max", r) or ("tau", r, k).
-    Sequences are enumerated in chunks as base-K digit arrays; surviving
-    sequences are tallied by their atom-count vector, and each tally is
-    turned into an exact probability since the chance of a sequence
-    depends only on how often each atom occurs.
+    Returns a dict keyed by ("ballot", r), ("max", r) or ("tau", r, k),
+    None where no sequence counts.  Sequences grow one letter at a time
+    from each prefix of their first two letters, carrying the level, the
+    running maximum, whether every level before the last is positive,
+    the first step at or above each hitting barrier (0: not yet) and the
+    atom-count code sum_v c_v (n+1)**v.  Surviving sequences are tallied
+    by that code, and each tally is turned into an exact probability
+    since the chance of a sequence depends only on how often each atom
+    occurs.
     """
-    atoms = law.atoms
-    K = len(atoms)
-    steps_arr = np.array([j for j, _ in atoms], dtype=np.int64)
-    probs = [p for _, p in atoms]
-    t0 = law.t0_lattice
-    span = n + 1
-
-    hists = {}
+    steps = np.array([j for j, _ in law.atoms], dtype=np.int16)
+    probs = [p for _, p in law.atoms]
+    K, t0, span = len(probs), law.t0_lattice, n + 1
+    digits = span ** np.arange(K, dtype=np.int32)
+    barriers = sorted({r for r, _ in r_tau})
+    hists = {key: np.zeros(span ** K, dtype=np.int64)
+             for key in [("ballot", r) for r in r_ballot]
+             + [("max", r) for r in r_max] + [("tau", *rk) for rk in r_tau]}
 
     def add(key, codes):
-        h = np.bincount(codes, minlength=span ** 3)
-        if key in hists:
-            hists[key] += h
-        else:
-            hists[key] = h
+        hists[key] += np.bincount(codes, minlength=span ** K)
 
-    total = K ** n
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digs = np.empty((n, len(idx)), dtype=np.int64)
-        tmp = idx.copy()
-        for pos in range(n):
-            digs[pos] = tmp % K
-            tmp //= K
-        Y = np.cumsum(steps_arr[digs], axis=0)
-        codes = np.zeros(len(idx), dtype=np.int64)
-        mult = 1
-        for v in range(min(K, 3)):
-            codes += mult * (digs == v).sum(axis=0)
-            mult *= span
-        positive = (Y[:-1] > 0).all(axis=0) if n > 1 else \
-            np.ones(len(idx), dtype=bool)
-        M = np.maximum(Y.max(axis=0), 0)
+    for prefix in itertools.product(range(K), repeat=min(n, 2)):
+        level = np.zeros(1, dtype=np.int16)
+        top, code = level.copy(), np.zeros(1, dtype=np.int32)
+        positive = np.ones(1, dtype=bool)
+        first = {r: level.copy() for r in barriers}
+        for k in range(1, n + 1):
+            # each sequence so far becomes a row, one column per next letter
+            letters = list(prefix[k - 1:k] or range(K))
+            level = level[:, None] + steps[letters]
+            top = np.maximum(top[:, None], level).ravel()
+            code = (code[:, None] + digits[letters]).ravel()
+            positive = (positive[:, None] & ((level > 0) | (k == n))).ravel()
+            for r, f in first.items():
+                first[r] = np.where((f[:, None] == 0) & (level >= r * t0),
+                                    k, f[:, None]).ravel()
+            level = level.ravel()
         for r in r_ballot:
-            mask = positive & (Y[-1] >= r * t0) & (Y[-1] < (r + 1) * t0)
-            add(("ballot", r), codes[mask])
+            add(("ballot", r), code[positive & (level >= r * t0)
+                                    & (level < (r + 1) * t0)])
         for r in r_max:
-            mask = (Y[-1] == 0) & (M >= r * t0) & (M < (r + 1) * t0)
-            add(("max", r), codes[mask])
+            add(("max", r), code[(level == 0) & (top >= r * t0)
+                                 & (top < (r + 1) * t0)])
         for r, k in r_tau:
-            hit = Y >= r * t0
-            first = np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0)
-            add(("tau", r, k), codes[first == k])
+            add(("tau", r, k), code[first[r] == k])
 
-    powers = [[probs[v] ** c for c in range(n + 1)] for v in range(K)]
-
-    def reassemble(h):
-        acc = None
-        for code in np.nonzero(h)[0]:
-            code = int(code)
-            counts = []
-            rem = code
-            for _ in range(min(K, 3)):
-                counts.append(rem % span)
-                rem //= span
-            if K > 3:
-                counts.append(n - sum(counts))
-            elif K == 2:
-                counts = [counts[0], n - counts[0]]
-                counts += []
-            term = int(h[code])
-            for v, c in zip(range(K), counts):
-                term = term * powers[v][c]
-            acc = term if acc is None else acc + term
-        return acc
-
+    powers = [[p ** c for c in range(span)] for p in probs]
     out = {}
     for key, h in hists.items():
-        out[key] = reassemble(h)
+        acc = None
+        for c in np.flatnonzero(h).tolist():
+            term = int(h[c])
+            for v in range(K):
+                term = term * powers[v][c // span ** v % span]
+            acc = term if acc is None else acc + term
+        out[key] = acc
     return out
 
 

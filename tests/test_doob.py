@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from oracles import float_atoms, quadext_hwalk, reversal_check
-from walklab import doob
 from walklab.doob import (DoobError, LevelIncrementLaw, ballot_probability,
                           completeness_residual, doob_chain, harmonic_check,
                           hitting_time_law, increment_law, max_and_return,
@@ -60,17 +59,13 @@ def test_doob_chain_exact_return(fixed_end2):
 
 
 @pytest.mark.parametrize("name", ["fixed_end2", "dl23", "grandparent2"])
-def test_rational_h_walk_skips_the_pair_matrix(name, request, monkeypatch):
-    """Every B of the fixed-end tree and Diestel-Leader pairs is 0, so
-    their exact h-walk steps the A counts alone, with no Kronecker pair
-    matrix; the grandparent's is irrational and still builds one."""
+def test_pair_h_walk_equals_quadext_walk(name, request):
+    """The pair h-walk equals the `QuadExt` walk on rational weights
+    (fixed-end tree, Diestel-Leader: every B is 0, so the Y rows stay
+    empty) and on irrational ones (grandparent)."""
     model = request.getfixturevalue(name)
     dc = doob_chain(model.collapse(40), spectral_radius(model))
-    kron, built = doob.sparse.kron, []
-    monkeypatch.setattr(doob.sparse, "kron",
-                        lambda *a: built.append(1) or kron(*a))
     assert dc.return_series_exact(40) == quadext_hwalk(dc, 40)
-    assert bool(built) == any(dc.pairs[1]) == (name == "grandparent2")
 
 
 def test_ballot_small_values(pm1_law, gp_law):

@@ -30,6 +30,14 @@ def test_parse_model_config():
     assert (spec.q, spec.r) == (2, 3)
     with pytest.raises(ModelError):
         parse_model_config("family=tree\nb=two\n")
+    spec = parse_model_config("family=cartesian; factor1=family=tree,b=2; "
+                              "factor2=family=tree,b=3")
+    assert [f.b for f in spec.factors] == [2, 3]
+    for text, missing in (("family=cartesian", "factor1"),
+                          ("family=cartesian; factor1=family=tree,b=2",
+                           "factor2")):
+        with pytest.raises(ModelError, match=missing):
+            parse_model_config(text)
 
 
 def test_ball_sizes_tree(tree2):
