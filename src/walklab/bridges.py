@@ -43,9 +43,9 @@ class BridgeError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _csr(chain: CollapsedChain, n: int):
-    """``chain.csr`` as arrays; BridgeError if n passes the horizon."""
-    if n > chain.horizon:
-        raise BridgeError("beyond chain horizon")
+    """``chain.csr`` as arrays; BridgeError unless 0 <= n <= horizon."""
+    if not 0 <= n <= chain.horizon:
+        raise BridgeError(f"need 0 <= n <= horizon {chain.horizon}, got {n}")
     return map(np.asarray, chain.csr)
 
 
@@ -411,6 +411,9 @@ def excursion_record_law(u: ProbabilitySeries, f: ProbabilitySeries,
     """
     if (u.denom, u.exact) != (f.denom, f.exact):
         raise BridgeError("u and f must be numerators over one denominator")
+    if not 1 <= n <= min(u.n_max, f.n_max):
+        raise BridgeError(f"need 1 <= n <= {min(u.n_max, f.n_max)}, the "
+                          f"last term of u and f, got n = {n}")
     if u[n] == 0:
         raise BridgeError(f"u_{n} = 0: conditioning undefined")
     p = u.period

@@ -25,12 +25,12 @@ between reductions; the primes' product exceeds 2 |start| C**n, C the
 largest column sum, which bounds every |entry|; and the symmetric
 representative is taken.  The bridge F/G tables are whole residue walks.
 
-Float u_n walks half as far: orbit sizes satisfy |S| c(S->T) = |T|
-c(T->S), so P is similar to the symmetric A[S, T] = sqrt(c_ST c_TS) /
-denom, and u_2k = |v_k|**2, u_2k-1 = <v_k-1, v_k> for v_k = A**k e_root
-(`return_series_float`; |float u_n - u_n| <= (n + m/2) 2**-52 u_n +
-2**-1074, m the states its einsum sums).  The float taboo f_n walks A
-n steps; exact u_n, the Doob float walk and bridge tables walk n steps.
+Float root series walk half as far: orbit sizes satisfy |S| c(S->T) =
+|T| c(T->S), so P is similar to the symmetric A[S, T] = sqrt(c_ST c_TS)
+/ denom, and u_2k = |v_k|**2, u_2k-1 = <v_k-1, v_k> for v_k = A**k
+e_root (|float u_n - u_n| <= (n + m/2) 2**-52 u_n + 2**-1074, m the
+states its einsum sums).  The taboo f_n zeroes the root entry of v_k
+between the two reads; the Doob a_n walks the h-walk's A / rho.
 """
 
 from __future__ import annotations
@@ -176,39 +176,35 @@ class CollapsedChain:
                      source: Optional[int] = None,
                      target: Optional[int | slice] = None,
                      kill: Optional[int] = None) -> list:
-        """w_n[target] for n = 1..n_max of `walk` (``target`` default the
-        source, or a slice of states at one depth, read as a list); after
-        each read the mass at ``kill`` is removed.
-
-        An integer walk (integer ``start`` and data) steps residues and
-        returns Python ints, exact as the module docstring argues:
-        ||w_n||_1 <= |start| C**n, and removing mass only lowers it.
-        Raises ValueError when W leaves no room for primes of
-        ``_MIN_PRIME_BITS`` bits.  Any other walk needs float64 data.
-        """
+        """w_n[target] for n = 1..n_max of the integer `walk` (``target``
+        default the source, or a slice of states at one depth, read as a
+        list); after each read the mass at ``kill`` is removed.  Python
+        ints, exact as the module docstring argues: ||w_n||_1 <= |start|
+        C**n, and removing mass only lowers it.  TypeError unless start
+        and data are integers; ValueError when W leaves no room for primes
+        of ``_MIN_PRIME_BITS`` bits."""
         source = self.root if source is None else source
         target = source if target is None else target
-        primes = None
-        if isinstance(start, (int, np.integer)) and (
-                rows is None or _integer_data(rows[2])):
-            if rows is None:  # the counts: ints, kept on the chain
-                if self._int_pull is None:
-                    self._int_pull = _integer_rows(self.pull_rows(),
-                                                   len(self.depth))
-                rows, W, C = self._int_pull
-            else:
-                rows, W, C = _integer_rows(rows, len(self.depth))
-            primes = _residue_primes(W, abs(int(start)) * C ** n_max)
-            primes = primes, _lazy_steps(W)
-        elif rows is None:
-            raise TypeError(f"counts need an integer start, not {start!r}")
+        data = np.asarray(self.csr[2] if rows is None else rows[2])
+        if not (_integer_data(data) and isinstance(start, (int, np.integer))):
+            raise TypeError(f"an integer walk needs integer data and an "
+                            f"integer start, not {data.dtype} and {start!r}")
+        if rows is None:  # the counts: ints, kept on the chain
+            if self._int_pull is None:
+                self._int_pull = _integer_rows(self.pull_rows(),
+                                               len(self.depth))
+            rows, W, C = self._int_pull
+        else:
+            rows, W, C = _integer_rows(rows, len(self.depth))
+        primes = _residue_primes(W, abs(int(start)) * C ** n_max)
         at = target.start if isinstance(target, slice) else target
         reads = []
-        for w in self.walk(n_max, start, rows, source, at, primes):
+        for w in self.walk(n_max, start, rows, source, at,
+                           (primes, _lazy_steps(W))):
             reads.append(w[target].tolist())  # a copy: w is reused
             if kill is not None:
                 w[kill] = 0
-        return reads if primes is None else _crt(reads, primes[0])
+        return _crt(reads, primes)
 
     def root_walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
                   taboo: bool = False) -> list:
@@ -242,72 +238,67 @@ class CollapsedChain:
         return transpose_csr((indptr, targets,
                               np.asarray(counts) * (1.0 / self.denom)))
 
-    def _symmetric(self) -> sparse.csr_matrix:
-        """A[j, i] = sqrt(c_ij c_ji) / denom of the module docstring, on the
-        pattern of `matrix`; built once and kept in ``_matrix``, where the
-        benchmark tracer reads the entry count of the walked matrix."""
-        if self._matrix is None:
-            T = transpose_csr(self.csr)  # row j: (i, c_ij), ascending i
-            # c_ji of each entry: csr's row j sorted (T's, if symmetric);
-            # counts <= denom: c_ij c_ji fits int32 while denom**2 < 2**31
-            idx = np.array(self.csr[1], T.indices.dtype)
-            wide = self.denom ** 2 >= 2 ** 31
-            mirror = np.array(self.csr[2], np.int64 if wide else np.int32)
-            _sparsetools.csr_sort_indices(len(self), T.indptr, idx, mirror)
-            if not (np.array_equal(T.indptr, self.csr[0])
-                    and np.array_equal(T.indices, idx)):
-                raise ValueError("an entry i -> j has no entry j -> i")
-            # products in place, then floats: the peak stays at T and 2 copies
-            T.data = np.multiply(T.data, mirror, out=mirror)
-            del idx
-            T.data = np.sqrt(T.data, dtype=np.float64)
-            T.data *= 1.0 / self.denom
-            self._matrix = T
-        return self._matrix
+    def _symmetric(self, data: Optional[np.ndarray] = None):
+        """S[j, i] = sqrt(data_ij data_ji) on the pattern of `matrix`, for
+        nonnegative ``data`` per entry in ``csr`` order; ValueError if i ->
+        j has no j -> i.  By default the module's A, built once and kept in
+        ``_matrix``, where the benchmark tracer reads its entry count."""
+        if data is None:
+            if self._matrix is None:
+                # counts <= denom: c_ij c_ji fits int32 while denom**2 < 2**31
+                wide = self.denom ** 2 >= 2 ** 31
+                self._matrix = self._symmetric(
+                    np.asarray(self.csr[2], np.int64 if wide else np.int32))
+                self._matrix.data *= 1.0 / self.denom
+            return self._matrix
+        T = transpose_csr((*self.csr[:2], data))  # row j: (i, data_ij)
+        # data_ji of each entry: csr's row j sorted (T's, if symmetric)
+        idx, mirror = np.array(self.csr[1], T.indices.dtype), np.array(data)
+        _sparsetools.csr_sort_indices(len(self), T.indptr, idx, mirror)
+        if not (np.array_equal(T.indptr, self.csr[0])
+                and np.array_equal(T.indices, idx)):
+            raise ValueError("an entry i -> j has no entry j -> i")
+        # products in place, then floats: the peak stays at T and 2 copies
+        T.data = np.multiply(T.data, mirror, out=mirror)
+        del idx
+        T.data = np.sqrt(T.data, dtype=np.float64)
+        return T
 
-    def float_root_walk(self, P, n_max: int, taboo: bool = False):
-        """Root entries of w_0..w_{n_max}, w_n = P w_{n-1}, w_0 = e_root, by
-        `walk` over the rows of a CSR float P[j, i] = p(i -> j) on this
-        chain's edges, or of A (the taboo f_n: A and P give every closed
-        walk the same weight); ``taboo`` as in `root_walk`, with w_0
-        counted as no return."""
-        ns = len(self.depth)
-        # the kernel trusts its row count: a matrix of another size or
-        # format would be read out of bounds or transposed
-        if P.format != "csr" or P.shape != (ns, ns):
-            raise ValueError(f"need a {ns}x{ns} CSR matrix, got "
-                             f"{P.shape[0]}x{P.shape[1]} {P.format}")
-        return np.array([0.0 if taboo else 1.0] + self.root_walk(
-            n_max, 1.0, (P.indptr, P.indices, P.data), taboo))
-
-    def return_series_float(self, n_max: int) -> np.ndarray:
-        """u_0..u_{n_max} by the half walk of the module docstring."""
+    def _half_walk(self, n_max: int, A, taboo: bool = False) -> np.ndarray:
+        """x_0..x_{n_max} by the half walk of the module docstring on a
+        symmetric ``A`` of this chain's pattern: u_n, or with ``taboo`` f_n,
+        the root entry of each v_k zeroed between its two reads."""
         self._check_horizon(n_max)
-        A = self._symmetric()
-        # the walk holds v_k 2**e; u_n is read back by one exact ldexp.
-        # einsum sums never thread, so u_n does not hang on a BLAS pool
-        u, e, prev, c = [1.0], 0, np.ones(1), 1  # v_0 = e_root on cone(0)
+        # the walk holds v_k 2**e; x_n is read back by one exact ldexp.
+        # einsum sums never thread, so x_n does not hang on a BLAS pool
+        x, e, prev, c = [float(not taboo)], 0, np.ones(1), 1  # v_0 = e_root
         for k, v in enumerate(self.walk(-(-n_max // 2), 1.0, (
                 A.indptr, A.indices, A.data), target=len(self) - 1), 1):
             ck = self.cone(k)
+            # a bipartite chain's odd x_n are 0: v_k-1 and v_k are disjoint
+            x.append(0.0 if self.bipartite else math.ldexp(
+                np.einsum("i,i->", prev[:c], v[:c]), -2 * e))
+            if taboo:
+                v[self.root] = 0.0
             sq = np.einsum("i,i->", v[:ck], v[:ck])
-            # a bipartite chain's odd u_n are 0: v_k-1 and v_k are disjoint
-            u += [0.0 if self.bipartite else math.ldexp(
-                np.einsum("i,i->", prev[:c], v[:c]), -2 * e),
-                math.ldexp(sq, -2 * e)]
+            x.append(math.ldexp(sq, -2 * e))
             if sq < 2.0 ** -400:  # rescale before v_k's entries underflow
                 e += (s := -math.frexp(sq)[1] // 2)
                 v[:ck] *= 2.0 ** s
             prev, c = v, ck
-        return np.array(u[:n_max + 1])
+        return np.array(x[:n_max + 1])
+
+    def return_series_float(self, n_max: int) -> np.ndarray:
+        """u_0..u_{n_max} by `_half_walk`."""
+        return self._half_walk(n_max, self._symmetric())
 
     def taboo_series_float(self, n_max: int) -> np.ndarray:
-        return self.float_root_walk(self._symmetric(), n_max, taboo=True)
+        return self._half_walk(n_max, self._symmetric(), taboo=True)
 
     def _check_horizon(self, n_max: int) -> None:
-        if n_max > self.horizon:
-            raise ValueError(
-                f"chain truncated for horizon {self.horizon}, asked for {n_max}")
+        if not 0 <= n_max <= self.horizon:
+            raise ValueError(f"need 0 <= n_max <= horizon {self.horizon}, "
+                             f"got {n_max}")
 
 
 def transpose_csr(csr) -> sparse.csr_matrix:

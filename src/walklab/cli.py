@@ -63,6 +63,24 @@ def _add_model_args(p):
     p.add_argument("--beta", type=int)
 
 
+def _window(text: str) -> tuple:
+    """``lo:hi`` as two ints; argparse reports anything else."""
+    try:
+        lo, hi = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need lo:hi, got {text!r}") from None
+    return lo, hi
+
+
+def _int_list(text: str) -> list:
+    """``a,b,...`` as ints; argparse reports anything else."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"need comma-separated integers, got {text!r}") from None
+
+
 @contextlib.contextmanager
 def _out(args):
     """The --output stream; a named file is closed when the block ends."""
@@ -93,7 +111,7 @@ def cmd_series(args) -> int:
 
 def cmd_fit(args) -> int:
     model = _model_from_args(args)
-    lo, hi = (int(x) for x in args.window.split(":"))
+    lo, hi = args.window
     chain = model.collapse(hi)
     u = series.return_probabilities(chain, hi, mode=args.mode)
     rho = series.spectral_radius(model, u)
@@ -111,9 +129,8 @@ def cmd_ballot(args) -> int:
     model = _model_from_args(args)
     rho = series.spectral_radius(model)
     law = doob.increment_law(model.level_profile(), rho)
-    n_grid = [int(x) for x in args.n_grid.split(",")]
     r_grid = list(range(0, args.rmax + 1))
-    scan = doob.bound_constant_scan(law, n_grid, r_grid)
+    scan = doob.bound_constant_scan(law, args.n_grid, r_grid)
     with _out(args) as out:
         out.write("# " + json.dumps(_provenance(args, {
             "arithmetic": "float", "sup_ballot": scan["sup_ballot"],
@@ -259,14 +276,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("fit", help="power-law exponent of a_n")
     _add_model_args(p)
-    p.add_argument("--window", required=True, help="lo:hi")
+    p.add_argument("--window", required=True, type=_window, help="lo:hi")
     p.add_argument("--mode", choices=["exact", "float"], default="float")
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("ballot", help="level-walk ballot tables")
     _add_model_args(p)
-    p.add_argument("--n-grid", default="200,500,1000")
+    p.add_argument("--n-grid", type=_int_list, default="200,500,1000")
     p.add_argument("--rmax", type=int, default=10)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_ballot)

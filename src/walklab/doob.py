@@ -152,9 +152,8 @@ class DoobChain:
         and 2i + 1, at its depth, and one residue walk of L P_h reads both
         root rows, a_n = (X_n + Y_n sqrt(D)) / L**n.  Entries with B = 0
         leave their Y rows empty."""
+        self._check_horizon(n_max)
         chain = self.base_chain
-        if n_max > chain.horizon:
-            raise DoobError("beyond chain horizon")
         A, B, L, D = self.pairs
         pull = [transpose_csr((*chain.csr[:2], np.array(x, np.int64)))
                 for x in (A, [D * b for b in B], B)]  # raises past int64
@@ -169,13 +168,18 @@ class DoobChain:
         return [QuadExt(D, 1)] + [QuadExt(D, *(Fraction(v, L ** n) for v in x))
                                   for n, x in enumerate(xy, 1)]
 
-    def matrix(self):
-        """Float h-walk matrix P[j, i] = p_h(i -> j), in CSR format."""
-        indptr, targets, _ = self.base_chain.csr
-        return transpose_csr((indptr, targets, self.weights.astype(float)))
-
     def return_series_float(self, n_max: int) -> np.ndarray:
-        return self.base_chain.float_root_walk(self.matrix(), n_max)
+        """a_n by the half walk of the h-walk's sqrt(p_h(i, j) p_h(j, i)) =
+        A / rho, from the float weights."""
+        self._check_horizon(n_max)
+        chain = self.base_chain
+        return chain._half_walk(
+            n_max, chain._symmetric(self.weights.astype(float)))
+
+    def _check_horizon(self, n_max: int) -> None:
+        if not 0 <= n_max <= self.base_chain.horizon:
+            raise DoobError(f"need 0 <= n_max <= horizon "
+                            f"{self.base_chain.horizon}, got {n_max}")
 
 
 def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
@@ -446,6 +450,10 @@ def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
     Ballot and maximum tables for every (n, r) come from one sweep to
     max(n_grid), and one stacked hitting run serves every barrier r.
     """
+    if not (n_grid and r_grid):
+        raise DoobError("need nonempty n and r grids")
+    _check("n", min(n_grid), 1)
+    _check("r", min(r_grid), 0)
     t0_real = law.t0_lattice * float(np.log(float(law.base)))
     walk = _law_walk(law, "float")
     m_hi = (max(r_grid) + 1) * walk.t0

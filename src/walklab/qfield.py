@@ -247,14 +247,24 @@ class QuadExt:
         return self.a
 
     def __float__(self) -> float:
-        # int / int is correctly rounded, as float(Fraction) is
-        return self._a / self._den + self._b / self._den * math.sqrt(self.d)
+        # int / int is correctly rounded, as float(Fraction) is.  When a
+        # and b sqrt(d) have opposite signs their sum would lose the bits
+        # they share: divide out the conjugate, a + b sqrt(d) = (a^2 -
+        # d b^2) / (a (1 - (b/a) sqrt(d))), where both terms have one sign
+        a, b, den = self._a, self._b, self._den
+        if a < 0 < b or b < 0 < a:
+            return ((a * a - self.d * b * b) / (den * a)
+                    / (1 - b / a * math.sqrt(self.d)))
+        return a / den + b / den * math.sqrt(self.d)
 
     def to_mpf(self, mp):
-        """High precision value using an mpmath context."""
-        a, b = self.a, self.b
-        return mp.mpf(a.numerator) / a.denominator + (
-            mp.mpf(b.numerator) / b.denominator) * mp.sqrt(mp.mpf(self.d))
+        """High precision value using an mpmath context, free of
+        cancellation as `__float__` is."""
+        a, b, den, root = self._a, self._b, self._den, mp.sqrt(self.d)
+        if a < 0 < b or b < 0 < a:
+            return (mp.mpf(a * a - self.d * b * b) / (den * a)
+                    / (1 - mp.mpf(b) / a * root))
+        return mp.mpf(a) / den + mp.mpf(b) / den * root
 
     def __repr__(self):
         return f"QuadExt({self.d}, {self.a}, {self.b})"

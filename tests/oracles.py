@@ -9,9 +9,10 @@ are the direct forms of the bridge visit count and of the step-by-step
 vertex-path rebuild, and `trajectory_statistics` reads the Monte Carlo
 window visits and maxima off a whole trajectory array.
 `coo_float_matrix` and `bfs_rows` build a chain's float matrix and its
-rows entry by entry, and `doob_rows` its h-walk rows.  `walk_count`
-counts walks on an adjacency list by pushing every vertex's mass at
-every step.
+rows entry by entry, and `doob_rows` its h-walk rows; `full_half_walk`
+is the float half walk with the whole matrix applied at every step.
+`walk_count` counts walks on an adjacency list by pushing every
+vertex's mass at every step.
 `argsort_pull_rows` transposes a chain's CSR rows by a stable argsort of
 the targets.  `loop_excursion_record_law` and `loop_cnw_condition_scan`
 are the term-by-term loop forms of the excursion record law and the
@@ -359,6 +360,25 @@ def coo_float_matrix(rows, scale=1.0):
             vals.append(float(p) * scale)
     n = len(rows)
     return sparse.csr_matrix((vals, (r_idx, c_idx)), shape=(n, n))
+
+
+def full_half_walk(chain, A, n_max, taboo=False):
+    """x_0..x_{n_max} of the half walk with the whole symmetric matrix A
+    applied at every step, v_k = A @ v_k-1 from v_0 = e_root, and no
+    rescaling: x_2k-1 = <v_k-1, v_k> and x_2k = |v_k|**2, summed over the
+    states within k steps of the root; with ``taboo`` the root entry of
+    v_k is zeroed between the two sums and x_0 = 0."""
+    v = np.zeros(len(chain.states))
+    v[chain.root] = 1.0
+    x, c = [0.0 if taboo else 1.0], 1
+    for k in range(1, -(-n_max // 2) + 1):
+        w, ck = A @ v, chain.cone(k)
+        x.append(np.einsum("i,i->", v[:c], w[:c]))
+        if taboo:
+            w[chain.root] = 0.0
+        x.append(np.einsum("i,i->", w[:ck], w[:ck]))
+        v, c = w, ck
+    return np.array(x[:n_max + 1])
 
 
 def doob_rows(chain, rho):

@@ -81,6 +81,17 @@ def test_excursion_mass_exact(tree2):
     assert law.joint[(0, 0)] == law.f_over_u
 
 
+@pytest.mark.parametrize("n", [0, -1, 41])
+def test_excursion_law_outside_the_series_raises(fe_series, n):
+    chain, u = fe_series
+    with pytest.raises(BridgeError, match="need 1 <= n <= 40"):
+        excursion_record_law(u, first_return_probabilities(u), n)
+    # the shorter of u and f bounds n
+    short = first_return_probabilities(return_probabilities(chain, 20))
+    with pytest.raises(BridgeError, match="need 1 <= n <= 20"):
+        excursion_record_law(u, short, 21)
+
+
 def test_excursion_limit_geometric(tree2):
     chain = tree2.collapse(400)
     u = return_probabilities(chain, 400, mode="float")

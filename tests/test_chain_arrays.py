@@ -1,10 +1,11 @@
 """Array-native collapsed chains: CSR rows from the truncation, memoized
-orbit moves, one float-matrix builder and the light-cone float DP."""
+orbit moves, the float matrix P and the light-cone float half walks."""
 
 import numpy as np
 import pytest
 
-from oracles import bfs_rows, coo_float_matrix, counted_moves, doob_rows
+from oracles import (bfs_rows, coo_float_matrix, counted_moves, doob_rows,
+                     full_half_walk)
 from walklab.doob import doob_chain
 from walklab.models import ModelSpec, build_model
 from walklab.series import spectral_radius
@@ -65,26 +66,6 @@ def test_chain_matrix_equals_coo_oracle(spec):
                     coo_float_matrix(chain.edges, 1.0 / chain.denom))
 
 
-def test_doob_matrix_equals_coo_oracle(grandparent2):
-    chain, rho = grandparent2.collapse(30), spectral_radius(grandparent2)
-    dc = doob_chain(chain, rho)
-    assert_same_csr(dc.matrix(), coo_float_matrix(doob_rows(chain, rho)))
-
-
-def full_float_walk(chain, P, n_max, taboo=False):
-    """Root entries of w_0..w_{n_max} with the whole matrix applied at
-    every step."""
-    w = np.zeros(len(chain.states))
-    w[chain.root] = 1.0
-    out = [0.0 if taboo else 1.0]
-    for n in range(1, n_max + 1):
-        if taboo and n > 1:
-            w[chain.root] = 0.0
-        w = P @ w
-        out.append(w[chain.root])
-    return np.array(out)
-
-
 @pytest.mark.parametrize("spec,n_max", [
     (ModelSpec("grandparent", b=2), 200),
     (ModelSpec("diestel_leader", q=2, r=3), 120),
@@ -93,23 +74,17 @@ def full_float_walk(chain, P, n_max, taboo=False):
     ids=lambda v: spec_id(v) if isinstance(v, ModelSpec) else str(v))
 def test_light_cone_float_walk_equals_full_products(spec, n_max):
     chain = build_model(spec).collapse(n_max)
-    P = chain.matrix()
-    for taboo in (False, True):
-        assert np.array_equal(chain.float_root_walk(P, n_max, taboo=taboo),
-                              full_float_walk(chain, P, n_max, taboo))
+    A = chain._symmetric()
+    assert np.array_equal(chain.return_series_float(n_max),
+                          full_half_walk(chain, A, n_max))
+    assert np.array_equal(chain.taboo_series_float(n_max),
+                          full_half_walk(chain, A, n_max, taboo=True))
 
 
 def test_light_cone_doob_walk_equals_full_products(grandparent2):
+    """The h-walk's symmetrization sqrt(P_h * P_h.T), from the oracle's
+    h-walk rows, walked whole."""
     chain, rho = grandparent2.collapse(60), spectral_radius(grandparent2)
-    dc = doob_chain(chain, rho)
-    assert np.array_equal(
-        dc.return_series_float(60),
-        full_float_walk(chain, coo_float_matrix(doob_rows(chain, rho)), 60))
-
-
-def test_float_walk_rejects_a_matrix_it_cannot_read(grandparent2):
-    chain = grandparent2.collapse(10)
-    with pytest.raises(ValueError, match="CSR"):
-        chain.float_root_walk(chain.matrix().tocsc(), 10)
-    with pytest.raises(ValueError, match="CSR"):
-        chain.float_root_walk(grandparent2.collapse(8).matrix(), 8)
+    P = coo_float_matrix(doob_rows(chain, rho))
+    assert np.array_equal(doob_chain(chain, rho).return_series_float(60),
+                          full_half_walk(chain, P.multiply(P.T).sqrt(), 60))

@@ -98,3 +98,26 @@ def test_compute_error(capsys):
 def test_model_error(capsys):
     code, _, err = run(capsys, "series", "--family", "tree", "--nmax", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["ballot", "--family", "grandparent", "--b", "2", "--n-grid", "0,4"],
+     2, "need n >= 1"),
+    (["ballot", "--family", "grandparent", "--b", "2", "--rmax", "-1"],
+     2, "nonempty"),
+    (["ballot", "--family", "grandparent", "--b", "2", "--n-grid", "4,x"],
+     1, "--n-grid"),
+    (["excursions", "--family", "tree", "--b", "2", "--n", "0"],
+     2, "need 1 <= n"),
+    (["fit", "--family", "tree", "--b", "2", "--window", "5"],
+     1, "--window"),
+    (["fit", "--family", "tree", "--b", "2", "--window", "a:9"],
+     1, "--window")],
+    ids=["ballot-n0", "ballot-rmax", "ballot-grid", "excursions-n0",
+         "fit-window", "fit-window-text"])
+def test_bad_arguments_exit_with_one_line(capsys, argv, code, message):
+    """Out-of-range values are computation errors (2) and unparsable ones
+    usage errors (1), each reported on stderr without a traceback."""
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert message in err and "Traceback" not in err

@@ -133,10 +133,12 @@ def test_nonlattice_profile_rejected(tree2):
 
 
 def test_negative_atom_rejected_exactly():
-    # x = p - q sqrt(2) < 0 from a convergent of sqrt(2); the float of x
-    # rounds to 0, so only an exact sign test sees the negative mass
+    # x = p - q sqrt(2) < 0 from a convergent of sqrt(2); a float sum of
+    # its two terms rounds to 0, so only an exact sign test, or the float
+    # that divides out the conjugate, sees the negative mass
     x = QuadExt(2, 318281039, -225058681)
-    assert x.sign() < 0 and float(x) >= 0
+    assert x.sign() < 0 and 318281039 - 225058681 * math.sqrt(2) == 0
+    assert float(x) < 0
     for eps in (x, QuadExt(2, Fraction(-1, 4), 0)):
         law = LevelIncrementLaw(atoms=[(-1, eps), (0, 1 - 2 * eps), (1, eps)],
                                 base=Fraction(2), t0_lattice=1)

@@ -215,11 +215,11 @@ def test_span_scan_flags_a_missing_name():
         "doob.np"]
 
 
-# `module:name` of each allowed read of a chain's views: the float
-# `matrix()` only.  The per-row `edges` lists are read by tests and the
-# benchmark tracer, never in `src/`; every other reader, the Doob
-# weights included, goes through ``chain.csr``
-VIEWS_ALLOWED = {"doob:matrix", "chains:matrix"}
+# `module:name` of each allowed read of a chain's views: none.  The float
+# `matrix()` and the per-row `edges` lists are read by tests and the
+# benchmark tracer, never in `src/`; every reader there, the Doob weights
+# included, goes through ``chain.csr``
+VIEWS_ALLOWED = set()
 
 
 def view_reads(path: Path) -> list:

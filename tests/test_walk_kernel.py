@@ -1,14 +1,15 @@
 """One walk kernel, `CollapsedChain.walk`, for collapsed chains and balls:
 ball series and avoiding-walk counts against the plain walk counter in
-`oracles`, the ball oracle at the chain's radius, and the smallest
-horizons."""
+`oracles`, the ball oracle at the chain's radius, the smallest horizons
+and the negative ones, which every series refuses."""
 
 from fractions import Fraction
 
 import pytest
 
 from oracles import adjacency, walk_count
-from walklab import bridges
+from walklab import bridges, series
+from walklab.doob import DoobError, doob_chain
 from walklab.models import (ModelError, ModelSpec, ball_return_series,
                             build_model, validate_collapse)
 
@@ -101,3 +102,42 @@ def test_exact_walks_leave_edges_unbuilt(name, request):
     g = model.enumerate_ball(4)
     ball_return_series(g, 8, model.degree)
     assert g._edges is None
+
+
+# (error, call on a grandparent b=2 chain of horizon 10, its Doob chain
+# and its exact u_n) for each entry point that takes a horizon
+HORIZON_CALLS = {
+    "return_series_exact": (ValueError, lambda c, dc, u, n:
+                            c.return_series_exact(n)),
+    "taboo_series_exact": (ValueError, lambda c, dc, u, n:
+                           c.taboo_series_exact(n)),
+    "return_series_float": (ValueError, lambda c, dc, u, n:
+                            c.return_series_float(n)),
+    "taboo_series_float": (ValueError, lambda c, dc, u, n:
+                           c.taboo_series_float(n)),
+    "return_probabilities": (ValueError, lambda c, dc, u, n:
+                             series.return_probabilities(c, n)),
+    "return_probabilities[float]": (ValueError, lambda c, dc, u, n:
+                                    series.return_probabilities(c, n,
+                                                                "float")),
+    "taboo_first_return": (ValueError, lambda c, dc, u, n:
+                           series.taboo_first_return(c, n)),
+    "doob_exact": (DoobError, lambda c, dc, u, n:
+                   dc.return_series_exact(n)),
+    "doob_float": (DoobError, lambda c, dc, u, n:
+                   dc.return_series_float(n)),
+    "bridge_level_visits": (bridges.BridgeError, lambda c, dc, u, n:
+                            bridges.bridge_level_visits(c, u, n, 0)),
+}
+
+
+@pytest.mark.parametrize("n", [-1, -5, 11])
+@pytest.mark.parametrize("name", list(HORIZON_CALLS))
+def test_horizons_outside_the_chain_raise(grandparent2, name, n):
+    """A horizon below 0 or past the chain's raises the entry point's own
+    error (a ValueError for the chain and its series), naming the range."""
+    chain = grandparent2.collapse(10)
+    dc = doob_chain(chain, series.spectral_radius(grandparent2))
+    error, call = HORIZON_CALLS[name]
+    with pytest.raises(error, match="horizon 10"):
+        call(chain, dc, series.return_probabilities(chain, 10), n)
