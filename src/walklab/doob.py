@@ -170,11 +170,15 @@ class DoobChain:
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         """a_n by the half walk of the h-walk's sqrt(p_h(i, j) p_h(j, i)) =
-        A / rho, from the float weights."""
+        A / rho, from the float weights.  The weights repeat one value per
+        (level step, count), so each is floated once, in a table."""
         self._check_horizon(n_max)
         chain = self.base_chain
+        index = _table_index(chain)
+        table = np.zeros((2 * chain.t0 + 1, index[1].max() + 1), object)
+        table[index] = self.weights
         return chain._half_walk(
-            n_max, chain._symmetric(self.weights.astype(float)))
+            n_max, chain._symmetric(table.astype(float)[index]))
 
     def _check_horizon(self, n_max: int) -> None:
         if not 0 <= n_max <= self.base_chain.horizon:
@@ -182,21 +186,27 @@ class DoobChain:
                             f"{self.base_chain.horizon}, got {n_max}")
 
 
+def _table_index(chain: CollapsedChain) -> tuple:
+    """(level step + t0, count) of every entry of ``chain.csr``: where its
+    h-walk weight sits in the table of `doob_chain`."""
+    indptr, targets, counts = chain.csr
+    level = np.asarray(chain.level)
+    return (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))
+            + chain.t0, np.asarray(counts))
+
+
 def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
     if chain.level_base is None:
         raise DoobError("chain has no level structure")
     if rho.exact is None:
         raise DoobError("doob transform needs the exact spectral radius")
-    indptr, targets, counts = chain.csr
-    if not len(targets):
+    if not len(chain.csr[1]):
         raise DoobError(f"chain of horizon {chain.horizon} has no entries")
-    level = np.asarray(chain.level)
-    table = _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0)
-    step = (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))
-            + chain.t0)
-    counts = np.asarray(counts)  # one product per (step, count), shared
-    table = np.multiply.outer(table, np.arange(counts.max() + 1))
-    dc = DoobChain(base_chain=chain, weights=table[step, counts])
+    index = _table_index(chain)  # one product per (step, count), shared
+    table = np.multiply.outer(
+        _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0),
+        np.arange(index[1].max() + 1))
+    dc = DoobChain(base_chain=chain, weights=table[index])
     bad = dc.row_sum_check()
     if bad:
         raise DoobError(f"nonstochastic rows at states {bad[:5]} "
@@ -247,11 +257,12 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 # Level-walk statistics: one killed-walk kernel and its readouts
 # ---------------------------------------------------------------------------
 #
-# A level walk is a Markov-additive chain: a start law pi over chain states
-# and moves (s, s2, j, p), a move from s to s2 with weight p that raises
-# the level by j lattice units.  The increment law is the one-state case;
-# `quasi` walks on the orbits of a schema.  Arrays v[..., s, i] hold the
-# mass in state s at level a + i, as float64 or as exact field elements.
+# A level walk is a Markov-additive chain: start weights pi over chain
+# states and moves (s, s2, j, p), a move from s to s2 with weight p that
+# raises the level by j lattice units.  The increment law is the one-state
+# case; `quasi` walks on the orbits of a schema.  Arrays v[..., s, i] hold
+# the mass in state s at level a + i: float64, or the Python-int path
+# counts of an exact walk, which `_Walk.readout` turns into probabilities.
 # Windows are half-open [r*t0, (r+1)*t0) in lattice units.  Each public
 # call builds its own table and `_window_at` reads one window of it; no
 # workload asks one (law, n) twice, so no table is kept.
@@ -259,23 +270,44 @@ def increment_law(profile: LevelProfile, rho: SpectralRadius) -> LevelIncrementL
 
 @dataclass
 class _Walk:
-    pi: np.ndarray   # start law over chain states
+    pi: np.ndarray   # start weights over chain states
     moves: list      # (s, s2, j, p)
-    zero: object     # 0.0, or the zero of the weights' field
     t0: int
+    scale: Optional[tuple] = None  # (lam, s, Q) of an exact walk
 
-    def zeros(self, shape) -> np.ndarray:
-        if isinstance(self.zero, float):
-            return np.zeros(shape)
-        return np.full(shape, self.zero, dtype=object)
+    def readout(self, x, k, shift=0):
+        """x lam**k s**shift / Q, the probability of counts x after k steps
+        `shift` levels up (arrays broadcast); a float walk's x as it is."""
+        if self.scale is None:
+            return x
+        lam, s, Q = self.scale
+        power = np.frompyfunc(pow, 2, 1)
+        return x * (power(lam, k) / Q * power(s, shift))
+
+
+def _count_walk(pi, moves, base, t0: int) -> _Walk:
+    """An exact walk on counts: field moves p = c lam s**j, s = sqrt(base),
+    c an integer (p_h is p conjugated by a diagonal), and pi = P / Q."""
+    s = sqrt_exact(base)
+    lam = moves[0][3] / s ** moves[0][2]
+    c, irr, L, _ = integer_pairs([p / (lam * s ** j) for *_, j, p in moves])
+    P, irr_pi, Q, _ = integer_pairs([s * 0 + x for x in pi])
+    for what, x in zip([*moves, "start law"], [*irr, any(irr_pi)]):
+        if x:
+            raise DoobError(f"{what}: not c lam s**j with c rational")
+    return _Walk(np.array(P, dtype=object),
+                 [(*m[:3], x) for m, x in zip(moves, c)], t0, (lam / L, s, Q))
 
 
 def _law_walk(law: LevelIncrementLaw, mode: str) -> _Walk:
     """The increment law as a one-state walk."""
-    cast = float if mode == "float" else (lambda p: p)
-    zero = cast(law.atoms[0][1] * 0)
-    moves = [(0, 0, j, cast(p)) for j, p in law.atoms]
-    return _Walk(np.array([zero + 1]), moves, zero, law.t0_lattice)
+    if mode == "exact":
+        return _count_walk([1], [(0, 0, j, p) for j, p in law.atoms],
+                           law.base, law.t0_lattice)
+    if mode == "float":
+        return _Walk(np.ones(1), [(0, 0, j, float(p)) for j, p in law.atoms],
+                     law.t0_lattice)
+    raise DoobError(f"unknown mode {mode!r}")
 
 
 def _killed_walk(walk: _Walk, v, a: int, n: int, live):
@@ -292,7 +324,7 @@ def _killed_walk(walk: _Walk, v, a: int, n: int, live):
         width = v.shape[-1]
         na = a + down if lo is None else max(a + down, lo)
         nb = a + width + up if hi is None else min(a + width + up, hi)
-        new = walk.zeros(v.shape[:-1] + (max(nb - na, 0),))
+        new = np.zeros(v.shape[:-1] + (max(nb - na, 0),), v.dtype)
         for s, s2, j, p in walk.moves:
             i0, i1 = max(na - a - j, 0), min(nb - a - j, width)
             if i0 < i1:
@@ -302,10 +334,9 @@ def _killed_walk(walk: _Walk, v, a: int, n: int, live):
         yield k, v, a
 
 
-def _levels(walk: _Walk, v, a: int, lo: int, hi: int, out=None):
+def _levels(v, a: int, lo: int, hi: int):
     """Mass of v at each level in [lo, hi), summed over chain states."""
-    if out is None:
-        out = walk.zeros(v.shape[:-2] + (hi - lo,))
+    out = np.zeros(v.shape[:-2] + (hi - lo,), v.dtype)
     i0, i1 = max(lo, a), min(hi, a + v.shape[-1])
     if i0 < i1:
         out[..., i0 - lo:i1 - lo] = v[..., i0 - a:i1 - a].sum(axis=-2)
@@ -317,15 +348,12 @@ def _check(name: str, value: int, least: int) -> None:
         raise DoobError(f"need {name} >= {least}, got {name} = {value}")
 
 
-def _window(walk: _Walk, levels, r: int):
-    return walk.zero + levels[r * walk.t0:(r + 1) * walk.t0].sum()
-
-
 def _window_at(walk: _Walk, readout, n: int, r: int):
-    """Window r of the table `readout` builds for step n."""
+    """Window r, the last t0 levels, of the table `readout` builds for step
+    n up to level (r + 1) t0."""
     _check("n", n, 1)
     _check("r", r, 0)
-    return _window(walk, readout(walk, [n], (r + 1) * walk.t0)[n], r)
+    return readout(walk, [n], (r + 1) * walk.t0)[n][r * walk.t0:].sum()
 
 
 def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
@@ -335,8 +363,8 @@ def _ballots(walk: _Walk, n_grid, m_hi: int) -> dict:
     for k, v, a in _killed_walk(walk, walk.pi[:, None], 0, max(n_grid),
                                 lambda k: (0, None)):  # a stays 0
         if k in n_grid:
-            out[k] = _levels(walk, v, a, 0, m_hi)
-        v[:, 0] = walk.zero
+            out[k] = walk.readout(_levels(v, a, 0, m_hi), k, np.arange(m_hi))
+        v[:, 0] = 0
     return out
 
 
@@ -345,19 +373,21 @@ def _hitting(walk: _Walk, barriers, n_max: int) -> np.ndarray:
     one killed run whose row i loses its mass at levels >= barriers[i] after
     each step; levels that cannot reach min(barriers) by n_max are dropped."""
     _check("n_max", n_max, 0)
-    out = walk.zeros((len(barriers), n_max + 1))
     if not barriers:
-        return out
+        return np.zeros((0, n_max + 1), walk.pi.dtype)
     up = max(j for _, _, j, _ in walk.moves)
     lo, hi = min(barriers), max(barriers) + up  # one step of overshoot
-    v = walk.zeros((len(barriers), len(walk.pi), hi))  # levels 0..hi-1
+    B, S = len(barriers), len(walk.pi)
+    v = np.zeros((B, S, hi), walk.pi.dtype)  # levels 0..hi-1
     v[:, :, 0] = walk.pi
     cells = (np.asarray(barriers)[:, None] + np.arange(up))[:, None]
+    hits = np.zeros((B, n_max + 1, S, up), v.dtype)
     for k, v, a in _killed_walk(walk, v, 0, n_max,
                                 lambda k: (lo - (n_max - k) * up, hi)):
-        out[:, k] = np.take_along_axis(v, cells - a, -1).sum(axis=(1, 2))
-        np.put_along_axis(v, cells - a, walk.zero, -1)
-    return out
+        hits[:, k] = np.take_along_axis(v, cells - a, -1)
+        np.put_along_axis(v, cells - a, 0, -1)
+    return walk.readout(hits, np.arange(n_max + 1)[:, None, None],
+                        cells[:, None]).sum(axis=(2, 3))
 
 
 def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
@@ -374,24 +404,26 @@ def _max_laws(walk: _Walk, n_grid, m_hi: int) -> dict:
     levels negated both are runs kept at levels >= 0, split by start
     state: B starts at level 0 and A one level lower, at -1.  The table
     keeps levels below m_hi, and the live set drops levels that cannot
-    come back below m_hi by step max(n_grid).
+    come back below m_hi by step max(n_grid).  Both halves climb m in the
+    negated walk, so an exact walk reads out their count product at shift
+    -2m.
     """
     neg = dataclasses.replace(
         walk, moves=[(s, s2, -j, p) for s, s2, j, p in walk.moves])
     fall = max(j for _, _, j, _ in walk.moves)
     last = max(n_grid)
     S = len(walk.pi)
-    v = walk.zeros((2, S, S, 2))  # (A or B, start state, state, level -1..0)
+    v = np.zeros((2, S, S, 2), walk.pi.dtype)  # (A or B, start, state, level)
     for s in range(S):
-        v[0, s, s, 0], v[1, s, s, 1] = walk.pi[s], walk.zero + 1
-    table = walk.zeros((last + 1, 2, S, m_hi + 1))
-    _levels(walk, v, -1, -1, m_hi, table[0])
+        v[0, s, s, 0], v[1, s, s, 1] = walk.pi[s], 1  # at levels -1 and 0
+    table = np.zeros((last + 1, 2, S, m_hi + 1), v.dtype)
+    table[0] = _levels(v, -1, -1, m_hi)
     for k, v, a in _killed_walk(neg, v, -1, last,
                                 lambda k: (0, m_hi + (last - k) * fall)):
-        _levels(walk, v, a, -1, m_hi, table[k])
+        table[k] = _levels(v, a, -1, m_hi)
     strict, weak = table[:, 0, :, :-1], table[:, 1, :, 1:]
-    return {n: (strict[n::-1] * weak[:n + 1]).sum(axis=(0, 1))
-            for n in n_grid}
+    return {n: walk.readout((strict[n::-1] * weak[:n + 1]).sum(axis=(0, 1)),
+                            n, -2 * np.arange(m_hi)) for n in n_grid}
 
 
 def _value(x, mode):
@@ -426,7 +458,7 @@ def return_to_zero(law: LevelIncrementLaw, n: int, mode: str = "exact"):
     v, a = walk.pi[:, None], 0
     for _, v, a in _killed_walk(walk, v, a, n, lambda k: (None, None)):
         pass
-    return _value(walk.zero + _levels(walk, v, a, 0, 1).sum(), mode)
+    return _value(walk.readout(_levels(v, a, 0, 1).sum(), n), mode)
 
 
 def completeness_residual(law: LevelIncrementLaw, n: int,
@@ -463,8 +495,8 @@ def bound_constant_scan(law: LevelIncrementLaw, n_grid, r_grid) -> dict:
     for n in n_grid:
         acc = 0.0
         for r in r_grid:
-            bp = float(_window(walk, ballots[n], r))
-            mr = float(_window(walk, maxes[n], r))
+            w = slice(r * walk.t0, (r + 1) * walk.t0)
+            bp, mr = float(ballots[n][w].sum()), float(maxes[n][w].sum())
             acc += mr * np.exp(-r * t0_real)
             table.append((n, r, bp, mr, bp * n ** 1.5 / max(r, 1),
                           mr * n ** 1.5 / max(r, 1) ** 1.5))

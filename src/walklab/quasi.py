@@ -1,6 +1,8 @@
 """Orbit schemas for quasi-transitive actions, the associated symmetric
 matrix, its Perron eigenpair, and the induced chain with its ballot
-statistics, read from the killed-walk kernel of `walklab.doob`.
+statistics, read from the killed-walk kernel of `walklab.doob`: a float
+chain walks its probabilities, and an exact one counts integer paths,
+read out as field elements of sqrt(base) by the Doob factor.
 
 An orbit schema records, for each ordered pair of vertex orbits (i, j)
 and each stabilizer ratio q, the number N_{i,j,q} of neighbors in orbit
@@ -18,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .doob import _Walk, _ballots, _hitting, _max_laws, _window_at
+from .doob import (_Walk, _ballots, _count_walk, _hitting, _max_laws,
+                   _window_at)
 from .models import LevelProfile, ModelError, _ratio_to_lattice
 from .qfield import sqrt_exact
 
@@ -254,6 +257,7 @@ class MarkovAdditiveChain:
     steps: list               # lattice increment attached to entering a state
     t0_lattice: int
     exact: bool
+    base: Optional[Fraction] = None  # the schema's lattice base
 
     def validate(self) -> None:
         tot = sum(float(p) for p in self.initial)
@@ -304,7 +308,7 @@ def induced_chain(schema: OrbitSchema, perron_data: PerronData,
     steps = [schema.lattice_step(q) for (_, _, q) in states]
     chain = MarkovAdditiveChain(states=states, initial=initial, trans=trans,
                                 steps=steps, t0_lattice=schema.t0_lattice,
-                                exact=exact)
+                                exact=exact, base=schema.base)
     chain.validate()
     return chain
 
@@ -328,17 +332,19 @@ def _orbit_walk(chain: MarkovAdditiveChain) -> _Walk:
     State (i, j, q) is the crossing of an edge from orbit i to orbit j;
     its probability is the same from every state that ends in orbit i,
     and its initial probability is pi(i) times it, so the walk moves
-    between orbits with the lattice step of q.
+    between orbits with the lattice step of q.  An exact chain's walk
+    steps the integer counts of these moves (`doob._count_walk`).
     """
     L = max(j for _, j, _ in chain.states)
     into = {j: s for s, (_, j, _) in enumerate(chain.states)}
-    zero = chain.initial[0] * 0
-    pi = np.array([zero] * L)
+    pi = [0] * L
     for s, (i, _, _) in enumerate(chain.states):
-        pi[i - 1] = pi[i - 1] + chain.initial[s]
+        pi[i - 1] += chain.initial[s]
     moves = [(i - 1, j - 1, chain.steps[s], chain.trans[into[i]][s])
              for s, (i, j, _) in enumerate(chain.states)]
-    return _Walk(pi, moves, zero, chain.t0_lattice)
+    if chain.exact:
+        return _count_walk(pi, moves, chain.base, chain.t0_lattice)
+    return _Walk(np.array(pi), moves, chain.t0_lattice)
 
 
 def mb_ballot_probability(chain: MarkovAdditiveChain, n: int, r: int):

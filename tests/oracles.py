@@ -27,6 +27,10 @@ family's graph out on its tuple vertices, and `counted_moves` counts a
 family's vertex moves by orbit: the references for the vertex rows and
 the orbit moves the library derives.  `hitting_per_barrier` is the
 hitting law of one barrier from its own killed level-walk run.
+`FieldWalk`, built by `field_law_walk` and `field_orbit_walk`, is a
+level walk with field-valued weights; `field_killed_walk` steps it on
+`QuadExt` arrays, as the library did before it counted integer paths,
+and `field_level_laws` reads ballot, maximum and return laws off it.
 `object_root_walk` steps a chain's root walk on Python-int object
 arrays, with no residues, `object_bridge_tables` the bridge F/G tables
 as whole Python-int vectors, with no light cone either, and
@@ -43,6 +47,7 @@ from array import array
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -222,7 +227,13 @@ class QuadRef:
         return (1 if a > 0 else -1) if bigger_a else (1 if b > 0 else -1)
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
+        """a + b sqrt(D); when the two terms have opposite signs, the
+        conjugate form (a^2 - D b^2) / (a - b sqrt(D)), whose denominator
+        adds two terms of one sign, in place of their cancelling sum."""
+        a, b, root = self.a, self.b, math.sqrt(self.D)
+        if a * b < 0:
+            return float(a * a - self.D * b * b) / (float(a) - float(b) * root)
+        return float(a) + float(b) * root
 
 
 def enumerate_chain_statistics(chain, n, r_ballot=(), r_max=(), r_tau=()):
@@ -780,10 +791,12 @@ def smoothness_by_pairs(u, rho):
 def hitting_per_barrier(walk, barrier, n_max):
     """P[Y_k >= barrier for the first time] for k = 0..n_max, one run per
     barrier: the level walk ``walk`` (start law ``pi``, moves (s, s2, j,
-    p), ``zero``) is stepped k - 1 times with levels >= barrier removed,
-    and one last step kept at levels >= barrier gives P[tau = k]."""
+    p), float64 or field-valued) is stepped k - 1 times with levels >=
+    barrier removed, and one last step kept at levels >= barrier gives
+    P[tau = k]."""
     states = len(walk.pi)
     js = [j for _, _, j, _ in walk.moves]
+    zero = walk.pi[0] * 0
 
     def step(v, a, lo, hi):
         """One step from mass v[s, i] at level a + i, keeping levels in
@@ -791,8 +804,8 @@ def hitting_per_barrier(walk, barrier, n_max):
         na = a + min(js) if lo is None else max(a + min(js), lo)
         nb = a + v.shape[1] + max(js)
         nb = nb if hi is None else min(nb, hi)
-        new = np.full((states, max(nb - na, 0)), walk.zero,
-                      dtype=float if isinstance(walk.zero, float) else object)
+        new = np.full((states, max(nb - na, 0)), zero,
+                      dtype=float if isinstance(zero, float) else object)
         for s, s2, j, p in walk.moves:
             i0, i1 = max(na - a - j, 0), min(nb - a - j, v.shape[1])
             if i0 < i1:
@@ -800,11 +813,91 @@ def hitting_per_barrier(walk, barrier, n_max):
         return new, na
 
     v, a = walk.pi[:, None], 0
-    out = [walk.zero]
+    out = [zero]
     for _ in range(n_max):
-        out.append(walk.zero + step(v, a, barrier, None)[0].sum())
+        out.append(zero + step(v, a, barrier, None)[0].sum())
         v, a = step(v, a, None, barrier)
     return out
+
+
+@dataclass
+class FieldWalk:
+    """A level walk on field elements: start law ``pi`` over chain states
+    (an object array) and moves (s, s2, j, p) with `QuadExt` weights p."""
+    pi: np.ndarray
+    moves: list
+    t0: int
+
+
+def field_law_walk(law):
+    """An increment law as a one-state `FieldWalk` of its atoms."""
+    one = law.atoms[0][1] * 0 + 1
+    return FieldWalk(np.array([one], dtype=object),
+                     [(0, 0, j, p) for j, p in law.atoms], law.t0_lattice)
+
+
+def field_orbit_walk(chain):
+    """An exact `MarkovAdditiveChain` as a `FieldWalk` on vertex orbits:
+    the crossing (i, j, q) moves orbit i to orbit j with the probability
+    every state ending in orbit i gives it, and orbit i starts with the
+    initial mass of the crossings leaving it."""
+    orbits = max(j for _, j, _ in chain.states)
+    into = {j: s for s, (_, j, _) in enumerate(chain.states)}
+    pi = np.full(orbits, chain.initial[0] * 0, dtype=object)
+    for p, (i, _, _) in zip(chain.initial, chain.states):
+        pi[i - 1] = pi[i - 1] + p
+    return FieldWalk(pi, [(i - 1, j - 1, chain.steps[s],
+                           chain.trans[into[i]][s])
+                          for s, (i, j, _) in enumerate(chain.states)],
+                     chain.t0_lattice)
+
+
+def field_killed_walk(walk, v, a, n, live):
+    """Yield (k, v, a) after steps k = 1..n of a `FieldWalk` from the mass
+    v[..., s, i] at level a + i, every entry a field element: the
+    field-valued killed walk that `walklab.doob` stepped before it counted
+    paths.  live(k) = (lo, hi) bounds the levels kept after step k, None
+    meaning unbounded."""
+    zero = walk.pi[0] * 0
+    down = min(j for _, _, j, _ in walk.moves)
+    up = max(j for _, _, j, _ in walk.moves)
+    for k in range(1, n + 1):
+        lo, hi = live(k)
+        width = v.shape[-1]
+        na = a + down if lo is None else max(a + down, lo)
+        nb = a + width + up if hi is None else min(a + width + up, hi)
+        new = np.full(v.shape[:-1] + (max(nb - na, 0),), zero, dtype=object)
+        for s, s2, j, p in walk.moves:
+            i0, i1 = max(na - a - j, 0), min(nb - a - j, width)
+            if i0 < i1:
+                shift = a + j - na
+                new[..., s2, i0 + shift:i1 + shift] += p * v[..., s, i0:i1]
+        v, a = new, na
+        yield k, v, a
+
+
+def field_level_laws(walk, n, r):
+    """(P[Y_1..Y_{n-1} > 0, Y_n in window r], P[max_{j<=n} Y_j in window
+    r, Y_n = 0], P[Y_n = 0]) of a `FieldWalk`, each from its own
+    `field_killed_walk` run: the ballot run drops the levels <= 0 before
+    step n, and the maximum is the difference P[M_n < (r+1) t0, Y_n = 0]
+    - P[M_n < r t0, Y_n = 0] of two runs kept below a level (P[M_n < 0]
+    = 0, as Y_0 = 0)."""
+    zero = walk.pi[0] * 0
+
+    def mass(live, lo, hi):
+        """Mass at levels [lo, hi) after n steps of the run kept in live."""
+        v, a = walk.pi[:, None], 0
+        for _, v, a in field_killed_walk(walk, v, a, n, live):
+            pass
+        return sum((v[:, i - a].sum() for i in range(max(lo, a), min(
+            hi, a + v.shape[1]))), zero)
+
+    lo, hi = r * walk.t0, (r + 1) * walk.t0
+    ballot = mass(lambda k: (1 if k < n else 0, None), lo, hi)
+    below = [mass(lambda k: (None, top), 0, 1) if top > 0 else zero
+             for top in (lo, hi)]
+    return ballot, below[1] - below[0], mass(lambda k: (None, None), 0, 1)
 
 
 def object_root_walk(chain, n_max, start=1, rows=None, taboo=False):

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import example, given, strategies as st
 
 from oracles import QuadRef
@@ -98,6 +99,21 @@ def test_float_of_cancelling_elements(D, q, den, up, negate):
     p = math.isqrt(D * q * q) + up
     x = QuadExt(D, Fraction(p, den), Fraction(-q, den))
     assert_float_close(-x if negate else x)
+
+
+@pytest.mark.parametrize("D, p, q", [
+    (2, 1, 1), (2, 17, 12), (2, 665857, 470832), (3, 97, 56),
+    (6, 4801, 1960), (2, 10 ** 12 + 1, 707106781187)])
+def test_reference_float_has_no_cancelling_sum(D, p, q):
+    """float(QuadRef) of p - q sqrt(D), p^2 - D q^2 small, within 6 2**-53
+    relative of the value: a plain sum of the two floats loses the bits
+    they share (10**12 + 1 - 707106781187 sqrt(2) by 2**41 ulps)."""
+    for sign in (1, -1):
+        ref = reference_value(QuadExt(D, sign * p, -sign * q))
+        got = float(QuadRef(D, sign * p, -sign * q))
+        with mpmath.workprec(200):
+            assert abs(mpmath.mpf(got) - ref) <= 6 * 2.0 ** -53 * abs(ref)
+    assert float(QuadRef(2, 1, -1)) == -0.4142135623730951
 
 
 @given(rationals, rationals)

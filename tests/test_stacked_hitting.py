@@ -18,7 +18,7 @@ from walklab.quasi import (_orbit_walk, a_matrix, induced_chain,
                            perron, schema_from_profile)
 from walklab.series import spectral_radius
 
-from oracles import hitting_per_barrier
+from oracles import field_law_walk, field_orbit_walk, hitting_per_barrier
 
 SPECS = {"fixed_end": ModelSpec("fixed_end_tree", b=2),
          "grandparent": ModelSpec("grandparent", b=2),
@@ -60,6 +60,14 @@ def _walk(name):
     return _orbit_walk(_orbit_chain(name))
 
 
+def _field_walk(name):
+    """The walk `_walk` counts, with the field-valued weights the oracle
+    steps."""
+    if name in SPECS:
+        return field_law_walk(_law(name))
+    return field_orbit_walk(_orbit_chain(name))
+
+
 WALKS = list(SPECS) + ["one_orbit", "parity"]
 
 
@@ -70,7 +78,7 @@ def test_stacked_run_equals_one_run_per_barrier_exact(name):
     rows = _hitting(walk, barriers, n)
     assert rows.shape == (6, n + 1)
     for b, row in zip(barriers, rows):
-        assert row.tolist() == hitting_per_barrier(walk, b, n), b
+        assert row.tolist() == hitting_per_barrier(_field_walk(name), b, n), b
 
 
 @pytest.mark.parametrize("name", WALKS)
@@ -82,7 +90,8 @@ def test_public_hitting_laws_equal_the_oracle(name):
         else:
             tau = mb_hitting_time_law(_orbit_chain(name), r, n)
         assert isinstance(tau, list)
-        assert tau == hitting_per_barrier(walk, r * walk.t0, n), r
+        assert tau == hitting_per_barrier(_field_walk(name), r * walk.t0,
+                                          n), r
 
 
 @pytest.mark.parametrize("name", WALKS)
@@ -93,7 +102,8 @@ def test_short_runs_equal_the_oracle(name, n_max):
     rows = _hitting(walk, barriers, n_max)
     assert rows.shape == (3, n_max + 1)
     for b, row in zip(barriers, rows):
-        assert row.tolist() == hitting_per_barrier(walk, b, n_max)
+        assert row.tolist() == hitting_per_barrier(_field_walk(name), b,
+                                                   n_max)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
