@@ -1,6 +1,6 @@
 """Exact and simulated computation of return probabilities, level walks
-and bridge statistics for random walks on graphs with a nonunimodular
-level structure."""
+and bridge statistics for random walks on graphs whose modular function
+gives a level structure."""
 
 __version__ = "0.1.0"
 

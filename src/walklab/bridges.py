@@ -44,8 +44,7 @@ class BridgeError(ValueError):
 
 def _csr(chain: CollapsedChain, n: int):
     """``chain.csr`` as arrays; BridgeError unless 0 <= n <= horizon."""
-    if not 0 <= n <= chain.horizon:
-        raise BridgeError(f"need 0 <= n <= horizon {chain.horizon}, got {n}")
+    chain._check_horizon(n, BridgeError)
     return map(np.asarray, chain.csr)
 
 
@@ -460,7 +459,7 @@ def excursion_record_law(u: ProbabilitySeries, f: ProbabilitySeries,
 def limit_excursion_law(f: ProbabilitySeries, rho: SpectralRadius) -> dict:
     """Conjectured limit: alpha geometric with parameter 1 - F(1/rho),
     excursion lengths with law f_k rho^{-k} / F(1/rho)."""
-    Fval = evaluate_generating(f, 1 / rho.value, rho, tail="power")
+    Fval = evaluate_generating(f, 1 / rho.value, rho)
     if Fval.upper >= 1:
         raise BridgeError("tail interval for F(1/rho) reaches 1")
     param = 1 - Fval.value

@@ -63,7 +63,6 @@ class CollapsedChain:
     _matrix: Optional[sparse.csr_matrix] = field(default=None, repr=False)
     _edges: Optional[list] = field(default=None, repr=False)
     _pull: Optional[tuple] = field(default=None, repr=False)
-    _int_pull: Optional[tuple] = field(default=None, repr=False)
     # bridge length n -> occupation numerators, memoized by `bridges`
     occupation: dict = field(default_factory=dict, repr=False)
 
@@ -176,26 +175,21 @@ class CollapsedChain:
                      source: Optional[int] = None,
                      target: Optional[int | slice] = None,
                      kill: Optional[int] = None) -> list:
-        """w_n[target] for n = 1..n_max of the integer `walk` (``target``
-        default the source, or a slice of states at one depth, read as a
-        list); after each read the mass at ``kill`` is removed.  Python
-        ints, exact as the module docstring argues: ||w_n||_1 <= |start|
-        C**n, and removing mass only lowers it.  TypeError unless start
-        and data are integers; ValueError when W leaves no room for primes
-        of ``_MIN_PRIME_BITS`` bits."""
+        """w_n[target] for n = 1..n_max of the integer `walk` on ``rows``,
+        default `pull_rows` (``target`` default the source, or a slice of
+        states at one depth, read as a list); after each read the mass at
+        ``kill`` is removed.  Python ints, exact as the module docstring
+        argues: ||w_n||_1 <= |start| C**n, and removing mass only lowers
+        it.  TypeError unless start and data are integers; ValueError when
+        W leaves no room for primes of ``_MIN_PRIME_BITS`` bits."""
         source = self.root if source is None else source
         target = source if target is None else target
-        data = np.asarray(self.csr[2] if rows is None else rows[2])
+        rows = self.pull_rows() if rows is None else rows
+        data = np.asarray(rows[2])
         if not (_integer_data(data) and isinstance(start, (int, np.integer))):
             raise TypeError(f"an integer walk needs integer data and an "
                             f"integer start, not {data.dtype} and {start!r}")
-        if rows is None:  # the counts: ints, kept on the chain
-            if self._int_pull is None:
-                self._int_pull = _integer_rows(self.pull_rows(),
-                                               len(self.depth))
-            rows, W, C = self._int_pull
-        else:
-            rows, W, C = _integer_rows(rows, len(self.depth))
+        rows, W, C = _integer_rows(rows, len(self.depth))
         primes = _residue_primes(W, abs(int(start)) * C ** n_max)
         at = target.start if isinstance(target, slice) else target
         reads = []
@@ -295,10 +289,11 @@ class CollapsedChain:
     def taboo_series_float(self, n_max: int) -> np.ndarray:
         return self._half_walk(n_max, self._symmetric(), taboo=True)
 
-    def _check_horizon(self, n_max: int) -> None:
+    def _check_horizon(self, n_max: int, error=ValueError) -> None:
+        """The caller's ``error`` unless 0 <= n_max <= horizon."""
         if not 0 <= n_max <= self.horizon:
-            raise ValueError(f"need 0 <= n_max <= horizon {self.horizon}, "
-                             f"got {n_max}")
+            raise error(f"need 0 <= n_max <= horizon {self.horizon}, "
+                        f"got {n_max}")
 
 
 def transpose_csr(csr) -> sparse.csr_matrix:

@@ -152,8 +152,8 @@ class DoobChain:
         and 2i + 1, at its depth, and one residue walk of L P_h reads both
         root rows, a_n = (X_n + Y_n sqrt(D)) / L**n.  Entries with B = 0
         leave their Y rows empty."""
-        self._check_horizon(n_max)
         chain = self.base_chain
+        chain._check_horizon(n_max, DoobError)
         A, B, L, D = self.pairs
         pull = [transpose_csr((*chain.csr[:2], np.array(x, np.int64)))
                 for x in (A, [D * b for b in B], B)]  # raises past int64
@@ -172,18 +172,13 @@ class DoobChain:
         """a_n by the half walk of the h-walk's sqrt(p_h(i, j) p_h(j, i)) =
         A / rho, from the float weights.  The weights repeat one value per
         (level step, count), so each is floated once, in a table."""
-        self._check_horizon(n_max)
         chain = self.base_chain
+        chain._check_horizon(n_max, DoobError)
         index = _table_index(chain)
         table = np.zeros((2 * chain.t0 + 1, index[1].max() + 1), object)
         table[index] = self.weights
         return chain._half_walk(
             n_max, chain._symmetric(table.astype(float)[index]))
-
-    def _check_horizon(self, n_max: int) -> None:
-        if not 0 <= n_max <= self.base_chain.horizon:
-            raise DoobError(f"need 0 <= n_max <= horizon "
-                            f"{self.base_chain.horizon}, got {n_max}")
 
 
 def _table_index(chain: CollapsedChain) -> tuple:

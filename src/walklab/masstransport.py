@@ -2,7 +2,9 @@
 
 The level labels on a ball encode log of the stabilizer-orbit ratio in
 lattice units, so the neighbor identity and the mass-transport balance
-can be checked with rational arithmetic.
+can be checked with rational arithmetic.  At the neighbors it is the
+count balance N_{j,i,1/q} = q N_{i,j,q}: `unbalanced_counts`, which
+`walklab.quasi` runs on orbit schemas.
 """
 
 from __future__ import annotations
@@ -22,20 +24,22 @@ class CheckReport:
     witnesses: list = field(default_factory=list)
 
 
+def unbalanced_counts(counts: dict) -> list:
+    """The keys (i, j, q) of ``counts`` = N, in order, at which
+    N_{j,i,1/q} != q N_{i,j,q}, a missing key counting 0."""
+    return [(i, j, q) for (i, j, q), n in counts.items()
+            if counts.get((j, i, 1 / q), 0) != q * n]
+
+
 def check_neighbor_mtp(profile: LevelProfile) -> CheckReport:
-    """Neighbor count balance: t_{1/q} = q * t_q for every ratio q."""
-    counts = {Fraction(q): t for q, t in profile.entries}
-    details, witnesses = [], []
-    for q, t in counts.items():
-        inv = 1 / q
-        t_inv = counts.get(inv)
-        if t_inv is None:
-            witnesses.append((q, "missing inverse ratio"))
-            continue
-        if t_inv != q * t:
-            witnesses.append((q, f"t_1/q = {t_inv} != q*t_q = {q * t}"))
-        else:
-            details.append(f"q={q}: t_1/q={t_inv} = q*t_q")
+    """Neighbor count balance: t_{1/q} = q * t_q for every ratio q, by
+    `unbalanced_counts` on the L = 1 counts of the profile."""
+    counts = {(1, 1, Fraction(q)): t for q, t in profile.entries}
+    bad = unbalanced_counts(counts)
+    details = [f"q={q}: t_1/q={q * t} = q*t_q"
+               for (_, _, q), t in counts.items() if (1, 1, q) not in bad]
+    witnesses = [(q, f"t_1/q = {counts.get((1, 1, 1 / q), 'missing')} != "
+                     f"q*t_q = {q * counts[1, 1, q]}") for _, _, q in bad]
     if sum(counts.values()) != profile.degree:
         witnesses.append(("degree", f"sum t_q = {sum(counts.values())}"))
     return CheckReport("neighbor_mtp", not witnesses, details, witnesses)

@@ -315,7 +315,6 @@ class WalkModel:
 
     spec: ModelSpec
     degree: int
-    nonunimodular: bool
     bipartite: bool
     level_base: Optional[Fraction]  # ratio base; None if no level structure
 
@@ -518,7 +517,6 @@ class RegularTreeModel(WalkModel):
         self.spec = spec
         self.b = spec.b
         self.degree = spec.b + 1
-        self.nonunimodular = False
         self.bipartite = True
         self.level_base = None
         self._words = ((0, spec.b + 1),)
@@ -546,13 +544,12 @@ class RegularTreeModel(WalkModel):
 
 
 class FixedEndTreeModel(WalkModel):
-    """(b+1)-regular tree under the stabilizer of one end (nonunimodular)."""
+    """(b+1)-regular tree under one end's stabilizer, Delta = b**level."""
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.b = spec.b
         self.degree = spec.b + 1
-        self.nonunimodular = True
         self.bipartite = True
         self.level_base = Fraction(spec.b)
         self._words = ((1, spec.b),)
@@ -609,10 +606,9 @@ class DiestelLeaderModel(WalkModel):
         self.q = spec.q
         self.r = spec.r
         self.degree = spec.q + spec.r
-        self.nonunimodular = spec.q != spec.r
         self.bipartite = True
         self.level_base = Fraction(max(spec.q, spec.r), min(
-            spec.q, spec.r)) if self.nonunimodular else None
+            spec.q, spec.r)) if spec.q != spec.r else None
         # level = +h1 when q > r, -h1 when q < r, 0 when q = r (h1 =
         # first-tree horocycle)
         self._sign = (spec.q > spec.r) - (spec.q < spec.r)
@@ -661,7 +657,6 @@ class CartesianProductModel(WalkModel):
         self.f1 = build_model(spec.factors[0])
         self.f2 = build_model(spec.factors[1])
         self.degree = self.f1.degree + self.f2.degree
-        self.nonunimodular = self.f1.nonunimodular or self.f2.nonunimodular
         self.bipartite = self.f1.bipartite and self.f2.bipartite
         b1, b2 = self.f1.level_base, self.f2.level_base
         if b1 is not None and b2 is not None and b1 != b2:
@@ -728,7 +723,6 @@ class FreeProductModel(WalkModel):
         self.alpha = spec.alpha
         self.beta = spec.beta
         self.degree = spec.alpha + spec.beta - 2
-        self.nonunimodular = True  # via a quasi-transitive subgroup
         self.bipartite = False if max(spec.alpha, spec.beta) > 2 else True
         self.level_base = None  # level structure not derived in v1
 

@@ -105,6 +105,8 @@ class QuadExt:
 
     def _lift(self, other):
         """A rational operand as an element of this field."""
+        if type(other) is int:  # no Fraction: bool takes the Rational path
+            return _raw(self.d, other, 0, 1)
         if isinstance(other, Rational):
             q = Fraction(other)
             return _raw(self.d, q.numerator, 0, q.denominator)

@@ -129,12 +129,6 @@ class SpectralRadius:
     rho_squared = cached_property(
         lambda self: None if self.exact is None else self.exact * self.exact)
 
-    def rho_squared_rational(self) -> Optional[Fraction]:
-        rs = self.rho_squared
-        if rs is not None and rs.is_rational():
-            return rs.as_fraction()
-        return None
-
 
 def closed_form_rho(model: WalkModel) -> Optional[SpectralRadius]:
     fam = model.spec.family
@@ -326,13 +320,12 @@ class GeneratingValue:
 
 
 def evaluate_generating(series: ProbabilitySeries, z: float,
-                        rho: SpectralRadius,
-                        tail: str = "power") -> GeneratingValue:
+                        rho: SpectralRadius) -> GeneratingValue:
     """Sum_n series_n z^n for |z| <= 1/rho with a tail interval.
 
     The tail beyond the computed range is modeled as C n^{-3/2} rho^n
-    (fitted over the last window); "geometric" instead bounds the tail by
-    a geometric series from the last computed term.
+    (C fitted over the last window), summed at z; the interval is
+    [partial, partial + tail] and the value its middle.
     """
     vals = series.floats
     n = np.arange(len(vals))
@@ -347,18 +340,9 @@ def evaluate_generating(series: ProbabilitySeries, z: float,
               if a[k] > 0 and (step == 1 or k % 2 == 0)]
     if not window:
         return GeneratingValue(partial, partial, partial)
-    if tail == "power":
-        C = max(a[k] * k ** 1.5 for k in window)
-        tail_hi = _power_tail(C, N, zr, step)
-        return GeneratingValue(partial + tail_hi / 2, partial, partial + tail_hi)
-    if tail == "geometric":
-        last = window[-1]
-        q = zr ** step
-        if q >= 1:
-            raise SeriesError("geometric tail diverges at z = 1/rho")
-        tail_hi = a[last] * q / (1 - q)
-        return GeneratingValue(partial + tail_hi / 2, partial, partial + tail_hi)
-    raise SeriesError(f"unknown tail model {tail!r}")
+    C = max(a[k] * k ** 1.5 for k in window)
+    tail_hi = _power_tail(C, N, zr, step)
+    return GeneratingValue(partial + tail_hi / 2, partial, partial + tail_hi)
 
 
 def _power_tail(C: float, N: int, zr: float, step: int) -> float:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import doob_rows
+from oracles import argsort_pull_rows, doob_rows, object_root_walk
 from walklab.doob import DoobError, doob_chain, increment_law
 from walklab.models import ModelSpec, build_model
 from walklab.qfield import QuadExt
@@ -82,6 +82,18 @@ def count_plus_one(chain, row):
     counts = array(counts.typecode, counts)
     counts[indptr[row]] += 1
     return with_counts(chain, indptr, targets, counts)
+
+
+def test_count_copy_walks_its_own_counts(gp20):
+    """A copy with new counts and ``_pull=None`` walks them, not the count
+    rows memoized on the walked chain it was copied from."""
+    chain, _ = gp20
+    walked = chain.root_walk(20)
+    copy = count_plus_one(chain, 3)
+    indptr, sources, counts = argsort_pull_rows(copy)
+    own = object_root_walk(copy, 20, rows=(indptr, sources,
+                                           counts.astype(object)))
+    assert copy.root_walk(20) == own != walked
 
 
 def test_emptied_boundary_row_leaves_an_orbit_size_unknown(gp20):

@@ -6,7 +6,8 @@ and ``matrix()`` views are read only where listed, a series' Fraction
 view ``values`` is read in no module, no function nests loops
 three deep, every third-party package a module imports is a
 declared dependency, no graph family but `WalkModel` defines
-``neighbors``, and no property only renames another attribute."""
+``neighbors``, no property only renames another attribute, and every
+attribute a graph family sets is read outside the families' ``__init__``."""
 
 import ast
 import importlib
@@ -502,3 +503,64 @@ def test_scan_flags_an_alias_property(tmp_path):
     assert alias_properties(mod) == [
         "mod:Ball.vertices", "mod:Ball.dist", "mod:Ball.levels",
         "mod:Ball.adj"]
+
+
+def self_attributes(tree) -> list:
+    """The attribute names that the methods of the classes in ``tree`` set
+    on ``self`` (their first argument), in order of first assignment."""
+    names = []
+    for cls in ast.walk(tree):
+        for f in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(f, FUNCTIONS) and f.args.args:
+                names += [n.attr for n in ast.walk(f)
+                          if isinstance(n, ast.Attribute)
+                          and isinstance(n.ctx, ast.Store)
+                          and is_self_attribute(n, f.args)]
+    return list(dict.fromkeys(names))
+
+
+def attribute_reads(tree, skip: tuple = ()) -> Counter:
+    """Attribute names read in ``tree`` outside the functions it names
+    in ``skip``."""
+    skipped = {id(n) for f in ast.walk(tree)
+               if isinstance(f, FUNCTIONS) and f.name in skip
+               for n in ast.walk(f)}
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load) and id(n) not in skipped)
+
+
+def unread_attributes(module: Path, referrers) -> list:
+    """`module:name` for each attribute that a class of ``module`` sets on
+    ``self`` and no file under ``referrers`` reads, the ``__init__``
+    methods of ``module`` aside: a flag that only constructors read is a
+    second copy of what they derive it from."""
+    reads = Counter()
+    for path in referrers:
+        for f in [path] if path.is_file() else sorted(path.rglob("*.py")):
+            skip = ("__init__",) if f.resolve() == module.resolve() else ()
+            reads += attribute_reads(ast.parse(f.read_text()), skip)
+    return [f"{module.stem}:{name}" for name in
+            self_attributes(ast.parse(module.read_text())) if not reads[name]]
+
+
+def test_family_attributes_are_read():
+    hits = unread_attributes(SRC / "models.py", REFERRERS)
+    assert hits == [], "attributes only constructors read: " + \
+        ", ".join(hits)
+
+
+def test_scan_flags_an_unread_attribute(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Tree:\n    def __init__(self, spec):\n"
+        "        self.degree = spec.b + 1\n        self.flag = True\n"
+        "        self.kind, self.copy = 1, self.flag\n"
+        "    def grow(me):\n        me.size = 0\n        return me.kind\n"
+        "class Pair(Tree):\n    def __init__(self, spec):\n"
+        "        self.twin = Tree(spec).flag\n"
+        "def helper(self):\n    self.loose = 1\n")
+    user = tmp_path / "user.py"
+    user.write_text("def f(t):\n    t.size = t.degree\n    return t.copy\n")
+    assert unread_attributes(mod, [mod, user]) == [
+        "mod:flag", "mod:size", "mod:twin"]

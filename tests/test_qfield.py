@@ -1,10 +1,14 @@
 """Field axioms and ordering of the exact quadratic arithmetic."""
 
 import math
+import operator
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
+from walklab import qfield
 from walklab.qfield import QuadExt, sqrt_exact
 
 rationals = st.fractions(
@@ -68,7 +72,6 @@ def test_order_total(x, y):
 
 
 def test_mixed_discriminants_rejected():
-    import pytest
     with pytest.raises(ValueError):
         QuadExt(2, 0, 1) + QuadExt(3, 0, 1)
 
@@ -85,3 +88,38 @@ def test_float_and_mpf():
     x = QuadExt(2, 1, 1)
     assert math.isclose(float(x), 1 + math.sqrt(2))
     assert abs(x.to_mpf(mpmath.mp) - float(x)) < 1e-12
+
+
+def outcome(op, x, y):
+    """``op(x, y)`` as comparable data: a field element's integers and
+    hash, a bool as it is, or the name of the error raised."""
+    try:
+        r = op(x, y)
+    except ZeroDivisionError as e:
+        return type(e).__name__
+    if isinstance(r, QuadExt):
+        return r.d, r._a, r._b, r._den, hash(r)
+    return r
+
+
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv,
+       operator.eq, operator.lt)
+
+
+@pytest.mark.parametrize("n", [0, 1, -7, 2 ** 64 + 3, -(3 ** 50)])
+def test_int_operands_match_their_fractions(n):
+    """An int operand skips the Fraction; on either side of each operator
+    it gives the element, the hash or the error that Fraction(n) gives."""
+    for x in (QuadExt(2, Fraction(3, 5), -2), QuadExt(3, 7), sqrt_exact(5)):
+        for op in OPS:
+            assert outcome(op, x, n) == outcome(op, x, Fraction(n))
+            assert outcome(op, n, x) == outcome(op, Fraction(n), x)
+
+
+def test_only_int_operands_skip_the_fraction():
+    """`bool` is an int subclass and still takes the Rational path."""
+    x = sqrt_exact(2)
+    with mock.patch.object(qfield, "Fraction", wraps=Fraction) as spy:
+        assert x * 3 - x == 2 * x and spy.call_count == 0
+        assert x * True == x and x + False == x
+        assert spy.call_count == 2

@@ -45,15 +45,15 @@ def test_period_detection(tree2, grandparent2):
 def test_closed_form_rho_values(tree2, fixed_end2, grandparent2, dl23):
     rt = closed_form_rho(tree2)
     assert rt.exact == sqrt_exact(2) * Fraction(2, 3)
-    assert rt.rho_squared_rational() == Fraction(8, 9)
+    assert rt.rho_squared.as_fraction() == Fraction(8, 9)
     assert closed_form_rho(fixed_end2).exact == rt.exact
     rg = closed_form_rho(grandparent2)
     assert rg.exact == (4 + 2 * sqrt_exact(2)) * Fraction(1, 8)
     assert abs(rg.value - (2 + math.sqrt(2)) / 4) < 1e-15
-    assert rg.rho_squared_rational() is None
+    assert not rg.rho_squared.is_rational()
     rdl = closed_form_rho(dl23)
     assert rdl.exact == sqrt_exact(6) * Fraction(2, 5)
-    assert rdl.rho_squared_rational() == Fraction(24, 25)
+    assert rdl.rho_squared.as_fraction() == Fraction(24, 25)
 
 
 def test_profile_rho_matches_closed_form(fixed_end2, grandparent2, dl23):
@@ -114,8 +114,8 @@ def test_evaluate_generating_brackets_truth(tree2):
     gv = evaluate_generating(f, 1 / rho.value, rho)
     # F(1/rho) = (b+1)/(2b) = 3/4 for b=2 by the explicit generating function
     assert gv.lower <= 0.75 <= gv.upper
-    # at an interior point the series converges geometrically: F(1) = 1/2
-    gv1 = evaluate_generating(f, 1.0, rho, tail="geometric")
+    # at an interior point the power tail sums term by term: F(1) = 1/2
+    gv1 = evaluate_generating(f, 1.0, rho)
     assert gv1.lower <= 0.5 <= gv1.upper
     assert (gv1.upper - gv1.lower) / 2 < 0.01
 
