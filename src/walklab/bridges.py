@@ -490,6 +490,9 @@ def geometric_tv_distance(alpha_law, p: float) -> float:
 # Convolution-domination (CNW) scanner and synthetic sequences
 # ---------------------------------------------------------------------------
 
+_CNW_BLOCK = 32  # values of N whose rows the scan tests at once
+
+
 def cnw_condition_scan(a: np.ndarray, epsilon_grid, n_max: int,
                        n_cap: Optional[int] = None) -> dict:
     """Least N with sum_{i=N}^{n-N} a_i a_{n-i} <= eps a_n for all
@@ -506,15 +509,23 @@ def cnw_condition_scan(a: np.ndarray, epsilon_grid, n_max: int,
     results = {float(eps): None for eps in epsilon_grid}
     pending = sorted((float(e) for e in epsilon_grid), reverse=True)
     positive = np.flatnonzero(a > 0)
-    for N in range(0, n_cap + 1):
-        if N > 0:
-            edge[N - 1:] += 2 * a[N - 1] * a[:n_max + 2 - N]
-        ns = positive[positive >= max(2 * N, 2)]
-        inner, bound = full[ns] - edge[ns], a[ns]
-        for eps in [e for e in pending
-                    if not (inner > e * bound + 1e-15).any()]:
-            results[eps] = N
-            pending.remove(eps)
+    # pad[n_max + j] is a_j, 0 for j < 0; every eps holds at N with 2N >
+    # n_max, so no N past n_max // 2 + 1 is tested
+    pad = np.concatenate((np.zeros(n_max), a))
+    stop = min(n_cap, n_max // 2 + 1) + 1
+    for lo in range(0, stop, _CNW_BLOCK):  # the rows edge_N of a block of N
+        ns = positive[positive >= max(2 * lo, 2)]  # the n these N test
+        Ns = np.arange(max(lo, 1), min(lo + _CNW_BLOCK, stop))
+        # cumsum adds row after row, in the order of a loop over N
+        rows = np.cumsum(np.vstack((edge[ns], (2 * a[Ns - 1])[:, None] * pad[
+            n_max + 1 - Ns[:, None] + ns])), 0)[lo > 0:]
+        edge[ns], Ns = rows[-1], np.arange(lo, lo + len(rows))
+        inner = np.where(ns >= 2 * Ns[:, None], full[ns] - rows, -np.inf)
+        for eps in list(pending):
+            ok = ~(inner > eps * a[ns] + 1e-15).any(1)
+            if ok.any():
+                results[eps] = int(Ns[ok.argmax()])
+                pending.remove(eps)
         if not pending:
             break
     return results

@@ -34,9 +34,11 @@ their decoding, and the orbit moves, the vertex moves' offsets grouped
 per boundary class.  `collapse` and `enumerate_ball` run one
 breadth-first kernel, `_frontier_bfs`, one depth at a time: on the int64
 mixed-radix keys of orbit rows, each moved by the key offsets of its
-boundary class, and on vertex rows, from ``neighbor_rows``.  Both give a
-`CollapsedChain`: a ball is the chain of the trivial partition, its
-states vertices.
+boundary class, and on vertex rows, from ``neighbor_rows``, on whole
+arrays or, for collapse frontiers of at most `_SMALL` states (the
+crossover on grandparent b=2 and DL(2,3)), state by state.  Both give a
+`CollapsedChain`, ``bipartite`` read off its entries: a ball is the
+chain of the trivial partition, its states vertices.
 """
 
 from __future__ import annotations
@@ -231,74 +233,110 @@ def _key_scale(radix, what: str) -> np.ndarray:
 
 
 _CHUNK = 1024  # states of the last frontier expanded at once
+_SMALL = 12  # largest frontiers `_small_step` expands faster (the crossover)
 
 
-def _frontier_bfs(root, expand, radius: int, cap: int) -> tuple:
+def _frontier_bfs(root, expand, radius: int, cap: int, moves=None) -> tuple:
     """Breadth-first truncation at ``radius`` from the one-state array
     ``root`` of int64 keys (a collapse) or of rows (a ball), a frontier at
-    a time (Beamer, Asanovic and Patterson, SC 2012).  ``expand(states)``
-    gives their moves in (state, move) order: source states, target states
-    and int32 counts.  A ball keys its rows by radices from the column
-    maxima of frontiers d - 1 and d and, below depth radius, the targets;
-    key order is the rows' lexicographic order under any such radices.  An
-    edge changes depth by at most 1, so a known target is in frontier d - 1
-    or d: their numbers, kept in key order, are merged once per depth and
-    searched by `searchsorted`.  New targets are numbered in order of first
-    appearance by one stable sort of their keys, or dropped at depth
-    radius + 1, expanded `_CHUNK` states at a time.  Returns the states,
-    their depths and the CSR triple (indptr, targets, counts) of an
-    array("q") and two array("i")s."""
-    states, ns, ball = [root], 1, root.ndim == 2
+    a time (Beamer, Asanovic and Patterson, SC 2012).  An edge changes
+    depth by at most 1, so a known target is in frontier d - 1 or d, whose
+    numbers are kept in key order; new targets are numbered as they first
+    appear, or dropped at depth radius + 1.  A depth takes `_small_step`
+    if ``moves`` is given and those frontiers hold at most `_SMALL` states
+    each, else `_array_step`.  Returns the states, their depths, the CSR
+    (indptr, targets, counts) of an array("q") and two array("i")s, and
+    whether no kept entry joins two states of one depth (bipartite)."""
+    states, ns, bipartite = [root], 1, True
     runs = [(root, np.zeros(1, np.int32))]  # keys and numbers, in key order
-    indptr, targets, counts = array("q", [0]), array("i"), array("i")
+    csr = array("q", [0]), array("i"), array("i")
     for d in range(radius + 1):
-        last = d == radius
-        step = _CHUNK if last else len(states[d])
-        for a in range(0, len(states[d]), step):
-            chunk = states[d][a:a + step]
-            src, tkeys, c = expand(chunk)
-            if a == 0:  # frontiers d - 1 and d as one sorted run
-                sk, sn = zip(*runs[-2:])
-                sn = np.concatenate((*sn, [0]), dtype=np.int32)  # 0: _TOP's
-                if ball:  # keys read off the rows: a code grows as base**t
-                    near = np.concatenate(states[-2:])
-                    top = near.max(0) if last else np.maximum(near.max(0),
-                                                              tkeys.max(0))
-                    sc = _key_scale(top + 1, f"a ball at depth {d + 1}")
-                    sk = ((near @ sc)[sn[:-1] - (ns - len(near))],)
-                sk = np.concatenate((*sk, [_TOP]))
-                m = sk.argsort(kind="stable")
-                sk, sn = sk[m], sn[m]
-            if ball:
-                tgt, tkeys = tkeys, tkeys @ sc
-                tkeys[(tgt > top).any(1)] = -1  # past the maxima: dropped
-            at = sk.searchsorted(tkeys)
-            j, new = sn[at], sk[at] != tkeys
-            if last:
-                src, j, c = src[~new], j[~new], c[~new]
-            else:  # new targets, numbered in (state, move) order
-                at = new.nonzero()[0]
-                at = at[tkeys[at].argsort(kind="stable")]  # in key order
-                s = tkeys[at]
-                head = s != np.concatenate((s[:1] - 1, s[:-1]))
-                rank = at[head].argsort()  # first targets of new keys
-                n = np.empty(len(rank), np.int32)
-                n[rank] = np.arange(ns, ns + len(rank))
-                j[at] = n[head.cumsum() - 1]
-                runs.append((s[head], n))
-                states.append(tgt[at[head][rank]] if ball else s[head][rank])
-                ns += len(rank)
-                if ns > cap:
-                    raise BallCapExceeded(ns, cap)
-            lens = np.bincount(src, minlength=len(chunk))
-            indptr.frombytes((indptr[-1] + lens.cumsum()).tobytes())
-            targets.frombytes(j.tobytes())
-            counts.frombytes(c.tobytes())
-            del src, tkeys, c, j, new  # before the next expansion
+        step, by = (_small_step, moves) if moves is not None and max(
+            map(len, states[-2:])) <= _SMALL else (_array_step, expand)
+        ns, bipartite = step(by, states, runs, csr, ns, d == radius, bipartite)
+        if ns > cap:
+            raise BallCapExceeded(ns, cap)
         del runs[:-2]
     depth = np.repeat(np.arange(len(states), dtype=object),
                       list(map(len, states))).tolist()
-    return np.concatenate(states), depth, (indptr, targets, counts)
+    return np.concatenate(states), depth, csr, bipartite
+
+
+def _array_step(expand, states, runs, csr, ns, last, flat) -> tuple:
+    """One depth on whole arrays: ``expand(states)`` gives the moves of the
+    frontier in (state, move) order as sources, targets and int32 counts;
+    new targets are numbered by one stable sort of their keys.  A ball keys
+    rows by radices from the column maxima of frontiers d - 1 and d and,
+    below depth radius, the targets: such keys sort rows lexicographically.
+    Returns the state count and ``flat``, cleared by a same-depth entry."""
+    indptr, targets, counts = csr
+    ball, front = states[0].ndim == 2, states[-1]
+    lo, step = ns - len(front), _CHUNK if last else len(front)
+    for a in range(0, len(front), step):
+        chunk = front[a:a + step]
+        src, tkeys, c = expand(chunk)
+        if a == 0:  # frontiers d - 1 and d as one sorted run
+            sk, sn = zip(*runs[-2:])
+            sn = np.concatenate((*sn, [0]), dtype=np.int32)  # 0: _TOP's
+            if ball:  # keys read off the rows: a code grows as base**t
+                near = np.concatenate(states[-2:])
+                top = near.max(0) if last else np.maximum(near.max(0),
+                                                          tkeys.max(0))
+                sc = _key_scale(top + 1, f"a ball at depth {len(states)}")
+                sk = ((near @ sc)[sn[:-1] - (ns - len(near))],)
+            sk = np.concatenate((*sk, [_TOP]))
+            m = sk.argsort(kind="stable")
+            sk, sn = sk[m], sn[m]
+        if ball:
+            tgt, tkeys = tkeys, tkeys @ sc
+            tkeys[(tgt > top).any(1)] = -1  # past the maxima: dropped
+        at = sk.searchsorted(tkeys)
+        j, new = sn[at], sk[at] != tkeys
+        flat = flat and not (~new & (j >= lo)).any()
+        if last:
+            src, j, c = src[~new], j[~new], c[~new]
+        else:  # new targets, numbered in (state, move) order
+            at = new.nonzero()[0]
+            at = at[tkeys[at].argsort(kind="stable")]  # in key order
+            s = tkeys[at]
+            head = s != np.concatenate((s[:1] - 1, s[:-1]))
+            rank = at[head].argsort()  # first targets of new keys
+            n = np.empty(len(rank), np.int32)
+            n[rank] = np.arange(ns, ns + len(rank))
+            j[at] = n[head.cumsum() - 1]
+            runs.append((s[head], n))
+            states.append(tgt[at[head][rank]] if ball else s[head][rank])
+            ns += len(rank)
+        lens = np.bincount(src, minlength=len(chunk))
+        indptr.frombytes((indptr[-1] + lens.cumsum()).tobytes())
+        targets.frombytes(j.tobytes())
+        counts.frombytes(c.tobytes())
+        del src, tkeys, c, j, new  # before the next expansion
+    return ns, flat
+
+
+def _small_step(moves, states, runs, csr, ns, last, flat) -> tuple:
+    """`_array_step` on a collapse's small frontier, state by state in
+    Python: ``moves(key)`` gives a key's move offsets and counts as lists."""
+    indptr, targets, counts = csr
+    near, lo = np.concatenate(states[-2:]).tolist(), ns - len(states[-1])
+    known, new = dict(zip(near, range(ns - len(near), ns))), []
+    for key in states[-1].tolist():
+        for t, c in zip(*moves(key)):
+            j = known.get(key + t)
+            if j is None and not last:
+                j = known[key + t] = ns + len(new)
+                new.append(key + t)
+            if j is not None:
+                flat = flat and not lo <= j < ns
+                targets.append(j)
+                counts.append(c)
+        indptr.append(len(targets))
+    if not last:  # the frontier, and the run a following step reads
+        states.append(np.array(new, np.int64))
+        m = states[-1].argsort()
+        runs.append((states[-1][m], (m + ns).astype(np.int32)))
+    return ns + len(new), flat
 
 
 def _ints(a: np.ndarray) -> list:
@@ -315,7 +353,6 @@ class WalkModel:
 
     spec: ModelSpec
     degree: int
-    bipartite: bool
     level_base: Optional[Fraction]  # ratio base; None if no level structure
 
     _params = ("b",)  # the spec fields a family's name shows
@@ -395,12 +432,12 @@ class WalkModel:
         return np.concatenate([rows[:, None, :dim] + offs[cls],
                                x // f[..., 0] * f[..., 1] + f[..., 2]], 2)
 
-    def _boundary(self, c):
+    def _boundary(self, c, clip=np.minimum):
         """Boundary class of coordinate columns ``c`` (ints or arrays): the
         mixed-radix number of the coordinates clipped at ``_clip``."""
         cls = 0
         for x, k in zip(c, self._clip):
-            cls = cls * (k + 1) + np.minimum(x, k)
+            cls = cls * (k + 1) + clip(x, k)
         return cls
 
     @cached_property
@@ -457,7 +494,7 @@ class WalkModel:
             m, deg = len(rows), self.degree
             return (np.arange(m).repeat(deg), self.neighbor_rows(rows)
                     .reshape(m * deg, -1), np.ones(m * deg, dtype=np.int32))
-        rows, depth, csr = _frontier_bfs(np.array(
+        rows, depth, csr, bipartite = _frontier_bfs(np.array(
             [self.vertex_row(self.root_vertex())], dtype=np.int64), expand,
             radius, cap)
         levels = t0 = None
@@ -468,7 +505,7 @@ class WalkModel:
                               denom=self.degree, level=levels,
                               level_base=self.level_base,
                               horizon=2 * radius + 1, depth=depth, t0=t0 or 1,
-                              bipartite=self.bipartite)
+                              bipartite=bipartite)
 
     def collapse(self, n_max: int, cap: int = DEFAULT_BALL_CAP) -> CollapsedChain:
         """Finite truncation of the stabilizer-quotient chain.
@@ -495,9 +532,14 @@ class WalkModel:
             # entry e of state i is move e - (i's first entry) of i's class
             at = np.arange(len(src)) - (k.cumsum() - k - ptr[cls])[src]
             return src, keys[src] + okeys[at], cnts[at]
-        keys, depth, csr = _frontier_bfs(
+        place, start, ol, cl = (a.tolist() for a in (scale, ptr, okeys, cnts))
+
+        def moves(key):  # the moves of its class, on Python ints
+            cls = self._boundary([key // p % dims[0] for p in place], min)
+            return ol[start[cls]:start[cls + 1]], cl[start[cls]:start[cls + 1]]
+        keys, depth, csr, bipartite = _frontier_bfs(
             np.array([self._coords(self.orbit_root())]) @ scale, expand,
-            radius, cap)
+            radius, cap, moves)
         rows = np.empty((len(keys), len(dims)), np.int64)
         rows[:, 0], keys = keys, None  # decoded in place, last digit first
         for k in range(len(dims) - 1, 0, -1):
@@ -506,7 +548,7 @@ class WalkModel:
         return CollapsedChain(
             states=OrbitStates(rows, self._state), csr=csr, denom=self.degree,
             level=_ints(self._level(rows.T)), level_base=self.level_base,
-            horizon=n_max, depth=depth, bipartite=self.bipartite,
+            horizon=n_max, depth=depth, bipartite=bipartite,
             t0=self.level_profile().t0_lattice or 1, root=0)
 
 
@@ -517,7 +559,6 @@ class RegularTreeModel(WalkModel):
         self.spec = spec
         self.b = spec.b
         self.degree = spec.b + 1
-        self.bipartite = True
         self.level_base = None
         self._words = ((0, spec.b + 1),)
 
@@ -550,7 +591,6 @@ class FixedEndTreeModel(WalkModel):
         self.spec = spec
         self.b = spec.b
         self.degree = spec.b + 1
-        self.bipartite = True
         self.level_base = Fraction(spec.b)
         self._words = ((1, spec.b),)
 
@@ -582,7 +622,6 @@ class GrandparentModel(FixedEndTreeModel):
     def __init__(self, spec: ModelSpec):
         super().__init__(spec)
         self.degree = spec.b * spec.b + spec.b + 2
-        self.bipartite = False
 
     def _vertex_moves(self, state):
         b = self.b
@@ -606,7 +645,6 @@ class DiestelLeaderModel(WalkModel):
         self.q = spec.q
         self.r = spec.r
         self.degree = spec.q + spec.r
-        self.bipartite = True
         self.level_base = Fraction(max(spec.q, spec.r), min(
             spec.q, spec.r)) if spec.q != spec.r else None
         # level = +h1 when q > r, -h1 when q < r, 0 when q = r (h1 =
@@ -657,7 +695,6 @@ class CartesianProductModel(WalkModel):
         self.f1 = build_model(spec.factors[0])
         self.f2 = build_model(spec.factors[1])
         self.degree = self.f1.degree + self.f2.degree
-        self.bipartite = self.f1.bipartite and self.f2.bipartite
         b1, b2 = self.f1.level_base, self.f2.level_base
         if b1 is not None and b2 is not None and b1 != b2:
             self.level_base = None  # incompatible lattices: no level labels
@@ -723,7 +760,6 @@ class FreeProductModel(WalkModel):
         self.alpha = spec.alpha
         self.beta = spec.beta
         self.degree = spec.alpha + spec.beta - 2
-        self.bipartite = False if max(spec.alpha, spec.beta) > 2 else True
         self.level_base = None  # level structure not derived in v1
 
     _params = ("alpha", "beta")

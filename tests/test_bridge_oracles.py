@@ -7,6 +7,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (loop_cnw_condition_scan, loop_excursion_record_law,
                      rebuild_distinct_means, window_visits)
@@ -141,6 +142,38 @@ def test_cnw_scan_matches_loop_form(tree2):
     cases.append((un / 0.9 ** np.arange(401), [0.2], 400, 100))
     for args in cases:
         assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args)
+
+
+@pytest.mark.parametrize("n_cap", [31, 32, 33, 180, 181, 300, 301, 302])
+def test_cnw_scan_caps_at_block_edges(n_cap):
+    """The scan tests N a block at a time: a cap on either side of a block
+    edge, or of the least N (181 for the power case), reads as the loop."""
+    un = synthetic_sequence("power", 600)
+    args = (un / 0.9 ** np.arange(601), [0.5, 0.2, 0.1], 600, n_cap)
+    assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args)
+
+
+@pytest.mark.parametrize("n_cap", [None, 5, 6, 7])
+def test_cnw_scan_holds_with_no_n_left(n_cap):
+    """With a_n = 1 and n_max = 10 no N <= 5 works (a_N^2 > a_2N / 2),
+    and N = 6 holds because no n has 2N <= n <= n_max."""
+    args = (np.ones(11), [0.5], 10, n_cap)
+    want = {0.5: 6 if n_cap and n_cap >= 6 else None}
+    assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                       min_size=1, max_size=160),
+       data=st.data())
+def test_cnw_scan_matches_loop_form_on_any_sequence(values, data):
+    """Sequences with zeros and no decay, and any cap."""
+    n_max = len(values) - 1
+    cap = data.draw(st.one_of(st.none(), st.integers(0, n_max + 2)))
+    eps = data.draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.2, 0.1]),
+                             min_size=1, max_size=3, unique=True))
+    args = (np.array(values), eps, n_max, cap)
+    assert cnw_condition_scan(*args) == loop_cnw_condition_scan(*args)
 
 
 def lift_inputs(monkeypatch, model, n, samples, seed):
