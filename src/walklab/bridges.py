@@ -61,30 +61,30 @@ def _backward_table(chain: CollapsedChain, n: int) -> list:
 
 
 def _forward_backward_numerators(chain: CollapsedChain, n: int) -> tuple:
-    """(F, G, primes): F_j = d^j P[root -> . in j] yielded for j = 0..n,
+    """(F, G, moduli): F_j = d^j P[root -> . in j] yielded for j = 0..n,
     and the list of G_m = d^m P[. -> root in m], walked from the root over
-    `pull_rows` and ``chain.csr`` as residues |x| < p on the cone(min(j,
-    n - j)) rows, off which F_j G_{n-j} = 0.  The primes lie below 2**31,
-    so G fits in int32 and a residue plus F_j G_{n-j} in int64, and their
-    product exceeds 2 (n + 1) d^n."""
+    `pull_rows` and ``chain.csr`` as residues |x| < q on the cone(min(j,
+    n - j)) rows, off which F_j G_{n-j} = 0.  The pairwise-coprime moduli
+    q lie below 2**31, so G fits in int32 and a residue plus F_j G_{n-j}
+    in int64, and their product exceeds 2 (n + 1) d^n."""
     indptr, targets, counts = _csr(chain, n)
     fwd, bwd = (_integer_rows(rows, len(chain.depth)) for rows in
                 (chain.pull_rows(), (indptr, targets, counts)))
-    primes = _residue_primes(max(fwd[1], bwd[1]),
+    moduli = _residue_primes(max(fwd[1], bwd[1]),
                              (n + 1) * chain.denom ** n, 31)
 
     def table(rows, dtype):  # reduced every step (r = 1), cut and copied
-        yield np.ones((1, len(primes)), dtype=dtype)  # the root's row
-        for j, w in enumerate(chain.walk(n, 1, rows, primes=(primes, 1)), 1):
+        yield np.ones((1, len(moduli)), dtype=dtype)  # the root's row
+        for j, w in enumerate(chain.walk(n, 1, rows, primes=(moduli, 1)), 1):
             yield w[:chain.cone(min(j, n - j))].astype(dtype)
-    return table(fwd[0], np.int64), list(table(bwd[0], np.int32)), primes
+    return table(fwd[0], np.int64), list(table(bwd[0], np.int32)), moduli
 
 
 def bridge_cut_identity(chain: CollapsedChain, n: int) -> bool:
-    """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j, mod each prime:
-    equality, as the totals lie below half the primes' product."""
-    F, G, primes = _forward_backward_numerators(chain, n)
-    return len({tuple(np.fmod(f * g, primes).sum(0) % primes)
+    """sum_s F_j[s] G_{n-j}[s] = d^n u_n at every cut j, mod each modulus:
+    equality, as the totals lie below half the moduli's product."""
+    F, G, moduli = _forward_backward_numerators(chain, n)
+    return len({tuple(np.fmod(f * g, moduli).sum(0) % moduli)
                 for f, g in zip(F, reversed(G))}) == 1
 
 
@@ -92,11 +92,11 @@ def _occupation_numerators(chain: CollapsedChain, n: int) -> list:
     """occ[s] = sum_j F_j[s] G_{n-j}[s] for length-n bridges, by `_crt`
     of its residues, built once per (chain, n) in ``chain.occupation``."""
     if n not in chain.occupation:
-        F, G, primes = _forward_backward_numerators(chain, n)
-        occ = np.zeros((len(chain.depth), len(primes)), dtype=np.int64)
+        F, G, moduli = _forward_backward_numerators(chain, n)
+        occ = np.zeros((len(chain.depth), len(moduli)), dtype=np.int64)
         for f, g in zip(F, reversed(G)):
-            occ[:len(f)] = np.fmod(occ[:len(f)] + f * g, primes)
-        chain.occupation[n] = _crt(occ.tolist(), primes)
+            occ[:len(f)] = np.fmod(occ[:len(f)] + f * g, moduli)
+        chain.occupation[n] = _crt(occ.tolist(), moduli)
     return chain.occupation[n]
 
 

@@ -17,12 +17,12 @@ bridge tables, ball series and walks that avoid a vertex.  The exact
 series of `walklab.series` are `root_walk`'s numerators over denom**n.
 An integer walk read at one state (`walk_entries`: u_n, f_n, ball
 series, avoiding counts, the Doob h-walk as integer pairs) steps int64
-residues modulo a few primes, by the same CSR matvec as the float walk,
-reduced only every r steps, and rebuilds each entry by the Chinese
-remainder theorem.  It is exact because each prime has W**r (p - 1) <
-2**63, W the largest row sum of |weights|, so no int64 sum overflows
-between reductions; the primes' product exceeds 2 |start| C**n, C the
-largest column sum, which bounds every |entry|; and the symmetric
+residues modulo a few pairwise-coprime moduli by the CSR matvec of the
+float walk, reduced only every r steps, and rebuilds each entry by the
+Chinese remainder theorem.  It is exact because each modulus has
+W**r (m - 1) < 2**63, W the largest row sum of |weights|, so no int64
+sum overflows between reductions; their product exceeds 2 |start| C**n,
+C the largest column sum, which bounds every |entry|; and the symmetric
 representative is taken.  The bridge F/G tables are whole residue walks.
 
 Float root series walk half as far: orbit sizes satisfy |S| c(S->T) =
@@ -124,9 +124,9 @@ class CollapsedChain:
         owns two buffers and yields them in turn: the caller may scale or
         zero a yielded vector before the next step, and copies what it
         keeps.  Float64 data steps with scipy's CSR matvec, int64 data with
-        ``primes = (ps, r)`` as (states, k) residues mod the k primes ps by
-        its CSR matvecs, reduced by ``np.fmod`` every r steps (see
-        `walk_entries`); other data raise TypeError.
+        ``primes = (ms, r)`` as (states, k) residues mod the k pairwise
+        coprime moduli ms by its CSR matvecs, reduced by ``np.fmod`` every
+        r steps (see `walk_entries`); other data raise TypeError.
         Step n computes only the rows within min(depth[source] + n,
         depth[target] + n_max - n) of the root, a BFS prefix, where
         ``target`` (default ``source``; the deepest state keeps whole
@@ -153,10 +153,10 @@ class CollapsedChain:
             w, nw = np.zeros((2, ns))
             w[source] = start
         else:
-            primes, lazy = primes
-            mod = np.array(primes, dtype=np.int64)
-            w, nw = np.zeros((2, ns, len(primes)), dtype=np.int64)
-            w[source] = [start % p for p in primes]
+            moduli, lazy = primes
+            mod = np.array(moduli, dtype=np.int64)
+            w, nw = np.zeros((2, ns, len(moduli)), dtype=np.int64)
+            w[source] = [start % q for q in moduli]
         top, ntop = source + 1, 0  # w and nw are 0 from these rows on
         for n in range(1, n_max + 1):
             m = self.cone(min(reach + n, left - n))
@@ -164,9 +164,9 @@ class CollapsedChain:
             if primes is None:
                 _sparsetools.csr_matvec(m, ns, indptr, idx, data, w, nw)
             else:
-                _sparsetools.csr_matvecs(m, ns, len(primes), indptr, idx,
+                _sparsetools.csr_matvecs(m, ns, len(moduli), indptr, idx,
                                          data, w, nw)
-                if n % lazy == 0:  # fmod keeps the sign: |residue| < p
+                if n % lazy == 0:  # fmod keeps signs: |residue| < modulus
                     np.fmod(nw[:m], mod, out=nw[:m])
             w, nw, top, ntop = nw, w, m, top
             yield w
@@ -181,7 +181,7 @@ class CollapsedChain:
         ``kill`` is removed.  Python ints, exact as the module docstring
         argues: ||w_n||_1 <= |start| C**n, and removing mass only lowers
         it.  TypeError unless start and data are integers; ValueError when
-        W leaves no room for primes of ``_MIN_PRIME_BITS`` bits."""
+        W leaves no room for moduli of ``_MIN_PRIME_BITS`` bits."""
         source = self.root if source is None else source
         target = source if target is None else target
         rows = self.pull_rows() if rows is None else rows
@@ -190,15 +190,15 @@ class CollapsedChain:
             raise TypeError(f"an integer walk needs integer data and an "
                             f"integer start, not {data.dtype} and {start!r}")
         rows, W, C = _integer_rows(rows, len(self.depth))
-        primes = _residue_primes(W, abs(int(start)) * C ** n_max)
+        moduli = _residue_primes(W, abs(int(start)) * C ** n_max)
         at = target.start if isinstance(target, slice) else target
         reads = []
         for w in self.walk(n_max, start, rows, source, at,
-                           (primes, _lazy_steps(W))):
+                           (moduli, _lazy_steps(W))):
             reads.append(w[target].tolist())  # a copy: w is reused
             if kill is not None:
                 w[kill] = 0
-        return _crt(reads, primes)
+        return _crt(reads, moduli)
 
     def root_walk(self, n_max: int, start=1, rows: Optional[tuple] = None,
                   taboo: bool = False) -> list:
@@ -309,11 +309,9 @@ def transpose_csr(csr) -> sparse.csr_matrix:
 
 # ---- integer walks by residues --------------------------------------
 
-# narrowest primes the residue walk uses: a W of 2**47 or more leaves
+# narrowest moduli the residue walk uses: a W of 2**47 or more leaves
 # int64 sums no room for them
 _MIN_PRIME_BITS = 16
-# Miller-Rabin with these bases decides primality below 3.3e24 > 2**63
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _integer_data(data) -> bool:
@@ -343,64 +341,46 @@ def _integer_rows(rows, ns: int) -> tuple:
     return (indptr, idx, data.astype(np.int64)), W, C
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 2 <= n < 2**63."""
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.cache
-def _primes_below(bits: int, k: int) -> tuple:
-    """The k largest primes below 2**bits, descending; ValueError if
-    fewer than k lie above 2**(bits - 1)."""
-    primes, p = [], 1 << bits
-    while len(primes) < k:
-        p -= 1
-        if p < 1 << (bits - 1):
-            raise ValueError(f"fewer than {k} primes of {bits} bits")
-        if _is_prime(p):
-            primes.append(p)
-    return tuple(primes)
+def _moduli_below(bits: int, k: int) -> tuple:
+    """k pairwise-coprime moduli below 2**bits, descending: each m scanned
+    down from 2**bits - 1 is kept if it is coprime to those kept so far.
+    ValueError if the scan passes below 2**(bits - 1) first."""
+    moduli, prod, m = [], 1, 1 << bits
+    while len(moduli) < k:
+        m -= 1
+        if m < 1 << (bits - 1):
+            raise ValueError(f"fewer than {k} pairwise-coprime moduli of "
+                             f"{bits} bits")
+        if math.gcd(m, prod) == 1:
+            moduli.append(m)
+            prod *= m
+    return tuple(moduli)
 
 
 def _lazy_steps(W: int) -> int:
     """r, the steps the residue walk takes between reductions: the most
-    with r W.bit_length() <= 8 (at most 8 bits of each prime), at least 1."""
+    with r W.bit_length() <= 8 (at most 8 bits of each modulus), at least 1."""
     return max(1, 8 // max(1, W.bit_length()))
 
 
 def _residue_primes(W: int, bound: int, cap: int = 63) -> tuple:
-    """The largest primes p < 2**cap with W**r (p - 1) < 2**63, r =
+    """Pairwise-coprime moduli m < 2**cap with W**r (m - 1) < 2**63, r =
     `_lazy_steps`, as many as it takes for their product to exceed
     2 * bound when each is counted as 2**(bits - 1), the least it can be."""
     bits = min(cap, 63 - _lazy_steps(W) * W.bit_length())
-    return _primes_below(bits, max(1, -(-(2 * bound).bit_length()
+    return _moduli_below(bits, max(1, -(-(2 * bound).bit_length()
                                         // (bits - 1))))
 
 
-def _crt(residues: list, primes: tuple) -> list:
-    """The integers x with |x| < M/2, M the product of ``primes``, and
-    x = residues[..][i] mod primes[i], for each list of k residues in
-    ``residues``, nested as there."""
+def _crt(residues: list, moduli: tuple) -> list:
+    """The integers x with |x| < M/2, M the product of the pairwise-coprime
+    ``moduli``, and x = residues[..][i] mod moduli[i], for each list of k
+    residues in ``residues``, nested as there."""
     if not residues:
         return []
-    M = math.prod(primes)
-    basis = np.array([M // p * pow(M // p, -1, p) for p in primes],
+    M = math.prod(moduli)
+    basis = np.array([M // m * pow(M // m, -1, m) for m in moduli],
                      dtype=object)
     x = np.array(residues, dtype=object) @ basis % M
     return np.where(x > M // 2, x - M, x).tolist()

@@ -170,24 +170,15 @@ class DoobChain:
 
     def return_series_float(self, n_max: int) -> np.ndarray:
         """a_n by the half walk of the h-walk's sqrt(p_h(i, j) p_h(j, i)) =
-        A / rho, from the float weights.  The weights repeat one value per
-        (level step, count), so each is floated once, in a table."""
+        A / rho, from the float weights.  `doob_chain` shares one weight
+        object per (level step, count), so each object is floated once."""
         chain = self.base_chain
         chain._check_horizon(n_max, DoobError)
-        index = _table_index(chain)
-        table = np.zeros((2 * chain.t0 + 1, index[1].max() + 1), object)
-        table[index] = self.weights
-        return chain._half_walk(
-            n_max, chain._symmetric(table.astype(float)[index]))
-
-
-def _table_index(chain: CollapsedChain) -> tuple:
-    """(level step + t0, count) of every entry of ``chain.csr``: where its
-    h-walk weight sits in the table of `doob_chain`."""
-    indptr, targets, counts = chain.csr
-    level = np.asarray(chain.level)
-    return (level[np.asarray(targets)] - np.repeat(level, np.diff(indptr))
-            + chain.t0, np.asarray(counts))
+        ids = np.array([id(x) for x in self.weights.tolist()])
+        _, first, index = np.unique(ids, return_index=True,
+                                    return_inverse=True)
+        return chain._half_walk(n_max, chain._symmetric(
+            self.weights[first].astype(float)[index]))
 
 
 def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
@@ -197,11 +188,14 @@ def doob_chain(chain: CollapsedChain, rho: SpectralRadius) -> DoobChain:
         raise DoobError("doob transform needs the exact spectral radius")
     if not len(chain.csr[1]):
         raise DoobError(f"chain of horizon {chain.horizon} has no entries")
-    index = _table_index(chain)  # one product per (step, count), shared
+    indptr, targets, counts = map(np.asarray, chain.csr)
+    level = np.asarray(chain.level)
+    step = level[targets] - np.repeat(level, np.diff(indptr))
     table = np.multiply.outer(
         _doob_table(chain.level_base, chain.denom, rho.exact, chain.t0),
-        np.arange(index[1].max() + 1))
-    dc = DoobChain(base_chain=chain, weights=table[index])
+        np.arange(counts.max() + 1))
+    # one product per (level step, count), shared by its entries
+    dc = DoobChain(base_chain=chain, weights=table[step + chain.t0, counts])
     bad = dc.row_sum_check()
     if bad:
         raise DoobError(f"nonstochastic rows at states {bad[:5]} "

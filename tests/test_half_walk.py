@@ -242,3 +242,19 @@ def test_traced_float_series_run(grandparent2):
     assert len(u) == len(f) == 41
     assert not any(span[7] for span in tracer.spans)
     assert tracer.counts["chains.float_nnz_steps"] > 0
+
+
+def test_odd_reads_after_a_rescale(grandparent2):
+    """grandparent b=2's A scaled by 2**-120: |v_2|**2 = 2**-480 u_4 <
+    2**-400, so the walk rescales at k = 2 and every later x_n, odd and
+    even, is read back through the exponent it carries; each meets the
+    budget against float(u_n 2**(-120 n))."""
+    chain = grandparent2.collapse(16)
+    A = chain._symmetric().copy()
+    A.data *= 2.0 ** -120
+    exact = [u / 2 ** (120 * n)
+             for n, u in enumerate(chain.return_series_exact(16))]
+    assert exact[4] < 2.0 ** -400 <= exact[2] and exact[5] > 0
+    got = chain._half_walk(16, A)
+    assert got[5] > 0
+    assert_within_budget(got, exact, chain)

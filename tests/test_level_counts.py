@@ -6,6 +6,7 @@ weights raises; the exact completeness check makes few field
 operations; an unknown mode raises; and the float Doob a_n floats each
 distinct weight once."""
 
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -145,3 +146,19 @@ def test_float_doob_series_floats_each_weight_once(monkeypatch):
     assert np.array_equal(got, want)
     table = (2 * chain.t0 + 1) * (max(chain.csr[2]) + 1)
     assert len(calls) <= table < len(dc.weights)
+
+
+def test_float_doob_series_reads_each_entrys_own_weight():
+    """A chain whose weights no longer share one object per (level step,
+    count) still walks each entry's own weight: doubling one entry gives
+    the half walk of the floated weights, not the unchanged a_n."""
+    model = build_model(ModelSpec("grandparent", b=2))
+    chain = model.collapse(40)
+    dc = doob_chain(chain, spectral_radius(model))
+    weights = dc.weights.copy()
+    weights[5] = weights[5] * 2
+    doubled = dataclasses.replace(dc, weights=weights)
+    want = chain._half_walk(40, chain._symmetric(weights.astype(float)))
+    got = doubled.return_series_float(40)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, dc.return_series_float(40))
